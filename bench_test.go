@@ -109,28 +109,6 @@ func BenchmarkSolverEpsilon(b *testing.B) {
 	}
 }
 
-// Ablation: the prebuild staleness margin on the high-ε instance that pays
-// the double-build tax (see ROADMAP): margin=0 is the exact phase-start
-// staleness test, margin=0.5 additionally refreshes borderline-fresh trees
-// at phase start — in parallel, and while their stale regions are still
-// small enough to repair instead of rebuild. On a single core the margin
-// mostly trades serial mid-phase refreshes for phase-start ones (flat
-// wall-clock); the win scales with real cores via the widened parallel
-// section, tracked per-worker by SolverPhasePar.
-func BenchmarkSolverMargin(b *testing.B) {
-	g, flows := solverInstance(b, 40, 10, 5)
-	for _, m := range []float64{0, 0.5} {
-		b.Run(fmt.Sprintf("margin=%v", m), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := mcf.Solve(g, flows, mcf.Options{Epsilon: 0.2, PrebuildMargin: m}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // Ablation: the scenario engine's content-addressed solve cache on a
 // repeated-instance sweep. "cold" solves the whole grid; "warm" re-runs
 // the identical grid against a primed cache, so every point is a content

@@ -9,7 +9,7 @@
 //	          [-baseline BENCH_x.json] [-gate name=pct,...]
 //
 // The snapshot covers the flow solver (scale, epsilon, repair-vs-rebuild,
-// prebuild staleness-margin, and phase-parallel worker-scaling ablations),
+// and phase-parallel worker-scaling ablations),
 // the incremental-evaluation path (SolverWarmStart/{ladder,expand}: the
 // same delta-shaped points solved cold vs warm-started from the parent's
 // stored witness; the ladder's ≥3× cold/warm speedup is enforced by the
@@ -130,12 +130,6 @@ func main() {
 		mode := mode
 		add("SolverRepair/"+mode, func(b *testing.B) {
 			benchRepair(b, 400, 6, mode == "repair")
-		})
-	}
-	for _, m := range []float64{0, 0.5} {
-		m := m
-		add(fmt.Sprintf("SolverMargin/margin=%v", m), func(b *testing.B) {
-			benchSolveMargin(b, 40, 10, 5, 0.2, m)
 		})
 	}
 	for _, mode := range []string{"cold", "warm"} {
@@ -342,26 +336,6 @@ func compare(baselinePath string, snap *Snapshot, gates string) error {
 
 func benchSolve(b *testing.B, n, r, sps int, eps float64) {
 	benchSolveWorkers(b, n, r, sps, eps, 0)
-}
-
-// benchSolveMargin mirrors BenchmarkSolverMargin: the high-ε double-build
-// instance with the phase-start prebuild's staleness margin on or off.
-func benchSolveMargin(b *testing.B, n, r, sps int, eps, margin float64) {
-	rng := rand.New(rand.NewSource(1))
-	g, err := rrg.Regular(rng, n, r)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for u := 0; u < n; u++ {
-		g.SetServers(u, sps)
-	}
-	tm := traffic.Permutation(rng, traffic.HostsOf(g))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := mcf.Solve(g, tm.Flows, mcf.Options{Epsilon: eps, PrebuildMargin: margin}); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // benchScenarioCache mirrors BenchmarkScenarioCache: a repeated-instance

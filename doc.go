@@ -157,11 +157,7 @@
 // test the routing loop applies) and refreshes them all concurrently
 // against the frozen phase-start length function — one persistent scratch
 // per source, worker count bounded by Options.Workers and the process-wide
-// runner semaphore. Options.PrebuildMargin optionally tightens that
-// phase-start test to (1 + (1−margin)·ε), pulling borderline-fresh trees
-// into the parallel pass while their stale regions are still small enough
-// to repair — the mitigation for the serial mid-phase double-build tax on
-// tiny high-ε instances (SolverMargin in the bench snapshot). Routing then proceeds serially against those trees, so
+// runner semaphore. Routing then proceeds serially against those trees, so
 // the solve's output is byte-identical regardless of worker count (the
 // golden figures stay byte-for-byte across machines); only wall-clock
 // changes. Each rebuild also picks its traversal adaptively: when the
@@ -189,7 +185,9 @@
 // the root. mcf.Solve therefore applies it adaptively: sources whose trees
 // go stale more than once per phase get full repairable builds, repairs
 // bail beyond a budget of N/2 affected nodes, and a kill switch reverts
-// the solve to early-exit rebuilds when repairs keep losing.
+// the solve to early-exit rebuilds when repairs keep losing. Repair, the
+// bucket queue and the phase-start prebuild have no caller-facing
+// switches; ROADMAP.md records the ablation that keeps each of them.
 //
 // Experiment layer. internal/runner provides the worker pool that the
 // figure runners, core.Evaluation, and the packet-simulation sweeps map

@@ -227,15 +227,6 @@ func (g *Graph) LinkEnds(id int) (u, v int) {
 	return int(g.arcs[2*id].From), int(g.arcs[2*id].To)
 }
 
-// ScaleLinkCapacity multiplies the capacity of link id by f.
-func (g *Graph) ScaleLinkCapacity(id int, f float64) {
-	if f <= 0 {
-		panic("graph: non-positive capacity scale")
-	}
-	g.arcs[2*id].Cap *= f
-	g.arcs[2*id+1].Cap *= f
-}
-
 // CutCapacity returns the total capacity of arcs leaving the node set S
 // (counting one direction: arcs from S to V\S).
 func (g *Graph) CutCapacity(inS []bool) float64 {

@@ -26,16 +26,6 @@ func (g *Graph) BFS(src int) []int {
 	return dist
 }
 
-// AllPairsShortestPaths returns the full hop-count distance matrix.
-// Unreachable pairs get -1.
-func (g *Graph) AllPairsShortestPaths() [][]int {
-	d := make([][]int, g.n)
-	for i := 0; i < g.n; i++ {
-		d[i] = g.BFS(i)
-	}
-	return d
-}
-
 // ASPL returns the average shortest path length over all ordered pairs of
 // distinct nodes, and whether the graph is connected. For a disconnected
 // graph the average is over reachable pairs only and ok is false.
@@ -199,39 +189,6 @@ func (g *Graph) bfsFrom(src int) []int32 {
 		}
 	}
 	return dist
-}
-
-// CountShortestPaths returns the number of distinct shortest paths between
-// src and dst, capped at limit to avoid overflow on dense graphs.
-func (g *Graph) CountShortestPaths(src, dst, limit int) int {
-	distTo := g.bfsFrom(dst)
-	if distTo[src] < 0 {
-		return 0
-	}
-	memo := make(map[int32]int, g.n)
-	var count func(u int32) int
-	count = func(u int32) int {
-		if int(u) == dst {
-			return 1
-		}
-		if c, ok := memo[u]; ok {
-			return c
-		}
-		c := 0
-		for _, a := range g.adj[u] {
-			v := g.arcs[a].To
-			if distTo[v] == distTo[u]-1 {
-				c += count(v)
-				if c >= limit {
-					c = limit
-					break
-				}
-			}
-		}
-		memo[u] = c
-		return c
-	}
-	return count(int32(src))
 }
 
 // Dijkstra computes weighted shortest-path distances from src using the

@@ -66,6 +66,9 @@ func determinismInstances(t *testing.T) map[string]instance {
 // TestSolverDeterministicAcrossWorkers: solving the same instance with 1,
 // 2, and GOMAXPROCS prebuild workers must produce identical Results down
 // to the last bit — flows, paths, counters, and the dual witness alike.
+// The fixtures must also engage the adaptive paths the determinism
+// contract covers: the prebuild and the bucket queue on every fixture,
+// incremental repair on the two RRG fixtures.
 func TestSolverDeterministicAcrossWorkers(t *testing.T) {
 	// Open the process-wide semaphore so multi-worker runs actually fan
 	// out even on small CI boxes (the default cap is GOMAXPROCS).
@@ -73,36 +76,39 @@ func TestSolverDeterministicAcrossWorkers(t *testing.T) {
 	defer runner.SetMaxInFlight(0)
 
 	workerCounts := []int{1, 2, runtime.GOMAXPROCS(0), 5}
-	// Margin 0 is the historical exact phase-start test; 0.5 exercises the
-	// widened borderline-fresh prebuild — both must be worker-independent.
+	needRepairs := map[string]bool{"rrg-permutation": true, "rrg-heavy": true}
 	for name, inst := range determinismInstances(t) {
-		for _, margin := range []float64{0, 0.5} {
-			var ref *mcf.Result
-			for _, w := range workerCounts {
-				res, err := mcf.Solve(inst.g, inst.flows, mcf.Options{
-					Epsilon: inst.eps, RecordPaths: true, Workers: w, PrebuildMargin: margin,
-				})
-				if err != nil {
-					t.Fatalf("%s margin=%v workers=%d: %v", name, margin, w, err)
+		var ref *mcf.Result
+		for _, w := range workerCounts {
+			res, err := mcf.Solve(inst.g, inst.flows, mcf.Options{
+				Epsilon: inst.eps, RecordPaths: true, Workers: w,
+			})
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", name, w, err)
+			}
+			// Timing is wall clock — the one Result field that is
+			// non-deterministic by contract. Everything else must match.
+			res.Timing = mcf.SolveTiming{}
+			if ref == nil {
+				ref = res
+				if res.TreePrebuilds == 0 {
+					t.Fatalf("%s: prebuild never engaged; the determinism test is vacuous", name)
 				}
-				// Timing is wall clock — the one Result field that is
-				// non-deterministic by contract. Everything else must match.
-				res.Timing = mcf.SolveTiming{}
-				if ref == nil {
-					ref = res
-					if res.TreePrebuilds == 0 {
-						t.Fatalf("%s margin=%v: prebuild never engaged; the determinism test is vacuous", name, margin)
-					}
-					continue
+				if res.BucketBuilds == 0 {
+					t.Fatalf("%s: bucket-queue traversal never engaged", name)
 				}
-				if got, want := math.Float64bits(res.Throughput), math.Float64bits(ref.Throughput); got != want {
-					t.Fatalf("%s margin=%v workers=%d: throughput %v differs from workers=%d reference %v",
-						name, margin, w, res.Throughput, workerCounts[0], ref.Throughput)
+				if needRepairs[name] && res.TreeRepairs == 0 {
+					t.Fatalf("%s: incremental repair never engaged", name)
 				}
-				if !reflect.DeepEqual(res, ref) {
-					t.Fatalf("%s margin=%v workers=%d: result diverges from workers=%d reference:\n%s",
-						name, margin, w, workerCounts[0], diffResults(ref, res))
-				}
+				continue
+			}
+			if got, want := math.Float64bits(res.Throughput), math.Float64bits(ref.Throughput); got != want {
+				t.Fatalf("%s workers=%d: throughput %v differs from workers=%d reference %v",
+					name, w, res.Throughput, workerCounts[0], ref.Throughput)
+			}
+			if !reflect.DeepEqual(res, ref) {
+				t.Fatalf("%s workers=%d: result diverges from workers=%d reference:\n%s",
+					name, w, workerCounts[0], diffResults(ref, res))
 			}
 		}
 	}
@@ -118,51 +124,4 @@ func diffResults(a, b *mcf.Result) string {
 		}
 	}
 	return "(no field diff found)"
-}
-
-// TestSolverDeterministicBucketAblation: the bucket kill switch changes
-// only the traversal implementation; with unique shortest paths the two
-// must agree bit-for-bit on the benchmark workload's early phases... which
-// cannot be asserted globally (uniform initial lengths tie-break
-// differently), so instead assert the weaker ε-class property plus exact
-// per-option determinism across repeated runs.
-func TestSolverDeterministicBucketAblation(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	g, err := rrg.Regular(rng, 24, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flows := randomDemands(rng, 24, 30, 3)
-	for _, disable := range []bool{false, true} {
-		var ref *mcf.Result
-		for rep := 0; rep < 2; rep++ {
-			res, err := mcf.Solve(g, flows, mcf.Options{Epsilon: 0.1, RecordPaths: true, DisableBucket: disable})
-			if err != nil {
-				t.Fatal(err)
-			}
-			res.Timing = mcf.SolveTiming{} // wall clock: non-deterministic by contract
-			if ref == nil {
-				ref = res
-			} else if !reflect.DeepEqual(res, ref) {
-				t.Fatalf("disableBucket=%v: repeated solve not deterministic:\n%s", disable, diffResults(ref, res))
-			}
-		}
-	}
-	on, err := mcf.Solve(g, flows, mcf.Options{Epsilon: 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	off, err := mcf.Solve(g, flows, mcf.Options{Epsilon: 0.1, DisableBucket: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := math.Abs(on.Throughput-off.Throughput) / off.Throughput; d > 2*0.1 {
-		t.Fatalf("bucket on λ=%v vs off λ=%v diverge by %.1f%%", on.Throughput, off.Throughput, 100*d)
-	}
-	if on.BucketBuilds == 0 {
-		t.Fatal("bucket traversal never engaged on the ablation instance")
-	}
-	if off.BucketBuilds != 0 {
-		t.Fatal("DisableBucket did not disable the bucket traversal")
-	}
 }

@@ -27,23 +27,15 @@ import (
 // Options configures the solver.
 type Options struct {
 	// Epsilon is the approximation parameter; smaller is more accurate and
-	// slower. Values in [0.02, 0.2] are sensible; 0 means DefaultEpsilon.
+	// slower. Values in [0.02, 0.2] are sensible; 0 means DefaultEpsilon,
+	// and NaN or values ≥ 0.5 are rejected.
 	Epsilon float64
-	// MaxPhases caps the number of Garg–Könemann phases as a safety valve.
-	// 0 means no explicit cap (the length-function stopping rule applies).
-	MaxPhases int
 	// RecordPaths keeps the per-piece path decomposition of the routed flow
 	// in Result.Paths (congestion-scaled, like ArcFlow), so an external
 	// verifier such as internal/flowcheck can replay conservation, capacity,
 	// and demand proportionality from first principles. Off by default: the
 	// decomposition can hold one entry per routed piece.
 	RecordPaths bool
-	// DisableRepair forces stale shortest-path trees to be rebuilt from
-	// scratch instead of incrementally repaired. The solver trajectory is
-	// unaffected either way (a repaired tree equals a rebuilt tree whenever
-	// shortest paths are unique); the knob exists for the repair-vs-rebuild
-	// benchmarks and oracle tests.
-	DisableRepair bool
 	// Workers bounds the concurrency of the phase-start tree prebuild
 	// (0 means GOMAXPROCS, 1 forces the serial path). Worker count NEVER
 	// changes the solve's output: all trees a phase prebuilds are computed
@@ -55,24 +47,6 @@ type Options struct {
 	// runner semaphore (runner.SetMaxInFlight), so nested solves cannot
 	// multiply goroutines.
 	Workers int
-	// PrebuildMargin tightens the phase-start staleness test by that
-	// fraction of ε: the concurrent prebuild refreshes every tree whose
-	// worst requested root path has grown past (1 + (1−margin)·ε) of its
-	// at-build length, not just past the full (1+ε) the routing loop
-	// enforces. Borderline-fresh trees — the ones this phase's routing
-	// would push over the threshold after a piece or two — are thereby
-	// refreshed at phase start, in parallel, while their stale region is
-	// still small enough for a cheap incremental repair, instead of
-	// mid-phase, serially, after the region has grown (often past the
-	// repair budget, costing a failed repair plus a rebuild: the
-	// double-build tax on tiny high-ε instances). 0 (the default) keeps
-	// the exact routing test and the historical trajectory; valid values
-	// are [0, 1). Any margin changes only WHEN trees refresh, never the
-	// (1+ε) slack routing tolerates, so the Fleischer guarantee is
-	// untouched; output remains byte-identical across worker counts for
-	// any fixed margin (the margin test is evaluated on the frozen
-	// phase-start lengths).
-	PrebuildMargin float64
 	// Cancel, when non-nil, aborts the solve at the next phase boundary
 	// once the channel is closed (typically a context's Done channel):
 	// Solve then returns ErrCanceled and whatever partial work was done is
@@ -82,13 +56,6 @@ type Options struct {
 	// The evaluation service wires a dropped client's request context
 	// here, so an abandoned grid stops burning CPU within one phase.
 	Cancel <-chan struct{}
-	// DisableBucket forces every tree construction onto the 4-ary heap
-	// Dijkstra instead of letting the solver pick the bucket-queue
-	// traversal when the phase's length spread favors it. The trajectory
-	// is unaffected either way (both traversals produce identical trees
-	// when shortest paths are unique); the knob is the kill switch for
-	// workloads where the adaptive heuristic misjudges.
-	DisableBucket bool
 	// WarmLens, when it holds one entry per arc, warm-starts the solve
 	// from a parent solve's exported witness: entries > 0 seed the initial
 	// Garg–Könemann length function with the parent's (mapped) DualLens,
@@ -191,8 +158,8 @@ type SolveTiming struct {
 	// phases — the parallelizable share of the tree work.
 	PrebuildNanos int64
 	// RouteNanos is the time spent in the serial per-phase routing
-	// loops (including any in-loop tree rebuilds the prebuild margin
-	// did not cover).
+	// loops (including the in-loop refreshes of trees the phase's own
+	// routing staled).
 	RouteNanos int64
 	// SolveNanos is the whole solve's wall clock, from state
 	// construction through result extraction.
@@ -214,11 +181,8 @@ func Solve(g *graph.Graph, flows []traffic.Flow, opt Options) (*Result, error) {
 	if eps <= 0 {
 		eps = DefaultEpsilon
 	}
-	if eps >= 0.5 {
-		return nil, fmt.Errorf("mcf: epsilon %v too large", eps)
-	}
-	if opt.PrebuildMargin < 0 || opt.PrebuildMargin >= 1 {
-		return nil, fmt.Errorf("mcf: prebuild margin %v outside [0, 1)", opt.PrebuildMargin)
+	if math.IsNaN(eps) || eps >= 0.5 {
+		return nil, fmt.Errorf("mcf: invalid epsilon %v (want below 0.5)", eps)
 	}
 	if len(flows) == 0 {
 		return &Result{Throughput: math.Inf(1), Stretch: 1}, nil
@@ -233,10 +197,6 @@ func Solve(g *graph.Graph, flows []traffic.Flow, opt Options) (*Result, error) {
 	if err := s.checkReachability(); err != nil {
 		return nil, err
 	}
-	maxPhases := opt.MaxPhases
-	if maxPhases <= 0 {
-		maxPhases = math.MaxInt32
-	}
 	// The classical Garg–Könemann potential rule (Σ lens·caps ≥ 1) bounds
 	// the phase count in the worst case, but in practice the primal-dual
 	// gap closes much earlier. Each phase costs O(m) extra to certify: the
@@ -247,7 +207,7 @@ func Solve(g *graph.Graph, flows []traffic.Flow, opt Options) (*Result, error) {
 	// accuracy the potential rule actually delivers on this workload family
 	// (measured ≈ 1.2ε at ε = 0.1), so the early stop does not change the
 	// solver's effective quality class, only its phase count.
-	for s.lenCapSum < 1 && s.phases < maxPhases {
+	for s.lenCapSum < 1 {
 		if opt.Cancel != nil {
 			select {
 			case <-opt.Cancel:
@@ -335,8 +295,8 @@ type state struct {
 	// growSeq advances once per routed piece. A persistent tree remembers
 	// the seq it was last current at, so "which of my tree arcs went stale"
 	// is answered in O(1) per tree arc and the tree is incrementally
-	// repaired instead of rebuilt. Unused (noRepair) when
-	// Options.DisableRepair is set or the shared-tree fallback is active.
+	// repaired instead of rebuilt. Unused (noRepair) when the shared-tree
+	// fallback is active.
 	grownAt  []int64
 	growSeq  int64
 	noRepair bool
@@ -361,18 +321,15 @@ type state struct {
 
 	// Phase-start concurrent prebuild (see prebuildTrees): pool bounds the
 	// workers, staleSrcs is the reusable list of sources whose trees the
-	// phase refreshes up front, prebuilds counts those refreshes, and
-	// margin (Options.PrebuildMargin) widens the refresh set to
-	// borderline-fresh trees.
+	// phase refreshes up front, and prebuilds counts those refreshes.
 	pool      *runner.Pool
 	staleSrcs []int
 	prebuilds int
-	margin    float64
 
 	// Per-phase traversal choice (see choosePhaseTraversal): phaseDelta is
 	// the bucket width derived from the phase-start length function,
 	// useBucket the phase's heap-vs-bucket decision, noBucket the sticky
-	// off switch (Options.DisableBucket or the rebase kill switch).
+	// off switch (the rebase and bail kill switches).
 	// bucketBuilds/bucketRebases track the bucket path's hit count and its
 	// failure mode, mirroring the repair kill-switch machinery.
 	phaseDelta    float64
@@ -433,10 +390,7 @@ func newState(g *graph.Graph, flows []traffic.Flow, eps float64, opt Options) *s
 		bySrc:       make(map[int][]int),
 		flows:       flows,
 		routed:      make([]float64, len(flows)),
-		noRepair:    opt.DisableRepair,
-		noBucket:    opt.DisableBucket,
 		pool:        runner.New(opt.Workers),
-		margin:      opt.PrebuildMargin,
 		recordPaths: opt.RecordPaths,
 		bestBound:   math.Inf(1),
 		startedAt:   time.Now(),
@@ -705,18 +659,16 @@ func (s *state) refreshTree(t *srcTree, src int, targets []int32) {
 }
 
 // phaseStale reports whether src's tree needs a phase-start refresh: never
-// built, or some requested root path is missing or has outgrown
-// (1 + (1−margin)·ε) of its at-build length under the phase-start lengths.
-// At margin 0 this is exactly the test the routing loop applies before
-// each piece, so the prebuild refreshes only trees whose first piece of
-// the phase would have forced a serial refresh anyway; a positive margin
-// additionally catches borderline-fresh trees before the phase's own
-// routing stales them mid-phase (see Options.PrebuildMargin).
+// built, or some requested root path is missing or has outgrown (1+ε) of
+// its at-build length under the phase-start lengths. This is exactly the
+// test the routing loop applies before each piece, so the prebuild
+// refreshes only trees whose first piece of the phase would have forced a
+// serial refresh anyway.
 func (s *state) phaseStale(t *srcTree, src int) bool {
 	if !t.built {
 		return true
 	}
-	onePlusEps := 1 + s.eps*(1-s.margin)
+	onePlusEps := 1 + s.eps
 	for _, j := range s.bySrc[src] {
 		var nowLen, buildLen float64
 		at := s.flows[j].Dst

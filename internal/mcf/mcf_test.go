@@ -203,6 +203,11 @@ func TestInvalidCommodity(t *testing.T) {
 	if _, err := Solve(g, []traffic.Flow{{Src: 0, Dst: 1, Demand: 0}}, Options{}); err == nil {
 		t.Fatal("expected error for zero demand")
 	}
+	// NaN passes both ε range comparisons and would skip the potential
+	// loop, returning a zero throughput as if it were solved.
+	if _, err := Solve(g, []traffic.Flow{{Src: 0, Dst: 1, Demand: 1}}, Options{Epsilon: math.NaN()}); err == nil {
+		t.Fatal("expected error for NaN epsilon")
+	}
 }
 
 func TestDeterminism(t *testing.T) {

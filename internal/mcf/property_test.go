@@ -6,7 +6,6 @@ package mcf_test
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 
@@ -118,44 +117,7 @@ func TestFlowcheckCertifiesHeavyDemand(t *testing.T) {
 	flows := randomDemands(rng, 60, 8, 30)
 	res := certify(t, g, flows, 0.1, "heavy-demand")
 	if res.TreeRepairs == 0 {
-		t.Log("note: no repairs engaged on the heavy-demand instance")
-	}
-}
-
-// TestRepairTrajectoryMatchesRebuild: with repair on vs off the solver may
-// break shortest-path ties differently, but throughput must agree within
-// the ε class and both runs must verify.
-func TestRepairTrajectoryMatchesRebuild(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for trial := 0; trial < 6; trial++ {
-		n := 20 + rng.Intn(40)
-		g, err := rrg.Regular(rng, n, 4+2*rng.Intn(2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		flows := randomDemands(rng, n, 5+rng.Intn(10), 25)
-		eps := 0.1
-		on, err := mcf.Solve(g, flows, mcf.Options{Epsilon: eps, RecordPaths: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		off, err := mcf.Solve(g, flows, mcf.Options{Epsilon: eps, DisableRepair: true, RecordPaths: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := math.Abs(on.Throughput-off.Throughput) / off.Throughput; d > 2*eps {
-			t.Fatalf("trial %d: repair-on λ=%v vs repair-off λ=%v diverge by %.1f%%",
-				trial, on.Throughput, off.Throughput, 100*d)
-		}
-		for name, res := range map[string]*mcf.Result{"on": on, "off": off} {
-			rep, err := flowcheck.Verify(g, flows, res, flowcheck.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !rep.OK() {
-				t.Fatalf("trial %d repair-%s rejected:\n%s", trial, name, rep)
-			}
-		}
+		t.Fatal("no repairs engaged on the heavy-demand instance")
 	}
 }
 
@@ -217,56 +179,6 @@ func TestRepairOracleUnderSolverLengths(t *testing.T) {
 						seq, round, v, d.Dist(v), d.Via(v), dist[v], via[v])
 				}
 			}
-		}
-	}
-}
-
-// TestFlowcheckCertifiesMarginSolves: the prebuild staleness margin moves
-// tree refreshes to phase start but must stay inside the GK analysis —
-// every margined solve still passes the independent verifier, and the
-// throughput stays within the ε class of the margin-0 solve.
-func TestFlowcheckCertifiesMarginSolves(t *testing.T) {
-	rng := rand.New(rand.NewSource(47))
-	for trial := 0; trial < 6; trial++ {
-		n := 16 + 2*rng.Intn(12) // even, so any degree is feasible
-		r := 4 + rng.Intn(4)
-		g, err := rrg.Regular(rng, n, r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		flows := randomDemands(rng, n, n+rng.Intn(2*n), 6)
-		eps := 0.2
-		base, err := mcf.Solve(g, flows, mcf.Options{Epsilon: eps, RecordPaths: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, margin := range []float64{0.25, 0.5, 0.9} {
-			res, err := mcf.Solve(g, flows, mcf.Options{Epsilon: eps, RecordPaths: true, PrebuildMargin: margin})
-			if err != nil {
-				t.Fatalf("trial %d margin %v: %v", trial, margin, err)
-			}
-			rep, err := flowcheck.Verify(g, flows, res, flowcheck.Options{})
-			if err != nil {
-				t.Fatalf("trial %d margin %v: %v", trial, margin, err)
-			}
-			if !rep.OK() {
-				t.Fatalf("trial %d margin %v: verifier rejected the solve:\n%s", trial, margin, rep)
-			}
-			if d := math.Abs(res.Throughput-base.Throughput) / base.Throughput; d > 2*eps {
-				t.Fatalf("trial %d margin %v: λ=%v vs margin-0 λ=%v diverge by %.1f%%",
-					trial, margin, res.Throughput, base.Throughput, 100*d)
-			}
-		}
-	}
-	// Out-of-range margins must be rejected.
-	g, err := rrg.Regular(rand.New(rand.NewSource(1)), 12, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flows := randomDemands(rand.New(rand.NewSource(2)), 12, 8, 2)
-	for _, bad := range []float64{-0.1, 1, 1.5} {
-		if _, err := mcf.Solve(g, flows, mcf.Options{Epsilon: 0.1, PrebuildMargin: bad}); err == nil {
-			t.Fatalf("margin %v accepted", bad)
 		}
 	}
 }

@@ -3,10 +3,17 @@ package scenario
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
 )
+
+// MaxGridRuns caps the point-runs (points × runs per point) one grid may
+// expand to. Grid lines arrive over HTTP, so every range, the axis
+// product and the run count are checked against it before any value or
+// point is materialized.
+const MaxGridRuns = 4096
 
 // Axis is one sweep dimension of a Grid: a parameter of the topology,
 // traffic, or evaluator spec swept over explicit values.
@@ -60,12 +67,21 @@ func (g Grid) Points() ([]GridPoint, error) {
 	if g.Eval == "" {
 		g.Eval = "mcf"
 	}
-	idx := make([]int, len(g.Sweep))
+	// Bound points × runs before the odometer materializes anything. The
+	// product stops growing once past the cap, so it cannot overflow.
+	total := Point{Runs: g.Runs}.runs()
 	for _, ax := range g.Sweep {
 		if len(ax.Values) == 0 {
 			return nil, fmt.Errorf("scenario: sweep axis %s.%s has no values", ax.Target, ax.Param)
 		}
+		if total <= MaxGridRuns {
+			total *= len(ax.Values)
+		}
 	}
+	if total > MaxGridRuns {
+		return nil, fmt.Errorf("scenario: grid exceeds %d point-runs (points × runs)", MaxGridRuns)
+	}
+	idx := make([]int, len(g.Sweep))
 	var out []GridPoint
 	for {
 		topoSpec, trafficSpec, evalSpec := g.Topo, g.Traffic, g.Eval
@@ -207,6 +223,9 @@ func (g Grid) WriteTSV(e *Engine, w io.Writer) error {
 // eps. A sweep token is param:values where values is lo..hi[:step]
 // (integer range) or a comma list (v1,v2,v3); prefix the parameter with
 // "traffic." or "eval." to sweep those specs instead of the topology.
+// runs must be non-negative (0 means the default), eps must lie in
+// [0, 0.5) (0 means the solver default), and no axis may hold more than
+// MaxGridRuns values.
 func ParseGrid(line string) (Grid, error) {
 	g := Grid{}
 	for _, tok := range strings.Fields(line) {
@@ -229,7 +248,7 @@ func ParseGrid(line string) (Grid, error) {
 			g.Sweep = append(g.Sweep, ax)
 		case "runs":
 			n, err := strconv.Atoi(val)
-			if err != nil {
+			if err != nil || n < 0 {
 				return g, fmt.Errorf("scenario: bad runs %q", val)
 			}
 			g.Runs = n
@@ -240,9 +259,10 @@ func ParseGrid(line string) (Grid, error) {
 			}
 			g.Seed = n
 		case "eps":
+			// 0 means the solver default; mcf.Solve rejects ε ≥ 0.5.
 			f, err := strconv.ParseFloat(val, 64)
-			if err != nil {
-				return g, fmt.Errorf("scenario: bad eps %q", val)
+			if err != nil || math.IsNaN(f) || f < 0 || f >= 0.5 {
+				return g, fmt.Errorf("scenario: bad eps %q (want 0 <= eps < 0.5)", val)
 			}
 			g.Epsilon = f
 		default:
@@ -281,10 +301,19 @@ func parseAxis(s string) (Axis, error) {
 		if err1 != nil || err2 != nil || b < a {
 			return Axis{}, fmt.Errorf("scenario: bad sweep range %q (want lo..hi with lo <= hi)", vals)
 		}
-		for v := a; v <= b; v += step {
-			ax.Values = append(ax.Values, strconv.Itoa(v))
+		// Count before iterating: b−a can overflow int, but never uint64.
+		span := (uint64(b) - uint64(a)) / uint64(step)
+		if span >= MaxGridRuns {
+			return Axis{}, fmt.Errorf("scenario: sweep %s has more than %d values", param, MaxGridRuns)
+		}
+		ax.Values = make([]string, span+1)
+		for i := range ax.Values {
+			ax.Values[i] = strconv.Itoa(a + i*step) // ≤ b, exact even if i*step wraps
 		}
 		return ax, nil
+	}
+	if strings.Count(vals, ",") >= MaxGridRuns {
+		return Axis{}, fmt.Errorf("scenario: sweep %s has more than %d values", param, MaxGridRuns)
 	}
 	ax.Values = strings.Split(vals, ",")
 	return ax, nil

@@ -26,7 +26,9 @@
 //
 //	topo=rrg:n=400,deg=10 traffic=permutation eval=mcf sweep=deg:4..16
 //
-// (see Grid and ParseGrid).
+// (see Grid and ParseGrid). Grid lines arrive over HTTP, so their size is
+// bounded before anything is materialized: a grid expands to at most
+// MaxGridRuns point-runs (points × runs), and ε must lie in [0, 0.5).
 //
 // # Cache key invariant
 //

@@ -212,10 +212,12 @@ func contains(xs []string, want string) bool {
 	return false
 }
 
-// TestBadRequests: malformed JSON, an empty grid, and a bad grammar all
-// answer 400 with a JSON error, never 500.
+// TestBadRequests: malformed JSON, an empty grid, a bad grammar, an ε
+// the solver cannot honor and a grid too large to materialize all answer
+// 400 with a JSON error, never 500, and write nothing to the store — an
+// unsolved NaN-ε point must never be cached or persisted as a result.
 func TestBadRequests(t *testing.T) {
-	_, hs := newTestServer(t, "", 4)
+	_, hs := newTestServer(t, t.TempDir(), 4)
 	resp, err := http.Post(hs.URL+"/v1/eval", "application/json", strings.NewReader("{not json"))
 	if err != nil {
 		t.Fatal(err)
@@ -224,7 +226,10 @@ func TestBadRequests(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("malformed JSON: %d", resp.StatusCode)
 	}
-	for _, grid := range []string{"", "traffic=permutation", "topo=nope:n=4", "topo=rrg bogus=1"} {
+	for _, grid := range []string{"", "traffic=permutation", "topo=nope:n=4", "topo=rrg bogus=1",
+		testGrid + " eps=NaN", testGrid + " eps=-1", testGrid + " eps=0.7", testGrid + " eps=Inf",
+		testGrid + " sweep=deg:0..2000000000", testGrid + " sweep=deg:0..9223372036854775807",
+		testGrid + " runs=1000000000", testGrid + " runs=-1"} {
 		status, body := postEval(t, hs.URL, grid)
 		if status != http.StatusBadRequest {
 			t.Fatalf("grid %q: status %d body %s", grid, status, body)
@@ -235,6 +240,9 @@ func TestBadRequests(t *testing.T) {
 		if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
 			t.Fatalf("grid %q: error body %s", grid, body)
 		}
+	}
+	if got := metric(t, hs.URL, "store_writes_total"); got != 0 {
+		t.Fatalf("rejected grids wrote %d store entries", got)
 	}
 }
 
