@@ -69,6 +69,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -210,7 +211,7 @@ func runScenario(line string, runs int, seed int64, eps float64, par int, outPat
 	if jsonOut {
 		// The service's evaluation path and canonical encoding: the emitted
 		// bytes equal a `topobench serve` response for the same grid.
-		resp, err := service.EvalGrid(eng, line, service.Defaults{Runs: runs, Seed: seed, Epsilon: eps})
+		resp, err := service.EvalGrid(context.Background(), eng, line, service.Defaults{Runs: runs, Seed: seed, Epsilon: eps}, nil)
 		if err != nil {
 			return err
 		}

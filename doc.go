@@ -1,12 +1,13 @@
 // Package repro is a from-scratch Go reproduction of "High Throughput
 // Data Center Topology Design" (Singla, Godfrey, Kolla — NSDI 2014).
 //
-// The library lives under internal/ (see DESIGN.md for the system
+// The library lives under internal/ (see ROADMAP.md for the system
 // inventory), the figure regenerators under internal/experiments, the
 // command-line tools under cmd/, and runnable examples under examples/.
 // The benchmarks in bench_test.go regenerate every figure of the paper's
-// evaluation in reduced "quick" mode; use cmd/topobench for full-fidelity
-// runs.
+// evaluation in reduced "quick" mode and time the core algorithms; use
+// cmd/topobench for full-fidelity runs. Every benchmark body that
+// cmd/benchjson also runs lives once, in internal/benchsuite.
 //
 // # Scenario engine
 //
@@ -197,9 +198,11 @@
 // parallel by default (-parallel=false forces serial). Nested pools share
 // one process-wide weighted semaphore, so total in-flight work stays
 // bounded by runner.SetMaxInFlight (GOMAXPROCS by default) no matter how
-// grids, runs, and simulations nest. cmd/benchjson snapshots the hot-path
-// benchmarks to BENCH_<date>.json so perf is tracked across PRs, and in
-// CI compares them to the committed baseline, failing on hot-path
+// grids, runs, and simulations nest. cmd/benchjson runs the hot-path
+// entries of internal/benchsuite — the same bodies, under the same names,
+// as `go test -bench` — and snapshots them to BENCH_<date>.json so perf is
+// tracked from change to change. In CI it compares them to the committed
+// baseline, recorded at the same GOMAXPROCS, failing on hot-path
 // regressions.
 //
 // # Verifying results

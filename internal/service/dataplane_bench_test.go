@@ -10,15 +10,16 @@ import (
 	"repro/internal/scenario"
 )
 
-// The dataplane benchmarks measure the serve path alone: one warm request
-// through the full handler stack against a reusable request and a null
-// ResponseWriter, so allocs/op and ns/op are the service's own cost — no
-// client, no sockets, no recorder. BenchmarkServeEvalWarm is the number
-// the ServeLoad CI gate tracks: what answering an already-solved grid
-// costs per request.
+// The warm-dataplane helpers: one warm request through the full handler
+// stack against a reusable request and a null ResponseWriter, so
+// allocs/op is the service's own cost — no client, no sockets, no
+// recorder. TestWarmEvalAllocs and TestWarmEvalAllocsTraced pin that
+// budget with them. The ServeEvalWarm benchmark that CI gates lives in
+// internal/benchsuite, which this in-package test cannot import without
+// an import cycle.
 
 // nullRW is a ResponseWriter that discards the body and reuses its header
-// map, so the benchmark charges the handler's writes and nothing else.
+// map, so the alloc gates charge the handler's writes and nothing else.
 type nullRW struct {
 	h      http.Header
 	status int
@@ -63,21 +64,4 @@ func newWarmBench(b testing.TB, grid string) (http.Handler, *http.Request, *eval
 		b.Fatalf("prime request: status %d", w.status)
 	}
 	return h, req, body, w
-}
-
-// BenchmarkServeEvalWarm is one warm POST /v1/eval — every layer below
-// the service has already solved and cached this grid, so the measured
-// cost is pure dataplane: request parse, lookup, response write.
-func BenchmarkServeEvalWarm(b *testing.B) {
-	h, req, body, w := newWarmBench(b, testGridQuick)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		body.Seek(0, 0)
-		w.reset()
-		h.ServeHTTP(w, req)
-		if w.status != http.StatusOK {
-			b.Fatalf("status %d", w.status)
-		}
-	}
 }

@@ -297,7 +297,7 @@ func referenceBytes(t *testing.T) map[string][]byte {
 	t.Helper()
 	ref := map[string][]byte{}
 	for _, grid := range chaosGrids {
-		resp, err := EvalGrid(&scenario.Engine{Parallel: 1, SkipInfeasible: true}, grid, Defaults{})
+		resp, err := EvalGrid(context.Background(), &scenario.Engine{Parallel: 1, SkipInfeasible: true}, grid, Defaults{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -199,7 +199,9 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 // per-point progress back into the record.
 func (s *Server) runJob(j *job) {
 	progress := func(done, total int) { s.jobProgress(j, done, total) }
-	status, body, err := s.evalShared(j.ctx, j.grid, true, s.cfg.JobTimeout, progress)
+	sc := evalScratchPool.Get().(*evalScratch)
+	defer evalScratchPool.Put(sc)
+	status, body, _, err := s.evalShared(j.ctx, j.grid, true, s.cfg.JobTimeout, progress, sc)
 	if err != nil {
 		// Only the job's own ctx can fail a blocking evalShared: the job
 		// was canceled while still waiting for a slot.

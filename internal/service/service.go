@@ -441,24 +441,16 @@ var ErrBadRequest = errors.New("bad eval request")
 
 // EvalGrid parses and evaluates one grid line on the engine and builds
 // the canonical response. It is the single evaluation path shared by the
-// HTTP handler and `topobench -scenario -json`, so their bytes agree.
-func EvalGrid(eng *scenario.Engine, line string, def Defaults) (*EvalResponse, error) {
-	return EvalGridCtx(context.Background(), eng, line, def)
-}
-
-// EvalGridCtx is EvalGrid under a context: cancellation stops the grid at
-// the next point/run boundary (and in-flight MCF solves at their next
-// phase boundary) and returns the context's error. A canceled evaluation
-// stores nothing, so re-requesting the grid re-solves cleanly.
-func EvalGridCtx(ctx context.Context, eng *scenario.Engine, line string, def Defaults) (*EvalResponse, error) {
-	return EvalGridProgress(ctx, eng, line, def, nil)
-}
-
-// EvalGridProgress is EvalGridCtx with a per-point progress callback
-// (see scenario.MeasureRunsProgress) — the async job API's hook for
-// persisting job progress as the grid advances. nil progress is
-// EvalGridCtx exactly.
-func EvalGridProgress(ctx context.Context, eng *scenario.Engine, line string, def Defaults, progress scenario.ProgressFunc) (*EvalResponse, error) {
+// HTTP handler, async jobs and `topobench -scenario -json`, so their
+// bytes agree.
+//
+// Cancelling ctx stops the grid at the next point/run boundary (and
+// in-flight MCF solves at their next phase boundary) and returns the
+// context's error. A canceled evaluation stores nothing, so re-requesting
+// the grid re-solves cleanly. A non-nil progress is called per point (see
+// scenario.MeasureRunsProgress) — the async job API's hook for persisting
+// job progress as the grid advances.
+func EvalGrid(ctx context.Context, eng *scenario.Engine, line string, def Defaults, progress scenario.ProgressFunc) (*EvalResponse, error) {
 	line = strings.Join(strings.Fields(line), " ")
 	grid, err := scenario.ParseGrid(line)
 	if err != nil {
@@ -605,7 +597,7 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	status, body, src, err := s.evalSharedScratch(r.Context(), key, false, s.cfg.RequestTimeout, nil, sc)
+	status, body, src, err := s.evalShared(r.Context(), key, false, s.cfg.RequestTimeout, nil, sc)
 	if err != nil {
 		s.rejected.Add(1)
 		w.Header().Set("Retry-After", "1")
@@ -659,24 +651,18 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 //     tied to a flight before its cancellation still wakes to a 499; if
 //     its own ctx is live, it loops and re-dispatches instead of
 //     forwarding a disconnect it did not suffer.
-func (s *Server) evalShared(ctx context.Context, key string, block bool, timeout time.Duration, progress scenario.ProgressFunc) (int, []byte, error) {
-	sc := evalScratchPool.Get().(*evalScratch)
-	defer evalScratchPool.Put(sc)
-	status, body, _, err := s.evalSharedScratch(ctx, key, block, timeout, progress, sc)
-	return status, body, err
-}
-
-// evalSharedScratch is evalShared with a caller-supplied parse scratch
-// (the key-preimage buffer). The response-byte cache fronts everything:
-// a warm grid returns its canonical bytes here — no flight, no job slot,
-// no engine walk, no marshal — and a cold evaluation's 200 bytes populate
-// the cache on the way out (one put per flight: population is
-// singleflighted by construction).
+//
+// sc is the caller's pooled parse scratch (its key-preimage buffer is
+// reused here). The response-byte cache fronts everything: a warm grid
+// returns its canonical bytes here — no flight, no job slot, no engine
+// walk, no marshal — and a cold evaluation's 200 bytes populate the cache
+// on the way out (one put per flight: population is singleflighted by
+// construction).
 //
 // The src return names how the bytes were produced — "bytecache" (warm
 // hit), "shared" (attached to an identical in-flight evaluation), or
 // "lead" (this call ran the solve) — for the slow-request log line.
-func (s *Server) evalSharedScratch(ctx context.Context, key string, block bool, timeout time.Duration, progress scenario.ProgressFunc, sc *evalScratch) (int, []byte, string, error) {
+func (s *Server) evalShared(ctx context.Context, key string, block bool, timeout time.Duration, progress scenario.ProgressFunc, sc *evalScratch) (int, []byte, string, error) {
 	var rk respKey
 	rk, sc.key = respKeyFor(sc.key, respKeyPrefix, key)
 	if body := s.resp.get(rk); body != nil {
@@ -778,7 +764,7 @@ func (s *Server) evaluate(ctx context.Context, line string, progress scenario.Pr
 			body = errorBody(fmt.Errorf("evaluation panicked: %v", r))
 		}
 	}()
-	resp, err := EvalGridProgress(ctx, s.cfg.Engine, line, s.cfg.Defaults, progress)
+	resp, err := EvalGrid(ctx, s.cfg.Engine, line, s.cfg.Defaults, progress)
 	if err != nil {
 		status := http.StatusInternalServerError
 		switch {
@@ -1094,6 +1080,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		g("claim_wait_hits_total", ts.WaitHits)
 		g("claim_wait_timeouts_total", ts.WaitTimeouts)
 		g("claims_reclaimed_total", ts.Reclaims)
+		g("claims_abandoned_total", ts.Abandons)
 	}
 	if c := s.cfg.Remote; c != nil {
 		rs := c.Stats()
@@ -1109,9 +1096,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		g("remote_breaker_opens_total", rs.BreakerOpens)
 		g("remote_short_circuits_total", rs.ShortCircuits)
 		g("remote_breaker_state", int64(rs.State))
-	}
-	if t := s.cfg.Tiered; t != nil {
-		g("claims_abandoned_total", t.Stats().Abandons)
 	}
 	g("jobs_submitted_total", s.jobsSubmitted.Load())
 	g("jobs_done_total", s.jobsDone.Load())

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -103,7 +104,7 @@ func TestEvalMatchesEngineAndPersists(t *testing.T) {
 		t.Fatalf("cold eval: %d %s", status, cold)
 	}
 	// Direct engine evaluation, cold, no cache: the reference bytes.
-	ref, err := EvalGrid(&scenario.Engine{Parallel: 1, SkipInfeasible: true}, testGrid, Defaults{})
+	ref, err := EvalGrid(context.Background(), &scenario.Engine{Parallel: 1, SkipInfeasible: true}, testGrid, Defaults{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

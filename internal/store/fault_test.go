@@ -256,6 +256,44 @@ func TestTieredClaimSingleflight(t *testing.T) {
 	}
 }
 
+// TestTieredClaimRechecksAfterWin: a replica whose disk read missed
+// before a peer published and released the key must not solve it again
+// when it then wins the released claim. The negative cache makes the
+// interleaving deterministic: r1's miss is remembered, r2 solves and
+// publishes through its own handle, and r1's next disk read is answered
+// by the stale negative entry.
+func TestTieredClaimRechecksAfterWin(t *testing.T) {
+	dir := t.TempDir()
+	open := func() *Tiered {
+		disk, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		disk.EnableNegativeCache(0, time.Hour)
+		return NewTiered(disk, nil, TieredOptions{LeaseTTL: 10 * time.Second, Poll: 2 * time.Millisecond})
+	}
+	r1, r2 := open(), open()
+	if _, ok := r1.Disk().Load("pt"); ok {
+		t.Fatal("cold pool must miss")
+	}
+	if _, ok := r2.Load("pt"); ok {
+		t.Fatal("cold pool must miss")
+	}
+	if err := r2.Save("pt", []float64{9, 9}); err != nil {
+		t.Fatal(err)
+	}
+	got, ok := r1.Load("pt")
+	if !ok || !reflect.DeepEqual(got, []float64{9, 9}) {
+		t.Fatalf("r1 after r2's publish: %v %v (a miss means solving the key a second time)", got, ok)
+	}
+	if st := r1.Stats(); st.ClaimsWon != 0 || st.WaitHits != 1 {
+		t.Fatalf("r1 stats: %+v (must be served, not solve)", st)
+	}
+	if _, _, ok := r1.Disk().ClaimHolder(Addr("pt")); ok {
+		t.Fatal("the re-check left its claim behind")
+	}
+}
+
 // TestTieredCrashReclaim: a claimant that dies mid-solve must not wedge
 // the pool — its lease expires and a waiter takes over the solve.
 func TestTieredCrashReclaim(t *testing.T) {

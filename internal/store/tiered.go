@@ -196,6 +196,17 @@ func (t *Tiered) LoadCtx(ctx context.Context, key string) ([]float64, bool) {
 		}
 		won, deadline := t.disk.Claim(addr, t.opt.Owner, t.opt.LeaseTTL)
 		if won {
+			// A holder may have published and released between this
+			// replica's miss (possibly a negative-cache answer) and its
+			// claim. A holder publishes before it releases, so one fresh
+			// read after winning sees that result; solving instead would
+			// solve the key twice fleet-wide.
+			if vals, ok := t.disk.loadAddrFresh(addr); ok {
+				t.disk.Unclaim(addr, t.opt.Owner)
+				csp.Attr("outcome", "wait-hit")
+				t.count(func(s *TieredStats) { s.WaitHits++ })
+				return vals, true
+			}
 			csp.Attr("outcome", "claimed")
 			t.count(func(s *TieredStats) { s.ClaimsWon++; s.Misses++ })
 			return nil, false
