@@ -33,3 +33,11 @@ func logFormatFlag(fs *flag.FlagSet) *string {
 func applyLogFormat(format string) {
 	logger = newLogger(format)
 }
+
+// logStats logs one component's counters on one line: the key-value
+// pairs in args, then every family its Metrics method emits, keyed by
+// the family's /metrics name (without the topobench_ prefix).
+func logStats(msg string, metrics func(emit func(name, help string, v int64)), args ...any) {
+	metrics(func(name, _ string, v int64) { args = append(args, name, v) })
+	logger.Info(msg, args...)
+}

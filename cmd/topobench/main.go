@@ -44,7 +44,8 @@
 // With -cache-dir, the content-addressed solve cache is tiered onto a
 // persistent result store (internal/store): results computed by ANY
 // earlier process with the same cache dir are reused instead of
-// re-solved, and cache + store statistics are printed at exit. The serve
+// re-solved, and the exit summary adds store statistics to the cache's
+// (each counter keyed by its /metrics family name). The serve
 // subcommand exposes the same engine as a long-running JSON service (see
 // internal/service for the API); -json prints a -scenario grid in the
 // service's canonical response encoding, so batch and served results can
@@ -189,9 +190,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if st != nil {
-		printCacheStats(scenario.Default, st)
-	}
+	printCacheStats(scenario.Default, st)
 }
 
 // runScenario parses and executes one -scenario grid. Flag values apply as
@@ -246,15 +245,9 @@ func runScenario(line string, runs int, seed int64, eps float64, par int, outPat
 			return err
 		}
 	}
-	cs := scenario.Default.Stats()
-	logger.Info("scenario done",
-		"elapsed", time.Since(start).Round(time.Millisecond),
-		"cache_hits", cs.Hits, "store_hits", cs.StoreHits, "misses", cs.Misses)
+	logger.Info("scenario done", "elapsed", time.Since(start).Round(time.Millisecond))
 	if warm {
-		ws := eng.WarmStats()
-		logger.Info("warm-start stats",
-			"attempts", ws.Attempts, "certified", ws.Starts, "cert_fallbacks", ws.Fallbacks,
-			"parent_hits", ws.ParentHits, "parent_misses", ws.ParentMisses)
+		logStats("warm-start stats", eng.WarmStats().Metrics)
 	}
 	return nil
 }

@@ -169,18 +169,10 @@ func runServe(args []string) {
 	<-drained
 	printCacheStats(cache, st)
 	if tiered != nil {
-		ts := tiered.Stats()
-		logger.Info("tiered stats",
-			"disk_hits", ts.DiskHits, "remote_hits", ts.RemoteHits, "misses", ts.Misses,
-			"promotions", ts.Promotions, "claims_won", ts.ClaimsWon,
-			"wait_hits", ts.WaitHits, "reclaims", ts.Reclaims)
+		logStats("tiered stats", tiered.Stats().Metrics)
 	}
 	if remote != nil {
-		rs := remote.Stats()
-		logger.Info("remote stats", "peer", remote.BaseURL(),
-			"load_hits", rs.LoadHits, "loads", rs.Loads, "saves", rs.Saves,
-			"save_errors", rs.SaveErrs, "retries", rs.Retries, "failures", rs.Failures,
-			"breaker_opens", rs.BreakerOpens, "breaker", rs.State.String())
+		logStats("remote stats", remote.Stats().Metrics, "peer", remote.BaseURL())
 	}
 }
 
@@ -196,23 +188,12 @@ func validateServeFlags(cacheDir string, lease time.Duration) error {
 	return nil
 }
 
-// printCacheStats reports the tiered cache and store activity — the
-// batch-mode exit summary and the server's shutdown summary.
+// printCacheStats reports the solve cache and, when there is one, the
+// store's activity — the batch-mode exit summary and the server's
+// shutdown summary.
 func printCacheStats(c *scenario.Cache, st *store.Store) {
-	cs := c.Stats()
-	args := []any{
-		"hits", cs.Hits, "store_hits", cs.StoreHits,
-		"misses", cs.Misses, "entries", cs.Entries,
-	}
-	if cs.StoreErrs > 0 {
-		args = append(args, "STORE_ERRORS", cs.StoreErrs)
-	}
-	logger.Info("cache stats", args...)
+	logStats("cache stats", c.Stats().Metrics)
 	if st != nil {
-		ss := st.Stats()
-		logger.Info("store stats",
-			"entries", ss.Entries, "bytes", ss.Bytes, "hits", ss.Hits,
-			"misses", ss.Misses, "writes", ss.Writes,
-			"corrupt", ss.Corrupt, "evicted", ss.Evicted)
+		logStats("store stats", st.Stats().Metrics)
 	}
 }

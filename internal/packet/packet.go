@@ -222,9 +222,9 @@ type sim struct {
 func (s *sim) setup(flows []FlowSpec) error {
 	s.arcs = make([]arcState, s.g.NumArcs())
 	s.audit = Audit{
-		ArcEnqueued: make([]int64, s.g.NumArcs()),
-		ArcDropped:  make([]int64, s.g.NumArcs()),
-		ArcTransits: make([]int64, s.g.NumArcs()),
+		ArcEnqueued:   make([]int64, s.g.NumArcs()),
+		ArcDropped:    make([]int64, s.g.NumArcs()),
+		ArcTransits:   make([]int64, s.g.NumArcs()),
 		NodeInjected:  make([]int64, s.g.N()),
 		NodeDelivered: make([]int64, s.g.N()),
 		Measure:       s.cfg.Measure,

@@ -40,13 +40,10 @@ type Backend interface {
 // private copies, so callers can neither corrupt an entry nor observe a
 // later mutation.
 type Cache struct {
-	mu        sync.Mutex
-	entries   map[[sha256.Size]byte][]float64
-	backend   Backend
-	hits      int64
-	misses    int64
-	storeHits int64
-	storeErrs int64
+	mu      sync.Mutex
+	entries map[[sha256.Size]byte][]float64
+	backend Backend
+	st      CacheStats // counters; Stats fills in Entries
 }
 
 // CacheStats snapshots a cache's lookup counters: Hits served from
@@ -57,6 +54,16 @@ type CacheStats struct {
 	Hits, Misses         int64
 	StoreHits, StoreErrs int64
 	Entries              int
+}
+
+// Metrics emits the cache's /metrics families in scrape order, each
+// with its help text.
+func (s CacheStats) Metrics(emit func(name, help string, v int64)) {
+	emit("cache_hits_total", "Solve-cache memory-tier hits.", s.Hits)
+	emit("cache_store_hits_total", "Solve-cache hits served from the backing store tier.", s.StoreHits)
+	emit("cache_misses_total", "Solve-cache misses (the point was solved).", s.Misses)
+	emit("cache_store_errors_total", "Solve-cache store-tier read/write errors.", s.StoreErrs)
+	emit("cache_entries", "Solve-cache resident memory-tier entries.", int64(s.Entries))
 }
 
 // NewCache returns an empty in-memory solve cache.
@@ -104,7 +111,7 @@ func (c *Cache) GetCtx(ctx context.Context, key string) ([]float64, bool) {
 	vals, ok := c.entries[h]
 	backend := c.backend
 	if ok {
-		c.hits++
+		c.st.Hits++
 		out := make([]float64, len(vals))
 		copy(out, vals)
 		c.mu.Unlock()
@@ -128,7 +135,7 @@ func (c *Cache) GetCtx(ctx context.Context, key string) ([]float64, bool) {
 			copy(cp, vals)
 			c.mu.Lock()
 			c.entries[h] = cp
-			c.storeHits++
+			c.st.StoreHits++
 			c.mu.Unlock()
 			out := make([]float64, len(vals))
 			copy(out, vals)
@@ -138,7 +145,7 @@ func (c *Cache) GetCtx(ctx context.Context, key string) ([]float64, bool) {
 		sp.End()
 	}
 	c.mu.Lock()
-	c.misses++
+	c.st.Misses++
 	c.mu.Unlock()
 	return nil, false
 }
@@ -210,7 +217,7 @@ func (c *Cache) PutLinked(key string, vals []float64, parentKey string) {
 	}
 	if err != nil {
 		c.mu.Lock()
-		c.storeErrs++
+		c.st.StoreErrs++
 		c.mu.Unlock()
 	}
 }
@@ -240,11 +247,9 @@ func (c *Cache) Pin(key string) func() {
 func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return CacheStats{
-		Hits: c.hits, Misses: c.misses,
-		StoreHits: c.storeHits, StoreErrs: c.storeErrs,
-		Entries: len(c.entries),
-	}
+	st := c.st
+	st.Entries = len(c.entries)
+	return st
 }
 
 // Reset drops every in-memory entry and zeroes the counters. The backend,
@@ -253,5 +258,5 @@ func (c *Cache) Reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.entries = map[[sha256.Size]byte][]float64{}
-	c.hits, c.misses, c.storeHits, c.storeErrs = 0, 0, 0, 0
+	c.st = CacheStats{}
 }

@@ -127,6 +127,16 @@ type WarmStats struct {
 	ParentHits, ParentMisses    int64
 }
 
+// Metrics emits the warm-start /metrics families in scrape order, each
+// with its help text.
+func (s WarmStats) Metrics(emit func(name, help string, v int64)) {
+	emit("warm_attempts_total", "Delta solves attempted with a parent witness.", s.Attempts)
+	emit("warm_starts_total", "Delta solves that ran warm-started and certified.", s.Starts)
+	emit("warm_cert_fallbacks_total", "Warm-started solves that failed certification and re-ran cold.", s.Fallbacks)
+	emit("warm_parent_hits_total", "Parent witness lookups that found a usable witness.", s.ParentHits)
+	emit("warm_parent_misses_total", "Parent witness lookups that found none.", s.ParentMisses)
+}
+
 // WarmStats reports the engine's warm-start counters.
 func (e *Engine) WarmStats() WarmStats {
 	return WarmStats{

@@ -74,18 +74,26 @@ type respCacheStats struct {
 	Bytes                   int64
 }
 
+// Metrics emits the byte cache's /metrics families in scrape order, each
+// with its help text.
+func (s respCacheStats) Metrics(emit func(name, help string, v int64)) {
+	emit("response_bytes_cache_hits_total", "Warm grids answered from cached canonical response bytes.", s.Hits)
+	emit("response_bytes_cache_misses_total", "Response-byte cache lookups that missed.", s.Misses)
+	emit("response_bytes_cache_evictions_total", "Response-byte cache entries evicted by the byte budget.", s.Evictions)
+	emit("response_bytes_cache_entries", "Response-byte cache resident entries.", int64(s.Entries))
+	emit("response_bytes_cache_bytes", "Response-byte cache resident bytes.", s.Bytes)
+}
+
 // respCache is the content-addressed response-byte cache. maxBytes <= 0
 // disables it entirely (every get is a counted miss, every put a no-op).
 type respCache struct {
 	maxBytes int64
 
-	mu        sync.Mutex
-	entries   map[respKey]*respEntry
-	bytes     int64
-	clock     int64
-	hits      int64
-	misses    int64
-	evictions int64
+	mu      sync.Mutex
+	entries map[respKey]*respEntry
+	bytes   int64
+	clock   int64
+	st      respCacheStats // counters; stats fills in Entries and Bytes
 }
 
 func newRespCache(maxBytes int64) *respCache {
@@ -100,12 +108,12 @@ func (c *respCache) get(k respKey) []byte {
 	defer c.mu.Unlock()
 	e, ok := c.entries[k]
 	if !ok {
-		c.misses++
+		c.st.Misses++
 		return nil
 	}
 	c.clock++
 	e.access = c.clock
-	c.hits++
+	c.st.Hits++
 	return e.body
 }
 
@@ -148,7 +156,7 @@ func (c *respCache) put(k respKey, body []byte) {
 		}
 		delete(c.entries, lruKey)
 		c.bytes -= int64(len(lru.body))
-		c.evictions++
+		c.st.Evictions++
 	}
 }
 
@@ -156,8 +164,7 @@ func (c *respCache) put(k respKey, body []byte) {
 func (c *respCache) stats() respCacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return respCacheStats{
-		Hits: c.hits, Misses: c.misses, Evictions: c.evictions,
-		Entries: len(c.entries), Bytes: c.bytes,
-	}
+	st := c.st
+	st.Entries, st.Bytes = len(c.entries), c.bytes
+	return st
 }

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -38,14 +37,10 @@ func (cancelEval) Evaluate(ctx *scenario.EvalContext) (float64, error) {
 }
 
 // wedgeEval parks until released — a solver that hangs forever, for the
-// /healthz wedge detector.
+// /healthz wedge detector. Each test arms it with arm.
 type wedgeEval struct{}
 
-var (
-	wedgeEntered = make(chan struct{}, 16)
-	wedgeRelease = make(chan struct{})
-	wedgeOnce    sync.Once
-)
+var wedgeEntered, wedgeRelease chan struct{}
 
 func (wedgeEval) Spec() string { return "testwedge" }
 
@@ -238,6 +233,7 @@ func TestHealthzDegradedAndWedged(t *testing.T) {
 	srv := New(Config{Engine: eng, Cache: cache, MaxJobs: 1, Remote: remote, WedgeAfter: 60 * time.Millisecond})
 	hs := httptest.NewServer(srv.Handler())
 	t.Cleanup(hs.Close)
+	release := arm(t, &wedgeEntered, &wedgeRelease)
 
 	var rep struct {
 		Status  string   `json:"status"`
@@ -279,7 +275,7 @@ func TestHealthzDegradedAndWedged(t *testing.T) {
 	if err := json.Unmarshal(body, &rep); err != nil || rep.Status != "wedged" {
 		t.Fatalf("wedged report: %s", body)
 	}
-	wedgeOnce.Do(func() { close(wedgeRelease) })
+	release()
 }
 
 // chaosGrids are the workload of the fleet tests — small enough to solve

@@ -81,7 +81,8 @@ func (h *reqHist) render(w io.Writer, name, route string) {
 
 // renderRouteHists writes the whole request-latency family: one
 // HELP/TYPE pair, then every route class's series.
-func renderRouteHists(w io.Writer, name string, hs *[numRoutes]reqHist) {
+func renderRouteHists(w io.Writer, hs *[numRoutes]reqHist) {
+	const name = "topobench_request_seconds"
 	fmt.Fprintf(w, "# HELP %s Request wall-clock latency, split by route class.\n", name)
 	fmt.Fprintf(w, "# TYPE %s histogram\n", name)
 	for rt := range hs {

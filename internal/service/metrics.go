@@ -8,101 +8,14 @@ import (
 
 // emitMetric writes one single-sample metric family in Prometheus text
 // exposition format: HELP, TYPE, sample. The type is derived from the
-// conventional `_total` counter suffix; help text comes from the curated
-// map below, falling back to the humanized metric name so every family
-// is well-formed even when a new counter lands without a description.
-func emitMetric(w io.Writer, name string, v int64) {
+// conventional `_total` counter suffix. Each component declares its
+// families, help text included, in a Metrics method that calls its emit
+// argument once per family; handleMetrics passes emitMetric.
+func emitMetric(w io.Writer, name, help string, v int64) {
 	full := "topobench_" + name
 	typ := "gauge"
 	if strings.HasSuffix(name, "_total") {
 		typ = "counter"
 	}
-	help, ok := metricHelp[name]
-	if !ok {
-		help = strings.ReplaceAll(name, "_", " ")
-	}
 	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %d\n", full, help, full, typ, full, v)
-}
-
-// metricHelp holds the HELP text of the service's metric families,
-// keyed by unprefixed name.
-var metricHelp = map[string]string{
-	"cache_hits_total":         "Solve-cache memory-tier hits.",
-	"cache_store_hits_total":   "Solve-cache hits served from the backing store tier.",
-	"cache_misses_total":       "Solve-cache misses (the point was solved).",
-	"cache_store_errors_total": "Solve-cache store-tier read/write errors.",
-	"cache_entries":            "Solve-cache resident memory-tier entries.",
-
-	"store_hits_total":          "Result-store reads that found a verified entry.",
-	"store_misses_total":        "Result-store reads that found nothing.",
-	"store_writes_total":        "Result-store entries written.",
-	"store_corrupt_total":       "Result-store entries rejected by codec/CRC verification.",
-	"store_evicted_total":       "Result-store entries evicted by LRU pruning.",
-	"store_orphans_total":       "Result-store orphaned temp files swept at startup.",
-	"store_negative_hits_total": "Result-store reads short-circuited by the negative cache.",
-	"store_parent_links_total":  "Result-store entries written with a warm-start parent link.",
-	"store_entries":             "Result-store resident entries.",
-	"store_bytes":               "Result-store resident bytes.",
-
-	"warm_attempts_total":       "Delta solves attempted with a parent witness.",
-	"warm_starts_total":         "Delta solves that ran warm-started and certified.",
-	"warm_cert_fallbacks_total": "Warm-started solves that failed certification and re-ran cold.",
-	"warm_parent_hits_total":    "Parent witness lookups that found a usable witness.",
-	"warm_parent_misses_total":  "Parent witness lookups that found none.",
-
-	"tiered_disk_hits_total":          "Tiered reads served by the local disk store.",
-	"tiered_remote_hits_total":        "Tiered reads served by the remote tier.",
-	"tiered_misses_total":             "Tiered reads served by neither tier (caller solves).",
-	"tiered_promotions_total":         "Remote hits written back to the local disk store.",
-	"tiered_promote_errors_total":     "Failed write-backs of remote hits (hit still served).",
-	"tiered_remote_save_errors_total": "Failed best-effort remote-tier publications.",
-	"claims_won_total":                "Claim leases acquired before solving a miss.",
-	"claims_lost_total":               "Claim leases another replica held; this one waited.",
-	"claim_wait_hits_total":           "Results that appeared while waiting on a peer's claim.",
-	"claim_wait_timeouts_total":       "Claim waits exhausted; the load degraded to a local solve.",
-	"claims_reclaimed_total":          "Claim leases that expired under a waiter (crashed claimant).",
-	"claims_abandoned_total":          "Claims released without a result (failed or canceled solves).",
-
-	"remote_loads_total":          "Remote-store load calls.",
-	"remote_load_hits_total":      "Remote-store loads that returned an entry.",
-	"remote_load_misses_total":    "Remote-store loads that answered 404.",
-	"remote_saves_total":          "Remote-store save calls.",
-	"remote_save_errors_total":    "Remote-store saves that failed after retries.",
-	"remote_attempts_total":       "Remote-store HTTP attempts, including retries.",
-	"remote_retries_total":        "Remote-store attempts that were retries.",
-	"remote_failures_total":       "Remote-store operations that exhausted their retry budget.",
-	"remote_corrupt_total":        "Remote-store responses rejected by codec/CRC verification.",
-	"remote_breaker_opens_total":  "Circuit-breaker transitions to open.",
-	"remote_short_circuits_total": "Remote-store calls refused by an open breaker.",
-	"remote_breaker_state":        "Circuit-breaker state (0 closed, 1 open, 2 half-open).",
-
-	"jobs_submitted_total":       "Async jobs accepted (202).",
-	"jobs_done_total":            "Async jobs that finished with a result.",
-	"jobs_failed_total":          "Async jobs that finished with an error.",
-	"jobs_canceled_total":        "Async jobs canceled before finishing.",
-	"jobs_rejected_total":        "Async job submissions refused by the resident-job bound.",
-	"jobs_recovered_total":       "Job records re-adopted from the store after a restart.",
-	"jobs_replayed_total":        "Done jobs whose bytes were re-materialized by replay.",
-	"jobs_replay_mismatch_total": "Replays whose bytes no longer matched the recorded address.",
-	"jobs_unknown_total":         "Polls for unknown (lost or expired) job ids.",
-	"jobs_resident":              "Async jobs resident (queued, running, or retained).",
-
-	"eval_requests_total":        "Evaluation requests received (/v1/eval and /v1/jobs).",
-	"eval_rejected_total":        "Synchronous evaluations refused with 429 (queue full).",
-	"eval_shared_total":          "Requests answered by attaching to an identical in-flight evaluation.",
-	"eval_panics_total":          "Panics recovered in handlers or evaluations.",
-	"eval_timeouts_total":        "Evaluations aborted by the request timeout (504).",
-	"eval_canceled_total":        "Evaluations aborted because every client disconnected (499).",
-	"eval_inflight":              "Job slots currently occupied.",
-	"result_puts_total":          "Peer result uploads accepted.",
-	"result_puts_rejected_total": "Peer result uploads rejected before touching the store.",
-
-	"response_bytes_cache_hits_total":      "Warm grids answered from cached canonical response bytes.",
-	"response_bytes_cache_misses_total":    "Response-byte cache lookups that missed.",
-	"response_bytes_cache_evictions_total": "Response-byte cache entries evicted by the byte budget.",
-	"response_bytes_cache_entries":         "Response-byte cache resident entries.",
-	"response_bytes_cache_bytes":           "Response-byte cache resident bytes.",
-
-	"traces_sampled_total": "Requests head-sampled (or joined from a traceparent) into the trace ring.",
-	"traces_slow_total":    "Requests at or over the slow threshold (sampled or captured post hoc).",
 }

@@ -3,11 +3,18 @@ package service
 import (
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"regexp"
 	"sort"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/remotestore"
+	"repro/internal/scenario"
+	"repro/internal/store"
+	"repro/internal/trace"
 )
 
 // This file is a minimal Prometheus text-exposition parser and the
@@ -134,10 +141,32 @@ func familyOf(name string, families map[string]*promFamily) string {
 	return name
 }
 
-// TestMetricsPrometheusWellFormed scrapes a traced server after real
-// traffic and validates the whole exposition.
+// newWiredServer wires a server with every component /metrics reads: a
+// warm-start engine over a cache whose backend is a claim-leased Tiered
+// store with a remotestore peer, plus a tracer sampling every request.
+func newWiredServer(t *testing.T) *httptest.Server {
+	t.Helper()
+	_, peer := newTestServer(t, t.TempDir(), 0)
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote := remotestore.New(remotestore.Options{BaseURL: peer.URL, Timeout: 5 * time.Second})
+	tiered := store.NewTiered(st, remote, store.TieredOptions{LeaseTTL: 10 * time.Second})
+	cache := scenario.NewCache()
+	cache.SetBackend(tiered)
+	eng := &scenario.Engine{Parallel: 2, Cache: cache, SkipInfeasible: true, WarmStart: true}
+	srv := New(Config{Engine: eng, Cache: cache, Store: st, MaxJobs: 4,
+		Remote: remote, Tiered: tiered, Tracer: trace.New(trace.Options{Sample: 1})})
+	hs := httptest.NewServer(srv.Handler())
+	t.Cleanup(hs.Close)
+	return hs
+}
+
+// TestMetricsPrometheusWellFormed scrapes a server wired with every
+// component after real traffic and validates the whole exposition.
 func TestMetricsPrometheusWellFormed(t *testing.T) {
-	_, _, hs := newTracedServer(t, t.TempDir())
+	hs := newWiredServer(t)
 	if status, _, _ := postEvalTraced(t, hs.URL, testGridQuick); status != http.StatusOK {
 		t.Fatal("eval failed")
 	}
@@ -151,6 +180,23 @@ func TestMetricsPrometheusWellFormed(t *testing.T) {
 	families, samples := parsePromText(t, string(body))
 	if len(samples) == 0 {
 		t.Fatal("no samples parsed")
+	}
+
+	// Every component's families are present: 70 single-sample families
+	// plus the request-latency histogram, including each family CI's
+	// smokes grep for and perfbench scrapes.
+	if len(families) != 71 {
+		t.Errorf("%d families, want 71", len(families))
+	}
+	for _, name := range []string{
+		"cache_store_hits_total", "store_writes_total", "store_parent_links_total",
+		"warm_attempts_total", "warm_starts_total", "warm_cert_fallbacks_total", "warm_parent_hits_total",
+		"remote_failures_total", "jobs_recovered_total", "traces_sampled_total",
+		"response_bytes_cache_hits_total", "response_bytes_cache_misses_total",
+	} {
+		if families["topobench_"+name] == nil {
+			t.Errorf("family topobench_%s missing", name)
+		}
 	}
 
 	// Every sample's family is fully declared, before the sample.

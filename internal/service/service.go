@@ -33,6 +33,8 @@
 //	                       byte-cache counters, and a request-latency
 //	                       histogram (topobench_request_seconds, split
 //	                       by route class: eval, result, jobs, other).
+//	                       Each wired component declares its families
+//	                       in a Metrics method on its stats snapshot.
 //	GET  /debug/traces     recently completed traces from the tracer's
 //	                       ring, newest first (?min=250ms filters by
 //	                       duration). 404 when serving without a Tracer.
@@ -1035,103 +1037,61 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	// out with its HELP/TYPE pair (emitMetric), so the scrape is
 	// well-formed Prometheus text, not just name/value lines.
 	var buf bytes.Buffer
-	g := func(name string, v int64) {
-		emitMetric(&buf, name, v)
+	emit := func(name, help string, v int64) {
+		emitMetric(&buf, name, help, v)
 	}
 	if c := s.cfg.Cache; c != nil {
-		st := c.Stats()
-		g("cache_hits_total", st.Hits)
-		g("cache_store_hits_total", st.StoreHits)
-		g("cache_misses_total", st.Misses)
-		g("cache_store_errors_total", st.StoreErrs)
-		g("cache_entries", int64(st.Entries))
+		c.Stats().Metrics(emit)
 	}
 	if st := s.cfg.Store; st != nil {
-		ss := st.Stats()
-		g("store_hits_total", ss.Hits)
-		g("store_misses_total", ss.Misses)
-		g("store_writes_total", ss.Writes)
-		g("store_corrupt_total", ss.Corrupt)
-		g("store_evicted_total", ss.Evicted)
-		g("store_orphans_total", ss.Orphans)
-		g("store_negative_hits_total", ss.NegHits)
-		g("store_parent_links_total", ss.ParentLinks)
-		g("store_entries", int64(ss.Entries))
-		g("store_bytes", ss.Bytes)
+		st.Stats().Metrics(emit)
 	}
 	if e := s.cfg.Engine; e != nil {
-		ws := e.WarmStats()
-		g("warm_attempts_total", ws.Attempts)
-		g("warm_starts_total", ws.Starts)
-		g("warm_cert_fallbacks_total", ws.Fallbacks)
-		g("warm_parent_hits_total", ws.ParentHits)
-		g("warm_parent_misses_total", ws.ParentMisses)
+		e.WarmStats().Metrics(emit)
 	}
 	if t := s.cfg.Tiered; t != nil {
-		ts := t.Stats()
-		g("tiered_disk_hits_total", ts.DiskHits)
-		g("tiered_remote_hits_total", ts.RemoteHits)
-		g("tiered_misses_total", ts.Misses)
-		g("tiered_promotions_total", ts.Promotions)
-		g("tiered_promote_errors_total", ts.PromoteErrs)
-		g("tiered_remote_save_errors_total", ts.RemoteSaveErrs)
-		g("claims_won_total", ts.ClaimsWon)
-		g("claims_lost_total", ts.ClaimsLost)
-		g("claim_wait_hits_total", ts.WaitHits)
-		g("claim_wait_timeouts_total", ts.WaitTimeouts)
-		g("claims_reclaimed_total", ts.Reclaims)
-		g("claims_abandoned_total", ts.Abandons)
+		t.Stats().Metrics(emit)
 	}
 	if c := s.cfg.Remote; c != nil {
-		rs := c.Stats()
-		g("remote_loads_total", rs.Loads)
-		g("remote_load_hits_total", rs.LoadHits)
-		g("remote_load_misses_total", rs.LoadMisses)
-		g("remote_saves_total", rs.Saves)
-		g("remote_save_errors_total", rs.SaveErrs)
-		g("remote_attempts_total", rs.Attempts)
-		g("remote_retries_total", rs.Retries)
-		g("remote_failures_total", rs.Failures)
-		g("remote_corrupt_total", rs.Corrupt)
-		g("remote_breaker_opens_total", rs.BreakerOpens)
-		g("remote_short_circuits_total", rs.ShortCircuits)
-		g("remote_breaker_state", int64(rs.State))
+		c.Stats().Metrics(emit)
 	}
-	g("jobs_submitted_total", s.jobsSubmitted.Load())
-	g("jobs_done_total", s.jobsDone.Load())
-	g("jobs_failed_total", s.jobsFailed.Load())
-	g("jobs_canceled_total", s.jobsCanceled.Load())
-	g("jobs_rejected_total", s.jobsRejected.Load())
-	g("jobs_recovered_total", s.jobsRecovered.Load())
-	g("jobs_replayed_total", s.jobsReplayed.Load())
-	g("jobs_replay_mismatch_total", s.jobsReplayMismatch.Load())
-	g("jobs_unknown_total", s.jobsUnknown.Load())
-	g("jobs_resident", int64(s.jobCount()))
-	g("eval_requests_total", s.requests.Load())
-	g("eval_rejected_total", s.rejected.Load())
-	g("eval_shared_total", s.shared.Load())
-	g("eval_panics_total", s.panics.Load())
-	g("eval_timeouts_total", s.timeouts.Load())
-	g("eval_canceled_total", s.canceled.Load())
-	g("result_puts_total", s.puts.Load())
-	g("result_puts_rejected_total", s.putBad.Load())
-	g("eval_inflight", int64(len(s.jobs)))
-	rc := s.resp.stats()
-	g("response_bytes_cache_hits_total", rc.Hits)
-	g("response_bytes_cache_misses_total", rc.Misses)
-	g("response_bytes_cache_evictions_total", rc.Evictions)
-	g("response_bytes_cache_entries", int64(rc.Entries))
-	g("response_bytes_cache_bytes", rc.Bytes)
-	if s.cfg.Tracer != nil {
-		g("traces_sampled_total", s.sampled.Load())
-		g("traces_slow_total", s.slowReqs.Load())
-	}
-	renderRouteHists(&buf, "topobench_request_seconds", &s.hists)
+	s.metrics(emit)
+	renderRouteHists(&buf, &s.hists)
 	h := w.Header()
 	h["Content-Type"] = metricsCTVal
 	h["Content-Length"] = []string{strconv.Itoa(buf.Len())}
 	w.WriteHeader(http.StatusOK)
 	w.Write(buf.Bytes())
+}
+
+// metrics emits the server's own /metrics families in scrape order, each
+// with its help text: job, eval and result-put counters, the
+// response-byte cache, and the trace counters when tracing is on.
+func (s *Server) metrics(emit func(name, help string, v int64)) {
+	emit("jobs_submitted_total", "Async jobs accepted (202).", s.jobsSubmitted.Load())
+	emit("jobs_done_total", "Async jobs that finished with a result.", s.jobsDone.Load())
+	emit("jobs_failed_total", "Async jobs that finished with an error.", s.jobsFailed.Load())
+	emit("jobs_canceled_total", "Async jobs canceled before finishing.", s.jobsCanceled.Load())
+	emit("jobs_rejected_total", "Async job submissions refused by the resident-job bound.", s.jobsRejected.Load())
+	emit("jobs_recovered_total", "Job records re-adopted from the store after a restart.", s.jobsRecovered.Load())
+	emit("jobs_replayed_total", "Done jobs whose bytes were re-materialized by replay.", s.jobsReplayed.Load())
+	emit("jobs_replay_mismatch_total", "Replays whose bytes no longer matched the recorded address.", s.jobsReplayMismatch.Load())
+	emit("jobs_unknown_total", "Polls for unknown (lost or expired) job ids.", s.jobsUnknown.Load())
+	emit("jobs_resident", "Async jobs resident (queued, running, or retained).", int64(s.jobCount()))
+	emit("eval_requests_total", "Evaluation requests received (/v1/eval and /v1/jobs).", s.requests.Load())
+	emit("eval_rejected_total", "Synchronous evaluations refused with 429 (queue full).", s.rejected.Load())
+	emit("eval_shared_total", "Requests answered by attaching to an identical in-flight evaluation.", s.shared.Load())
+	emit("eval_panics_total", "Panics recovered in handlers or evaluations.", s.panics.Load())
+	emit("eval_timeouts_total", "Evaluations aborted by the request timeout (504).", s.timeouts.Load())
+	emit("eval_canceled_total", "Evaluations aborted because every client disconnected (499).", s.canceled.Load())
+	emit("result_puts_total", "Peer result uploads accepted.", s.puts.Load())
+	emit("result_puts_rejected_total", "Peer result uploads rejected before touching the store.", s.putBad.Load())
+	emit("eval_inflight", "Job slots currently occupied.", int64(len(s.jobs)))
+	s.resp.stats().Metrics(emit)
+	if s.cfg.Tracer != nil {
+		emit("traces_sampled_total", "Requests head-sampled (or joined from a traceparent) into the trace ring.", s.sampled.Load())
+		emit("traces_slow_total", "Requests at or over the slow threshold (sampled or captured post hoc).", s.slowReqs.Load())
+	}
 }
 
 // handleTraces serves the tracer's ring of completed traces, newest

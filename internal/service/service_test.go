@@ -249,14 +249,25 @@ func TestBadRequests(t *testing.T) {
 
 // blockEval is a registry evaluator that parks until released — the
 // deterministic way to hold a job slot occupied while the test probes
-// backpressure and singleflight.
+// backpressure and singleflight. Each test arms it with arm.
 type blockEval struct{}
 
-var (
-	blockEntered = make(chan struct{}, 16)
-	blockRelease = make(chan struct{})
-	blockOnce    sync.Once
-)
+var blockEntered, blockRelease chan struct{}
+
+// arm gives a parking test evaluator (testblock, testwedge) a fresh entry
+// signal and release channel for the calling test, so the test also
+// passes when run again (-count=2). The returned release is idempotent
+// and also runs at cleanup; call arm after starting the test server, so
+// the release runs before the server's Close waits on the parked request.
+func arm(t *testing.T, entered, release *chan struct{}) func() {
+	*entered = make(chan struct{}, 16) // a stray evaluation signals without blocking
+	ch := make(chan struct{})
+	*release = ch
+	var once sync.Once
+	done := func() { once.Do(func() { close(ch) }) }
+	t.Cleanup(done)
+	return done
+}
 
 func (blockEval) Spec() string { return "testblock" }
 
@@ -312,6 +323,7 @@ func TestPanicDoesNotWedgeService(t *testing.T) {
 // leader's bytes — one evaluation, two responses.
 func TestBackpressureAndSingleflight(t *testing.T) {
 	srv, hs := newTestServer(t, "", 1)
+	release := arm(t, &blockEntered, &blockRelease)
 	grid := "topo=rrg:n=8,deg=3 traffic=none eval=testblock runs=1 seed=1"
 
 	type result struct {
@@ -343,7 +355,7 @@ func TestBackpressureAndSingleflight(t *testing.T) {
 		t.Fatalf("rejected metric: %d", got)
 	}
 
-	blockOnce.Do(func() { close(blockRelease) })
+	release()
 	lr, fr := <-leader, <-follower
 	if lr.status != http.StatusOK || fr.status != http.StatusOK {
 		t.Fatalf("leader %d / follower %d", lr.status, fr.status)

@@ -44,25 +44,16 @@ import (
 type Store struct {
 	dir string
 
-	mu      sync.Mutex
-	index   map[string]*entry // content address -> entry
-	bytes   int64
-	clock   int64 // logical access clock for LRU ordering
-	hits    int64
-	misses  int64
-	writes  int64
-	corrupt int64
-	evicted int64
-	orphans int64
-	// parentLinks counts entries written with a parent content-address
-	// link (SaveAddrLinked with a non-empty parent).
-	parentLinks int64
+	mu    sync.Mutex
+	index map[string]*entry // content address -> entry
+	bytes int64
+	clock int64 // logical access clock for LRU ordering
+	st    Stats // counters; Stats fills in Entries and Bytes
 
 	// neg, when enabled, short-circuits repeated misses on addresses known
 	// to be absent, so a hot 404 path costs a map probe instead of a disk
 	// stat per request. See EnableNegativeCache.
-	neg     *negCache
-	negHits int64
+	neg *negCache
 
 	// loadHook, when set (tests only), runs after a Load has pinned its
 	// entry and released the lock, before the file is read — the window a
@@ -103,6 +94,21 @@ type Stats struct {
 	ParentLinks int64
 	Entries     int   // resident entries in the index
 	Bytes       int64 // total size of resident entries
+}
+
+// Metrics emits the store's /metrics families in scrape order, each with
+// its help text.
+func (s Stats) Metrics(emit func(name, help string, v int64)) {
+	emit("store_hits_total", "Result-store reads that found a verified entry.", s.Hits)
+	emit("store_misses_total", "Result-store reads that found nothing.", s.Misses)
+	emit("store_writes_total", "Result-store entries written.", s.Writes)
+	emit("store_corrupt_total", "Result-store entries rejected by codec/CRC verification.", s.Corrupt)
+	emit("store_evicted_total", "Result-store entries evicted by LRU pruning.", s.Evicted)
+	emit("store_orphans_total", "Result-store orphaned temp files swept at startup.", s.Orphans)
+	emit("store_negative_hits_total", "Result-store reads short-circuited by the negative cache.", s.NegHits)
+	emit("store_parent_links_total", "Result-store entries written with a warm-start parent link.", s.ParentLinks)
+	emit("store_entries", "Result-store resident entries.", int64(s.Entries))
+	emit("store_bytes", "Result-store resident bytes.", s.Bytes)
 }
 
 // Addr is the content address of a cache key: lowercase hex SHA-256. It
@@ -150,7 +156,7 @@ func Open(dir string) (*Store, error) {
 			if strings.HasPrefix(name, ".tmp-") {
 				if info, err := d.Info(); err == nil && time.Since(info.ModTime()) > orphanGrace {
 					if os.Remove(path) == nil {
-						s.orphans++
+						s.st.Orphans++
 					}
 				}
 			}
@@ -233,7 +239,7 @@ func (s *Store) loadAddrFresh(addr string) ([]float64, bool) {
 func (s *Store) loadAddrBuf(addr string, buf []byte, vals []float64, useNeg bool) (raw []byte, out []float64, ok bool) {
 	if len(addr) != 2*sha256.Size || !isHex(addr) {
 		s.mu.Lock()
-		s.misses++
+		s.st.Misses++
 		s.mu.Unlock()
 		return nil, nil, false
 	}
@@ -248,8 +254,8 @@ func (s *Store) loadAddrBuf(addr string, buf []byte, vals []float64, useNeg bool
 		// disk stat per lookup; entries expire after a short TTL, bounding
 		// how long another process's out-of-band publish can stay unseen.
 		if useNeg && s.neg != nil && s.neg.fresh(addr, time.Now()) {
-			s.negHits++
-			s.misses++
+			s.st.NegHits++
+			s.st.Misses++
 			s.mu.Unlock()
 			return nil, nil, false
 		}
@@ -266,7 +272,7 @@ func (s *Store) loadAddrBuf(addr string, buf []byte, vals []float64, useNeg bool
 		}
 	}
 	if !found {
-		s.misses++
+		s.st.Misses++
 		s.mu.Unlock()
 		return nil, nil, false
 	}
@@ -285,17 +291,17 @@ func (s *Store) loadAddrBuf(addr string, buf []byte, vals []float64, useNeg bool
 	e.pins--
 	if readErr != nil {
 		s.dropLocked(addr, e)
-		s.misses++
+		s.st.Misses++
 		return nil, nil, false
 	}
 	vals, decOK := decodeAppend(buf, vals[:0])
 	if !decOK {
 		s.dropLocked(addr, e)
-		s.corrupt++
-		s.misses++
+		s.st.Corrupt++
+		s.st.Misses++
 		return nil, nil, false
 	}
-	s.hits++
+	s.st.Hits++
 	return buf, vals, true
 }
 
@@ -410,9 +416,9 @@ func (s *Store) SaveAddrLinked(addr string, vals []float64, parent string) error
 		os.Remove(tmp.Name())
 		return fmt.Errorf("store: %w", err)
 	}
-	s.writes++
+	s.st.Writes++
 	if parent != "" {
-		s.parentLinks++
+		s.st.ParentLinks++
 	}
 	if s.neg != nil {
 		// The address exists now: a negative entry recorded before this
@@ -471,7 +477,7 @@ func (s *Store) Prune(maxBytes int64) int {
 		e := s.index[v.addr]
 		delete(s.index, v.addr)
 		s.bytes -= e.size
-		s.evicted++
+		s.st.Evicted++
 		evict = append(evict, v.addr)
 	}
 	s.mu.Unlock()
@@ -485,7 +491,7 @@ func (s *Store) Prune(maxBytes int64) int {
 			// A concurrent Save re-published this entry after victim
 			// selection: it is current again, not garbage. Keep the file
 			// and take the eviction back out of the stats.
-			s.evicted--
+			s.st.Evicted--
 		} else {
 			os.Remove(s.path(addr))
 			removed++
@@ -499,12 +505,9 @@ func (s *Store) Prune(maxBytes int64) int {
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return Stats{
-		Hits: s.hits, Misses: s.misses, Writes: s.writes,
-		Corrupt: s.corrupt, Evicted: s.evicted, Orphans: s.orphans,
-		NegHits: s.negHits, ParentLinks: s.parentLinks,
-		Entries: len(s.index), Bytes: s.bytes,
-	}
+	st := s.st
+	st.Entries, st.Bytes = len(s.index), s.bytes
+	return st
 }
 
 // PinKey pins the entry stored under key against Prune eviction for the

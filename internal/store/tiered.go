@@ -106,6 +106,23 @@ type TieredStats struct {
 	Abandons int64
 }
 
+// Metrics emits the tiered backend's /metrics families in scrape order,
+// each with its help text.
+func (s TieredStats) Metrics(emit func(name, help string, v int64)) {
+	emit("tiered_disk_hits_total", "Tiered reads served by the local disk store.", s.DiskHits)
+	emit("tiered_remote_hits_total", "Tiered reads served by the remote tier.", s.RemoteHits)
+	emit("tiered_misses_total", "Tiered reads served by neither tier (caller solves).", s.Misses)
+	emit("tiered_promotions_total", "Remote hits written back to the local disk store.", s.Promotions)
+	emit("tiered_promote_errors_total", "Failed write-backs of remote hits (hit still served).", s.PromoteErrs)
+	emit("tiered_remote_save_errors_total", "Failed best-effort remote-tier publications.", s.RemoteSaveErrs)
+	emit("claims_won_total", "Claim leases acquired before solving a miss.", s.ClaimsWon)
+	emit("claims_lost_total", "Claim leases another replica held; this one waited.", s.ClaimsLost)
+	emit("claim_wait_hits_total", "Results that appeared while waiting on a peer's claim.", s.WaitHits)
+	emit("claim_wait_timeouts_total", "Claim waits exhausted; the load degraded to a local solve.", s.WaitTimeouts)
+	emit("claims_reclaimed_total", "Claim leases that expired under a waiter (crashed claimant).", s.Reclaims)
+	emit("claims_abandoned_total", "Claims released without a result (failed or canceled solves).", s.Abandons)
+}
+
 // NewTiered wires a tiered backend over the local disk store and an
 // optional remote tier (nil for disk-only with claim singleflight).
 func NewTiered(disk *Store, remote Backend, opt TieredOptions) *Tiered {
