@@ -191,8 +191,8 @@
 // switches; ROADMAP.md records the ablation that keeps each of them.
 //
 // Experiment layer. internal/runner provides the worker pool that the
-// figure runners, core.Evaluation, and the packet-simulation sweeps map
-// their grids onto. Every task seeds its RNG deterministically from
+// scenario engine maps its points, their runs, and the packet simulations
+// and bisection trials inside them onto. Every task seeds its RNG deterministically from
 // (Options.Seed, point index) and results are reduced in grid order, so
 // parallel output is byte-identical to serial output; topobench runs
 // parallel by default (-parallel=false forces serial). Nested pools share

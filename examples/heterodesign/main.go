@@ -6,47 +6,47 @@
 package main
 
 import (
-	"errors"
 	"fmt"
 	"log"
-	"math/rand"
 
-	"repro/internal/core"
-	"repro/internal/graph"
 	"repro/internal/hetero"
+	"repro/internal/scenario"
 )
 
+// pool is the switch pool and server count; each sweep point appends its
+// server ratio and cross-cluster ratio to it.
+const pool = "hetero:nl=10,ns=20,pl=24,ps=12,servers=200"
+
 func main() {
-	base := hetero.Config{
-		NumLarge: 10, NumSmall: 20,
-		PortsLarge: 24, PortsSmall: 12,
-		Servers:         200,
-		ServersPerLarge: -1, ServersPerSmall: -1,
+	topo, err := scenario.ParseTopology(pool)
+	if err != nil {
+		log.Fatal(err)
 	}
+	base := topo.(*scenario.Hetero).Cfg
 	fmt.Printf("Switch pool: %d large (%d ports) + %d small (%d ports); %d servers\n",
 		base.NumLarge, base.PortsLarge, base.NumSmall, base.PortsSmall, base.Servers)
 	fmt.Printf("Port-proportional placement puts %.0f servers on large switches\n\n",
 		hetero.ProportionalLargeServers(base))
 
-	measure := func(cfg hetero.Config) (float64, bool) {
-		ev := core.Evaluation{Workload: core.Permutation, Runs: 3, Seed: 9, Epsilon: 0.08}
-		st, err := ev.Throughput(func(rng *rand.Rand) (*graph.Graph, error) {
-			return hetero.Build(rng, cfg)
-		})
-		if errors.Is(err, hetero.ErrInfeasiblePoint) {
-			return 0, false
-		}
+	// Every point is one grid line with the same seed, so the sweeps
+	// compare topologies on equal random draws. ok is false for a server
+	// split the pool cannot host.
+	engine := &scenario.Engine{SkipInfeasible: true}
+	measure := func(topo string) (float64, bool) {
+		grid, err := scenario.ParseGrid("topo=" + topo + " traffic=permutation eval=mcf runs=3 seed=9 eps=0.08")
 		if err != nil {
 			log.Fatal(err)
 		}
-		return st.Mean, true
+		_, stats, err := grid.Run(engine)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return stats[0].Mean, stats[0].OK
 	}
 
 	fmt.Println("1. Server distribution sweep (ratio to proportional):")
 	for _, x := range []float64{0.5, 0.75, 1.0, 1.25, 1.5} {
-		cfg := base
-		cfg.ServerRatio = x
-		if t, ok := measure(cfg); ok {
+		if t, ok := measure(fmt.Sprintf("%s,ratio=%g", pool, x)); ok {
 			fmt.Printf("   x=%.2f  throughput=%.4f  %s\n", x, t, bar(t))
 		} else {
 			fmt.Printf("   x=%.2f  (infeasible)\n", x)
@@ -55,10 +55,7 @@ func main() {
 
 	fmt.Println("\n2. Cross-cluster connectivity sweep (ratio to vanilla random):")
 	for _, x := range []float64{0.2, 0.4, 0.6, 1.0, 1.5, 2.0} {
-		cfg := base
-		cfg.ServerRatio = 1
-		cfg.CrossRatio = x
-		if t, ok := measure(cfg); ok {
+		if t, ok := measure(fmt.Sprintf("%s,ratio=1,cross=%g", pool, x)); ok {
 			fmt.Printf("   x=%.2f  throughput=%.4f  %s\n", x, t, bar(t))
 		} else {
 			fmt.Printf("   x=%.2f  (infeasible)\n", x)

@@ -9,45 +9,44 @@ package main
 import (
 	"fmt"
 	"log"
-	"math/rand"
 
 	"repro/internal/bounds"
-	"repro/internal/core"
-	"repro/internal/graph"
+	"repro/internal/scenario"
 )
 
 func main() {
-	spec := core.HomogeneousSpec{
-		Switches: 40, // N
-		Ports:    15, // k ports per switch
-		Servers:  200,
-	}
+	const (
+		switches = 40 // N
+		ports    = 15 // k ports per switch
+		servers  = 200
+	)
+	perSwitch := servers / switches
+	r := ports - perSwitch // network degree
 	fmt.Printf("Designing a homogeneous network: N=%d switches, k=%d ports, S=%d servers\n",
-		spec.Switches, spec.Ports, spec.Servers)
-	fmt.Printf("=> %d servers per switch, network degree r=%d\n",
-		spec.Servers/spec.Switches, spec.NetworkDegree())
+		switches, ports, servers)
+	fmt.Printf("=> %d servers per switch, network degree r=%d\n", perSwitch, r)
 
-	ev := core.Evaluation{
-		Workload: core.Permutation,
-		Runs:     5,
-		Seed:     42,
-		Epsilon:  0.05,
-	}
-	stat, err := ev.Throughput(func(rng *rand.Rand) (*graph.Graph, error) {
-		return core.DesignHomogeneous(rng, spec)
-	})
+	// The same line runs as `topobench -scenario "<line>"`.
+	grid, err := scenario.ParseGrid(fmt.Sprintf(
+		"topo=rrg:n=%d,deg=%d,sps=%d traffic=permutation eval=mcf runs=5 seed=42 eps=0.05",
+		switches, r, perSwitch))
 	if err != nil {
 		log.Fatal(err)
 	}
+	_, stats, err := grid.Run(&scenario.Engine{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	stat := stats[0]
 
-	ub := core.UpperBound(spec, spec.Servers)
+	ub := bounds.ThroughputUpperBound(switches, r, servers)
 	fmt.Printf("\nMeasured throughput: %.4f ± %.4f per flow (min %.4f over %d runs)\n",
 		stat.Mean, stat.Std, stat.Min, stat.Runs)
 	fmt.Printf("Upper bound for ANY topology with this equipment: %.4f\n", ub)
 	fmt.Printf("=> the random graph achieves %.1f%% of the optimal-topology bound\n",
 		100*stat.Mean/ub)
 
-	dstar := bounds.ASPLLowerBound(spec.Switches, spec.NetworkDegree())
+	dstar := bounds.ASPLLowerBound(switches, r)
 	fmt.Printf("\n(ASPL lower bound d* = %.4f; the bound is N·r/(d*·f) = %d·%d/(%.4f·%d))\n",
-		dstar, spec.Switches, spec.NetworkDegree(), dstar, spec.Servers)
+		dstar, switches, r, dstar, servers)
 }

@@ -7,13 +7,9 @@ package main
 import (
 	"fmt"
 	"log"
-	"math/rand"
 
-	"repro/internal/core"
-	"repro/internal/graph"
-	"repro/internal/mcf"
+	"repro/internal/scenario"
 	"repro/internal/topo"
-	"repro/internal/traffic"
 )
 
 func main() {
@@ -21,71 +17,48 @@ func main() {
 	designed := cfg.NumToRs()
 	fmt.Printf("VL2 with DA=%d, DI=%d: %d aggregation, %d core switches, designed for %d ToRs (%d servers)\n",
 		cfg.DA, cfg.DI, cfg.NumAggs(), cfg.NumCores(), designed, designed*20)
+	kinds := []struct{ name, kind string }{{"VL2", "vl2"}, {"rewired", "rewired-vl2"}}
+	engine := &scenario.Engine{}
 
-	// Direct throughput comparison at the designed size.
-	rng := rand.New(rand.NewSource(7))
-	vl2, err := topo.VL2(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	rew, err := topo.RewiredVL2(rng, cfg, designed)
-	if err != nil {
-		log.Fatal(err)
-	}
-	for name, g := range map[string]*graph.Graph{"VL2": vl2, "rewired": rew} {
-		h := traffic.HostsOf(g)
-		tm := traffic.Permutation(rand.New(rand.NewSource(3)), h)
-		res, err := mcf.Solve(g, tm.Flows, mcf.Options{Epsilon: 0.05})
+	// Direct throughput comparison at the designed size (tors=0).
+	for _, k := range kinds {
+		dets, err := engine.MeasureDetailed([]scenario.Point{point(
+			"topo=%s:da=%d,di=%d traffic=permutation eval=mcf runs=1 seed=7 eps=0.05", k.kind, cfg.DA, cfg.DI)})
 		if err != nil {
 			log.Fatal(err)
 		}
-		aspl, _ := g.ASPL()
-		fmt.Printf("  %-8s λ=%.3f  links=%d  ASPL=%.3f\n", name, res.Throughput, g.NumLinks(), aspl)
+		d := dets[0][0]
+		aspl, _ := d.G.ASPL()
+		fmt.Printf("  %-8s λ=%.3f  links=%d  ASPL=%.3f\n", k.name, d.Value, d.G.NumLinks(), aspl)
 	}
 
 	// The §7 search: max ToRs at full throughput for each topology.
 	const threshold = 0.90 // 1 minus solver slack
-	ev := core.Evaluation{Workload: core.Permutation, Runs: 3, Seed: 11, Epsilon: 0.08}
-	thr := func(int) float64 { return threshold }
-	vl2Max, err := ev.MaxAtFullThroughput(1, designed*2, thr, func(tors int) core.Builder {
-		return func(rng *rand.Rand) (*graph.Graph, error) {
-			// Under/oversubscribed VL2: same fabric, different ToR count.
-			return vl2Sized(cfg, tors)
+	var maxToRs [2]int
+	for i, k := range kinds {
+		var err error
+		maxToRs[i], err = engine.MaxAtFull(1, designed*2, func(int) float64 { return threshold }, func(tors int) scenario.Point {
+			return point("topo=%s:da=%d,di=%d,tors=%d traffic=permutation eval=mcf runs=3 seed=11 eps=0.08",
+				k.kind, cfg.DA, cfg.DI, tors)
+		})
+		if err != nil {
+			log.Fatal(err)
 		}
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	rewMax, err := ev.MaxAtFullThroughput(1, designed*2, thr, func(tors int) core.Builder {
-		return func(rng *rand.Rand) (*graph.Graph, error) {
-			return topo.RewiredVL2(rng, cfg, tors)
-		}
-	})
-	if err != nil {
-		log.Fatal(err)
 	}
 	fmt.Printf("\nToRs at full throughput:  VL2=%d  rewired=%d  (%.0f%% improvement)\n",
-		vl2Max, rewMax, 100*(float64(rewMax)/float64(vl2Max)-1))
+		maxToRs[0], maxToRs[1], 100*(float64(maxToRs[1])/float64(maxToRs[0])-1))
 }
 
-// vl2Sized rebuilds VL2 with an arbitrary ToR count on the same fabric.
-func vl2Sized(cfg topo.VL2Config, tors int) (*graph.Graph, error) {
-	nAgg, nCore := cfg.NumAggs(), cfg.NumCores()
-	g := graph.New(tors + nAgg + nCore)
-	for t := 0; t < tors; t++ {
-		g.SetClass(t, topo.ClassToR)
-		g.SetServers(t, 20)
-		g.AddLink(t, tors+(2*t)%nAgg, 10)
-		g.AddLink(t, tors+(2*t+1)%nAgg, 10)
+// point is the single point of a grid line, as `topobench -scenario`
+// takes it.
+func point(format string, args ...any) scenario.Point {
+	grid, err := scenario.ParseGrid(fmt.Sprintf(format, args...))
+	if err != nil {
+		log.Fatal(err)
 	}
-	for i := 0; i < nAgg; i++ {
-		g.SetClass(tors+i, topo.ClassAgg)
-		for j := 0; j < nCore; j++ {
-			g.AddLink(tors+i, tors+nAgg+j, 10)
-		}
+	gps, err := grid.Points()
+	if err != nil {
+		log.Fatal(err)
 	}
-	for j := 0; j < nCore; j++ {
-		g.SetClass(tors+nAgg+j, topo.ClassCore)
-	}
-	return g, nil
+	return gps[0].Point
 }

@@ -9,8 +9,8 @@ import (
 // TestParallelMatchesSerial asserts the runner-pool contract: for the same
 // seed, a parallel regeneration of a figure is byte-identical to a serial
 // one. Fig. 2a exercises the homogeneous grid runner (flattened
-// curve × size points over core.Evaluation), Fig. 9a the decomposition
-// sweep (Detailed results reduced per point).
+// curve × size engine points), Fig. 9a the decomposition sweep (Detailed
+// results reduced per point).
 func TestParallelMatchesSerial(t *testing.T) {
 	base := Options{Quick: true, Runs: 2, Seed: 3}
 	for _, id := range []string{"2a", "9a"} {

@@ -4,41 +4,22 @@ import (
 	"fmt"
 
 	"repro/internal/bounds"
-	"repro/internal/core"
 	"repro/internal/scenario"
 )
 
-// workloadTraffic maps the core workload enum onto the scenario traffic
-// registry (the chunky fraction travels with the spec).
-func workloadTraffic(w core.Workload, chunkyFrac float64) scenario.Traffic {
-	switch w {
-	case core.AllToAll:
-		return scenario.AllToAll{}
-	case core.Chunky:
-		return scenario.Chunky{Frac: chunkyFrac}
-	default:
-		return scenario.Permutation{}
-	}
-}
-
-// homPoint is the scenario point of one homogeneous (N, r, workload,
-// serversPerSwitch) measurement, seeded exactly as the figures always
-// seeded it.
-func homPoint(o Options, n, r int, w core.Workload, serversPerSwitch int) scenario.Point {
-	return o.evalPoint(&scenario.RRG{N: n, Deg: r, SPS: serversPerSwitch},
-		workloadTraffic(w, 0), int64(n*1000+r))
+// homPoint is the scenario point of one homogeneous (N, r, traffic,
+// serversPerSwitch) measurement, seeded from (N, r).
+func homPoint(o Options, n, r int, tr scenario.Traffic, serversPerSwitch int) scenario.Point {
+	return o.evalPoint(&scenario.RRG{N: n, Deg: r, SPS: serversPerSwitch}, tr, int64(n*1000+r))
 }
 
 // homUpperBound is the Theorem 1 + ASPL-bound throughput cap the
-// homogeneous figures normalize by.
-func homUpperBound(n, r int, w core.Workload, serversPerSwitch int) float64 {
-	var f int
-	switch w {
-	case core.AllToAll:
-		s := n * serversPerSwitch
-		f = s * (s - 1)
-	default:
-		f = n * serversPerSwitch
+// homogeneous figures normalize by: f counts every ordered server pair
+// under all-to-all traffic, else one flow per server.
+func homUpperBound(n, r int, tr scenario.Traffic, serversPerSwitch int) float64 {
+	f := n * serversPerSwitch
+	if _, ok := tr.(scenario.AllToAll); ok {
+		f *= f - 1
 	}
 	return bounds.ThroughputUpperBound(n, r, f)
 }
@@ -46,12 +27,12 @@ func homUpperBound(n, r int, w core.Workload, serversPerSwitch int) float64 {
 // homCurves are the three workload curves of Fig. 1a/2a.
 var homCurves = []struct {
 	label string
-	w     core.Workload
+	tr    scenario.Traffic
 	sps   int
 }{
-	{"All to All", core.AllToAll, 1},
-	{"Permutation (10 Servers per switch)", core.Permutation, 10},
-	{"Permutation (5 Servers per switch)", core.Permutation, 5},
+	{"All to All", scenario.AllToAll{}, 1},
+	{"Permutation (10 Servers per switch)", scenario.Permutation{}, 10},
+	{"Permutation (5 Servers per switch)", scenario.Permutation{}, 5},
 }
 
 // Fig1a: throughput of RRGs relative to the upper bound as density grows
@@ -75,7 +56,7 @@ func Fig1a(o Options) (*Figure, error) {
 	for ci, c := range homCurves {
 		for _, r := range degrees {
 			grid = append(grid, point{ci, r})
-			pts = append(pts, homPoint(o, n, r, c.w, c.sps))
+			pts = append(pts, homPoint(o, n, r, c.tr, c.sps))
 		}
 	}
 	stats, err := o.engine().Measure(pts)
@@ -88,7 +69,7 @@ func Fig1a(o Options) (*Figure, error) {
 	}
 	for i, p := range grid {
 		c := homCurves[p.ci]
-		ub := homUpperBound(n, p.r, c.w, c.sps)
+		ub := homUpperBound(n, p.r, c.tr, c.sps)
 		s := &series[p.ci]
 		s.X = append(s.X, float64(p.r))
 		s.Y = append(s.Y, stats[i].Mean/ub)
@@ -164,13 +145,13 @@ func Fig2a(o Options) (*Figure, error) {
 	var pts []scenario.Point
 	for ci, c := range homCurves {
 		for _, n := range sizes {
-			if c.w == core.AllToAll && n > 100 {
+			if _, a2a := c.tr.(scenario.AllToAll); a2a && n > 100 {
 				// The paper notes its simulator does not scale for
 				// all-to-all at large N; we follow the same cutoff.
 				continue
 			}
 			grid = append(grid, point{ci, n})
-			pts = append(pts, homPoint(o, n, r, c.w, c.sps))
+			pts = append(pts, homPoint(o, n, r, c.tr, c.sps))
 		}
 	}
 	stats, err := o.engine().Measure(pts)
@@ -183,7 +164,7 @@ func Fig2a(o Options) (*Figure, error) {
 	}
 	for i, p := range grid {
 		c := homCurves[p.ci]
-		ub := homUpperBound(p.n, r, c.w, c.sps)
+		ub := homUpperBound(p.n, r, c.tr, c.sps)
 		s := &series[p.ci]
 		s.X = append(s.X, float64(p.n))
 		s.Y = append(s.Y, stats[i].Mean/ub)

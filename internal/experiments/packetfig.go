@@ -2,13 +2,8 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 
-	"repro/internal/graph"
-	"repro/internal/mcf"
-	"repro/internal/packet"
 	"repro/internal/scenario"
-	"repro/internal/traffic"
 )
 
 // Fig13: packet-level MPTCP throughput vs. the flow-level optimum on the
@@ -92,44 +87,4 @@ func capAtOne(v float64) float64 {
 		return 1
 	}
 	return v
-}
-
-// simulatePermutation runs the packet simulator on the switch-level
-// commodities of a permutation TM and returns the mean per-unit-demand
-// goodput. A commodity of demand d (d colocated server pairs) is simulated
-// as d parallel transport flows, so fairness granularity matches the
-// server-level traffic.
-func simulatePermutation(g *graph.Graph, tm *traffic.Matrix, subflows int, warmup, measure float64, rng *rand.Rand) (float64, error) {
-	var specs []packet.FlowSpec
-	for _, f := range tm.Flows {
-		for k := 0; k < int(f.Demand); k++ {
-			specs = append(specs, packet.FlowSpec{Src: f.Src, Dst: f.Dst})
-		}
-	}
-	res, err := packet.Simulate(g, specs, packet.Config{
-		SubflowsPerFlow: subflows,
-		Warmup:          warmup,
-		Measure:         measure,
-	}, rng)
-	if err != nil {
-		return 0, err
-	}
-	return res.MeanGoodput, nil
-}
-
-// PacketVsFlow compares packet- and flow-level throughput on an arbitrary
-// topology, exposed for the packetsim example and the ablation benches.
-func PacketVsFlow(g *graph.Graph, eps float64, subflows int, seed int64) (flowT, packetT float64, err error) {
-	rng := rand.New(rand.NewSource(seed))
-	h := traffic.HostsOf(g)
-	tm := traffic.Permutation(rng, h)
-	res, err := mcf.Solve(g, tm.Flows, mcf.Options{Epsilon: eps})
-	if err != nil {
-		return 0, 0, err
-	}
-	pr, err := simulatePermutation(g, tm, subflows, 60, 240, rng)
-	if err != nil {
-		return 0, 0, err
-	}
-	return res.Throughput, pr, nil
 }

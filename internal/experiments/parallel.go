@@ -28,9 +28,8 @@ func (o Options) sweepEngine() *scenario.Engine {
 	return e
 }
 
-// evalPoint assembles the scenario point that core.Evaluation historically
-// ran: runs seeded from (seed, run) with the default factor, permutation
-// unless overridden, the figure's ε.
+// evalPoint assembles a figure's mcf point: run i draws from
+// (Seed + seedMix)·DefaultSeedFactor + i, over the figure's runs and ε.
 func (o Options) evalPoint(topo scenario.Topology, tr scenario.Traffic, seedMix int64) scenario.Point {
 	return scenario.Point{
 		Topo: topo, Traffic: tr, Eval: scenario.MCF{},

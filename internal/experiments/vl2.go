@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/runner"
 	"repro/internal/scenario"
 	"repro/internal/topo"
@@ -19,20 +18,18 @@ func fullThroughputThreshold(epsilon float64) float64 {
 }
 
 // maxToRs runs the §7 binary search on the scenario engine: the largest
-// ToR count supported at full throughput by point(tors) under the
-// workload. "Full throughput" means every server-level flow gets its full
-// fair share: 1 unit for permutation/chunky traffic, 1/(S-1) for
-// all-to-all among S servers. With the process-wide solve cache, probes
-// shared across searches (e.g. the same sizing search under several
-// chunky fractions) solve once.
-func maxToRs(o Options, w core.Workload, lo, hi, serversPerToR int, point func(tors int) scenario.Point) (int, error) {
+// ToR count supported at full throughput by point(tors) under traffic tr.
+// "Full throughput" means every server-level flow gets its full fair
+// share: 1 unit for permutation/chunky traffic, 1/(S-1) for all-to-all
+// among S servers. With the process-wide solve cache, probes shared
+// across searches (e.g. the same sizing search under several chunky
+// fractions) solve once.
+func maxToRs(o Options, tr scenario.Traffic, lo, hi, serversPerToR int, point func(tors int) scenario.Point) (int, error) {
 	base := fullThroughputThreshold(o.Epsilon)
+	_, a2a := tr.(scenario.AllToAll)
 	threshold := func(size int) float64 {
-		if w == core.AllToAll {
-			s := size * serversPerToR
-			if s > 1 {
-				return base / float64(s-1)
-			}
+		if s := size * serversPerToR; a2a && s > 1 {
+			return base / float64(s-1)
 		}
 		return base
 	}
@@ -42,12 +39,12 @@ func maxToRs(o Options, w core.Workload, lo, hi, serversPerToR int, point func(t
 // vl2Point and rewiredPoint are the scenario points of the §7 capacity
 // search: the standard VL2 fabric (round-robin ToR uplinks) and the
 // paper's rewiring of the same equipment, sized to an arbitrary ToR count.
-func (o Options) vl2Point(w core.Workload, chunkyFrac float64, da, di, tors int, seedMix int64) scenario.Point {
-	return o.evalPoint(&scenario.VL2{DA: da, DI: di, ToRs: tors}, workloadTraffic(w, chunkyFrac), seedMix)
+func (o Options) vl2Point(tr scenario.Traffic, da, di, tors int, seedMix int64) scenario.Point {
+	return o.evalPoint(&scenario.VL2{DA: da, DI: di, ToRs: tors}, tr, seedMix)
 }
 
-func (o Options) rewiredPoint(w core.Workload, chunkyFrac float64, da, di, tors int, seedMix int64) scenario.Point {
-	return o.evalPoint(&scenario.RewiredVL2{DA: da, DI: di, ToRs: tors}, workloadTraffic(w, chunkyFrac), seedMix)
+func (o Options) rewiredPoint(tr scenario.Traffic, da, di, tors int, seedMix int64) scenario.Point {
+	return o.evalPoint(&scenario.RewiredVL2{DA: da, DI: di, ToRs: tors}, tr, seedMix)
 }
 
 // fig12aGrid returns the (DA, DI) grid for Fig. 12a/12c.
@@ -79,7 +76,7 @@ func Fig12a(o Options) (*Figure, error) {
 	}
 	ratios, err := runner.Map(o.pool(), len(grid), func(i int) (float64, error) {
 		p := grid[i]
-		ratio, err := rewiredOverVL2(o, core.Permutation, 0, p.da, p.di, int64(12100+p.da*100+p.di))
+		ratio, err := rewiredOverVL2(o, scenario.Permutation{}, p.da, p.di, int64(12100+p.da*100+p.di))
 		if err != nil {
 			return 0, fmt.Errorf("fig12a DA=%d DI=%d: %w", p.da, p.di, err)
 		}
@@ -103,18 +100,18 @@ func Fig12a(o Options) (*Figure, error) {
 
 // rewiredOverVL2 measures max ToRs at full throughput for both topologies
 // and returns rewired/VL2.
-func rewiredOverVL2(o Options, w core.Workload, chunkyFrac float64, da, di int, seedMix int64) (float64, error) {
+func rewiredOverVL2(o Options, tr scenario.Traffic, da, di int, seedMix int64) (float64, error) {
 	cfg := topo.VL2Config{DA: da, DI: di}
 	designed := cfg.NumToRs()
 	hi := designed*2 + 4
-	vl2Max, err := maxToRs(o, w, 1, hi, 20, func(tors int) scenario.Point {
-		return o.vl2Point(w, chunkyFrac, da, di, tors, seedMix)
+	vl2Max, err := maxToRs(o, tr, 1, hi, 20, func(tors int) scenario.Point {
+		return o.vl2Point(tr, da, di, tors, seedMix)
 	})
 	if err != nil {
 		return 0, err
 	}
-	rewMax, err := maxToRs(o, w, 1, hi, 20, func(tors int) scenario.Point {
-		return o.rewiredPoint(w, chunkyFrac, da, di, tors, seedMix+7)
+	rewMax, err := maxToRs(o, tr, 1, hi, 20, func(tors int) scenario.Point {
+		return o.rewiredPoint(tr, da, di, tors, seedMix+7)
 	})
 	if err != nil {
 		return 0, err
@@ -161,8 +158,8 @@ func Fig12b(o Options) (*Figure, error) {
 		// Size the topology at its permutation-full-throughput point. The
 		// search's seed mix depends only on DA, so the three chunky
 		// fractions share it — with the solve cache, it runs once.
-		tors, err := maxToRs(o, core.Permutation, 1, cfg.NumToRs()*2+4, 20, func(t int) scenario.Point {
-			return o.rewiredPoint(core.Permutation, 0, p.da, di, t, int64(12200+p.da))
+		tors, err := maxToRs(o, scenario.Permutation{}, 1, cfg.NumToRs()*2+4, 20, func(t int) scenario.Point {
+			return o.rewiredPoint(scenario.Permutation{}, p.da, di, t, int64(12200+p.da))
 		})
 		if err != nil {
 			return meas{}, err
@@ -171,7 +168,7 @@ func Fig12b(o Options) (*Figure, error) {
 			return meas{}, nil
 		}
 		st, err := o.engine().MeasureOne(
-			o.rewiredPoint(core.Chunky, p.frac, p.da, di, tors, int64(12250+p.da)))
+			o.rewiredPoint(scenario.Chunky{Frac: p.frac}, p.da, di, tors, int64(12250+p.da)))
 		if err != nil {
 			return meas{}, err
 		}
@@ -218,12 +215,11 @@ func Fig12c(o Options) (*Figure, error) {
 	}
 	cases := []struct {
 		label string
-		w     core.Workload
-		frac  float64
+		tr    scenario.Traffic
 	}{
-		{"All-to-All Traffic", core.AllToAll, 0},
-		{"Permutation Traffic", core.Permutation, 0},
-		{"100% Chunky Traffic", core.Chunky, 1.0},
+		{"All-to-All Traffic", scenario.AllToAll{}},
+		{"Permutation Traffic", scenario.Permutation{}},
+		{"100% Chunky Traffic", scenario.Chunky{Frac: 1.0}},
 	}
 	type point struct {
 		ci, da int
@@ -237,7 +233,7 @@ func Fig12c(o Options) (*Figure, error) {
 	ratios, err := runner.Map(o.pool(), len(grid), func(i int) (float64, error) {
 		p := grid[i]
 		c := cases[p.ci]
-		ratio, err := rewiredOverVL2(o, c.w, c.frac, p.da, di, int64(12300+p.ci*997+p.da))
+		ratio, err := rewiredOverVL2(o, c.tr, p.da, di, int64(12300+p.ci*997+p.da))
 		if err != nil {
 			return 0, fmt.Errorf("fig12c %s DA=%d: %w", c.label, p.da, err)
 		}

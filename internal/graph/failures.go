@@ -31,13 +31,13 @@ func (g *Graph) WithoutLinks(ids []int) (*Graph, error) {
 
 // FailRandomLinks removes a uniformly random fraction of g's links — the
 // standard link-failure model for topology resilience studies. fraction
-// is clamped to [0, 1]; at least one link survives if g had any.
+// must lie in [0, 1]; at least one link survives if g had any.
 func (g *Graph) FailRandomLinks(rng *rand.Rand, fraction float64) (*Graph, error) {
-	if fraction <= 0 {
-		return g.Clone(), nil
+	if !(fraction >= 0 && fraction <= 1) {
+		return nil, fmt.Errorf("graph: failure fraction %v out of [0,1]", fraction)
 	}
-	if fraction > 1 {
-		fraction = 1
+	if fraction == 0 {
+		return g.Clone(), nil
 	}
 	n := g.NumLinks()
 	k := int(fraction * float64(n))

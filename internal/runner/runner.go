@@ -9,9 +9,9 @@
 // slice serially in index order — so parallel output is byte-identical to
 // a serial run of the same grid.
 //
-// Maps nest freely: figure grids call core.Evaluation, whose runs call
-// packet simulations and bisection trials, each mapping onto a pool of its
-// own. A process-wide weighted semaphore bounds the TOTAL in-flight work
+// Maps nest freely: the scenario engine maps a grid's points, each point
+// its runs, and a run may call packet simulations and bisection trials,
+// each mapping onto a pool of its own. A process-wide weighted semaphore bounds the TOTAL in-flight work
 // across all nesting levels to SetMaxInFlight (default GOMAXPROCS): the
 // calling goroutine of every Map always works inline — it already owns a
 // concurrency slot, inherited from whatever spawned it — and extra worker

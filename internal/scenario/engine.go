@@ -16,8 +16,8 @@ import (
 	"repro/internal/trace"
 )
 
-// DefaultSeedFactor is the historical per-run seed derivation of
-// core.Evaluation: run i of a point draws from Seed*1_000_003 + i.
+// DefaultSeedFactor is the per-run seed derivation of a point that sets
+// no SeedFactor: run i draws from Seed·1,000,003 + i.
 const DefaultSeedFactor = 1_000_003
 
 // Point is one fully-specified scenario evaluation: a topology × traffic ×
@@ -538,8 +538,8 @@ func (e *Engine) MaxAtFull(lo, hi int, threshold func(size int) float64, point f
 // like the evaluation service.
 func Summarize(vals []float64) Stat { return summarize(vals) }
 
-// summarize folds run values into a Stat, reducing in run order (the same
-// arithmetic core.Evaluation used, so refactored figures keep their bytes).
+// summarize folds run values into a Stat, reducing in run order, so equal
+// run values always summarize to identical bytes.
 func summarize(vals []float64) Stat {
 	if vals == nil {
 		return Stat{}

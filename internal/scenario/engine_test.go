@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -12,7 +13,8 @@ import (
 )
 
 // testPoints is a small mixed grid spanning the registries: RRG × mcf,
-// hetero (with one infeasible sweep point) × mcf, twocluster × cut.
+// hetero (with one infeasible sweep point) × mcf, twocluster × cut, then
+// RRG × all-to-all and chunky traffic, and a disconnected instance.
 func testPoints() []Point {
 	mustTopo := func(spec string) Topology {
 		t, err := ParseTopology(spec)
@@ -31,8 +33,19 @@ func testPoints() []Point {
 			Seed: 7, Runs: 2, Epsilon: 0.12},
 		{Topo: mustTopo("twocluster:n=8,deg=4,cross=6"), Traffic: Bipartite{N1: 8}, Eval: Cut{N1: 8},
 			Seed: 8, Runs: 2},
+		{Topo: mustTopo("rrg:n=10,deg=4,sps=2"), Traffic: AllToAll{}, Eval: MCF{},
+			Seed: 9, Runs: 2, Epsilon: 0.15},
+		{Topo: mustTopo("rrg:n=10,deg=4,sps=2"), Traffic: Chunky{Frac: 0.5}, Eval: MCF{},
+			Seed: 10, Runs: 2, Epsilon: 0.15},
+		// No cross links: every bipartite commodity is unreachable, so
+		// mcf measures exactly 0 instead of failing.
+		{Topo: mustTopo("twocluster:n=8,deg=4,cross=0"), Traffic: Bipartite{N1: 8}, Eval: MCF{},
+			Seed: 11, Runs: 2, Epsilon: 0.15},
 	}
 }
+
+// disconnectedPoint indexes the disconnected fixture of testPoints.
+const disconnectedPoint = 6
 
 // storeBacked returns a cache tiered onto a fresh disk store in a temp
 // dir — the configuration topobench -cache-dir wires up.
@@ -78,6 +91,7 @@ func TestScenarioDeterministicAcrossWorkers(t *testing.T) {
 				t.Fatalf("infeasible point not skipped (workers=%d)", workers)
 			}
 			if ref == nil {
+				checkFixtureValues(t, vals)
 				ref = vals
 				continue
 			}
@@ -88,6 +102,81 @@ func TestScenarioDeterministicAcrossWorkers(t *testing.T) {
 		}
 	}
 }
+
+// checkFixtureValues checks what testPoints measure: each feasible point
+// summarizes to ordered statistics over its runs, the disconnected
+// instance to exactly 0 and every other point to a positive value.
+func checkFixtureValues(t *testing.T, vals [][]float64) {
+	t.Helper()
+	for i, runs := range vals {
+		if runs == nil {
+			continue
+		}
+		st := Summarize(runs)
+		if st.Runs != 2 || !(st.Min <= st.Mean && st.Mean <= st.Max) || st.Std < 0 {
+			t.Errorf("point %d: malformed stat %+v", i, st)
+		}
+		for run, v := range runs {
+			if (i == disconnectedPoint) != (v == 0) {
+				t.Errorf("point %d run %d measured %v", i, run, v)
+			}
+		}
+	}
+}
+
+// TestMaxAtFull pins the sizing search: it returns hi when every size
+// passes, lo−1 when lo already fails, and otherwise the largest passing
+// size, probing only sizes in [lo, hi].
+func TestMaxAtFull(t *testing.T) {
+	e := &Engine{Parallel: 1, Cache: NewCache()}
+	point := func(size int) Point {
+		if size < 2 || size > 9 {
+			t.Fatalf("probed size %d outside [2, 9]", size)
+		}
+		return Point{Topo: &RRG{N: 8, Deg: 3, SPS: size}, Traffic: None{}, Eval: ASPL{}, Seed: 1, Runs: 1}
+	}
+	for _, tc := range []struct {
+		name string
+		pass func(size int) bool
+		want int
+	}{
+		{"all pass", func(int) bool { return true }, 9},
+		{"lo fails", func(int) bool { return false }, 1},
+		{"up to 6", func(size int) bool { return size <= 6 }, 6},
+	} {
+		// An ASPL of 8 switches lies in (1, 8): threshold 0 always passes,
+		// threshold 8 never does.
+		got, err := e.MaxAtFull(2, 9, func(size int) float64 {
+			if tc.pass(size) {
+				return 0
+			}
+			return 8
+		}, point)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != tc.want {
+			t.Errorf("%s: MaxAtFull = %d, want %d", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestMeasureRunsBuildError: a topology build failure fails the point
+// with the builder's error still inspectable through the wrapping.
+func TestMeasureRunsBuildError(t *testing.T) {
+	boom := errors.New("boom")
+	e := &Engine{Parallel: 1}
+	_, err := e.MeasureRuns([]Point{{Topo: failingTopo{boom}, Traffic: Permutation{}, Eval: MCF{}, Runs: 2}})
+	if !errors.Is(err, boom) {
+		t.Fatalf("build error lost: %v", err)
+	}
+}
+
+type failingTopo struct{ err error }
+
+func (failingTopo) Spec() string { return "" }
+
+func (f failingTopo) Build(*rand.Rand) (*graph.Graph, error) { return nil, f.err }
 
 // TestStoreWarmRestartEqualsColdSolve is the durability clause of the
 // cache-key invariant: a second "process" (fresh Cache, fresh store

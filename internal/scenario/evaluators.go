@@ -238,8 +238,8 @@ func parseCut(p Params) (Evaluator, error) {
 // topology and traffic, so the failure pattern is a deterministic
 // function of the point like everything else) and evaluates the inner
 // metric on the degraded topology against the intact topology's traffic
-// matrix — exactly the FailureSweep semantics. Sweeping eval.frac yields
-// a graceful-degradation curve for any topology × traffic × metric
+// matrix. frac must lie in [0, 1]. Sweeping eval.frac yields a
+// graceful-degradation curve for any topology × traffic × metric
 // combination.
 //
 // The inner evaluator spec is embedded with '/' in place of ':' and ';'
@@ -295,6 +295,9 @@ func parseFailures(p Params) (Evaluator, error) {
 	innerSpec := unembedSpec(r.String("eval", "mcf"))
 	if err := r.Err(); err != nil {
 		return nil, err
+	}
+	if e.Frac < 0 || e.Frac > 1 {
+		return nil, fmt.Errorf("scenario: failures frac=%s out of [0, 1]", FloatParam(e.Frac))
 	}
 	if kind, _, err := SplitSpec(innerSpec); err != nil {
 		return nil, err

@@ -61,6 +61,7 @@ package scenario
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -330,15 +331,18 @@ func (r *ParamReader) Int64(key string, def int64) int64 {
 	return v
 }
 
-// Float reads a float parameter, with a default when absent.
+// Float reads a finite float parameter, with a default when absent. NaN
+// and ±Inf are malformed for every kind: no parameter means an infinity,
+// and NaN slips through any range check, since all its comparisons are
+// false.
 func (r *ParamReader) Float(key string, def float64) float64 {
 	s, ok := r.lookup(key)
 	if !ok {
 		return def
 	}
 	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		r.errs = append(r.errs, fmt.Sprintf("%s=%q is not a number", key, s))
+	if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
+		r.errs = append(r.errs, fmt.Sprintf("%s=%q is not a finite number", key, s))
 		return def
 	}
 	return v

@@ -1,77 +1,114 @@
 package scenario
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
 )
 
+// parseFunc runs a spec through one registry.
+type parseFunc = func(string) (interface{ Spec() string }, error)
+
+// specParsers are the three registries' parsers: topology, traffic and
+// evaluator, in the order of registrySpecs.
+var specParsers = [3]parseFunc{
+	func(s string) (interface{ Spec() string }, error) { return ParseTopology(s) },
+	func(s string) (interface{ Spec() string }, error) { return ParseTraffic(s) },
+	func(s string) (interface{ Spec() string }, error) { return ParseEvaluator(s) },
+}
+
+// registrySpecs are accepted specs of every registry kind, one list per
+// parser in specParsers.
+var registrySpecs = [3][]string{
+	{
+		"rrg",
+		"rrg:n=400,deg=10",
+		"rrg:sps=5,n=40,deg=10", // key order does not matter
+		"plrrg:n=40,avg=8,kmax=16,sfrac=0.4,beta=1.2,pseed=7",
+		"hetero:nl=20,ns=30,pl=30,ps=20,servers=480,ratio=1.3",
+		"vl2:da=8,di=8",
+		"rewired-vl2:da=10,di=16,tors=50",
+		"fattree:k=6",
+		"hypercube:dim=5,sps=2",
+		"torus:a=4,b=6",
+		"jellyfish:n=40,ports=15,deg=10",
+		"twocluster:n=12,deg=6,cross=8",
+		"expand",
+		"expand:n=20,deg=6,sps=2,steps=4,cap=2",
+	},
+	{
+		"permutation", "all-to-all", "chunky:frac=0.6",
+		"hotspot:frac=0.25", "bipartite:n1=12", "none",
+	},
+	{
+		"mcf", "aspl", "bisection:trials=8",
+		"packet:subflows=4,warmup=40,measure=160", "cut:n1=12",
+		"failures",
+		"failures:frac=0.1,eval=mcf",
+		"failures:frac=0.15,eval=bisection/trials=8",
+	},
+}
+
+// reparse checks the canonicalization fixed point of a parsed spec: its
+// Spec() parses to a reflect.DeepEqual value that prints the same Spec().
+func reparse(parse parseFunc, first interface{ Spec() string }) error {
+	canonical := first.Spec()
+	second, err := parse(canonical)
+	if err != nil {
+		return fmt.Errorf("re-parse %q: %v", canonical, err)
+	}
+	if got := second.Spec(); got != canonical {
+		return fmt.Errorf("not a canonical fixed point: %q -> %q", canonical, got)
+	}
+	if !reflect.DeepEqual(first, second) {
+		return fmt.Errorf("canonical re-parse of %q differs: %+v vs %+v", canonical, first, second)
+	}
+	return nil
+}
+
 // TestRegistryRoundTrip pins the canonicalization fixed point: parsing a
 // spec and reprinting it yields a spec that parses to an identical
 // scenario and reprints identically (spec → scenario → spec is stable
 // after one canonicalization).
 func TestRegistryRoundTrip(t *testing.T) {
-	cases := []struct {
-		parse func(string) (interface{ Spec() string }, error)
-		specs []string
-	}{
-		{
-			parse: func(s string) (interface{ Spec() string }, error) { return ParseTopology(s) },
-			specs: []string{
-				"rrg",
-				"rrg:n=400,deg=10",
-				"rrg:sps=5,n=40,deg=10", // key order does not matter
-				"plrrg:n=40,avg=8,kmax=16,sfrac=0.4,beta=1.2,pseed=7",
-				"hetero:nl=20,ns=30,pl=30,ps=20,servers=480,ratio=1.3",
-				"vl2:da=8,di=8",
-				"rewired-vl2:da=10,di=16,tors=50",
-				"fattree:k=6",
-				"hypercube:dim=5,sps=2",
-				"torus:a=4,b=6",
-				"jellyfish:n=40,ports=15,deg=10",
-				"twocluster:n=12,deg=6,cross=8",
-				"expand",
-				"expand:n=20,deg=6,sps=2,steps=4,cap=2",
-			},
-		},
-		{
-			parse: func(s string) (interface{ Spec() string }, error) { return ParseTraffic(s) },
-			specs: []string{
-				"permutation", "all-to-all", "chunky:frac=0.6",
-				"hotspot:frac=0.25", "bipartite:n1=12", "none",
-			},
-		},
-		{
-			parse: func(s string) (interface{ Spec() string }, error) { return ParseEvaluator(s) },
-			specs: []string{
-				"mcf", "aspl", "bisection:trials=8",
-				"packet:subflows=4,warmup=40,measure=160", "cut:n1=12",
-				"failures",
-				"failures:frac=0.1,eval=mcf",
-				"failures:frac=0.15,eval=bisection/trials=8",
-			},
-		},
-	}
-	for _, c := range cases {
-		for _, spec := range c.specs {
-			first, err := c.parse(spec)
+	for i, parse := range specParsers {
+		for _, spec := range registrySpecs[i] {
+			first, err := parse(spec)
 			if err != nil {
 				t.Fatalf("parse %q: %v", spec, err)
 			}
-			canonical := first.Spec()
-			second, err := c.parse(canonical)
-			if err != nil {
-				t.Fatalf("re-parse %q (from %q): %v", canonical, spec, err)
-			}
-			if got := second.Spec(); got != canonical {
-				t.Errorf("spec %q not a canonical fixed point: %q -> %q", spec, canonical, got)
-			}
-			if !reflect.DeepEqual(first, second) {
-				t.Errorf("spec %q: canonical re-parse differs: %+v vs %+v", spec, first, second)
+			if err := reparse(parse, first); err != nil {
+				t.Errorf("spec %q: %v", spec, err)
 			}
 		}
 	}
+}
+
+// FuzzParseSpec: no spec panics a registry parser, and every spec a
+// parser accepts canonicalizes to a fixed point. The NaN seeds pin the
+// finite-number rule: a NaN parameter never equals itself, so it could
+// not round-trip.
+func FuzzParseSpec(f *testing.F) {
+	for _, specs := range registrySpecs {
+		for _, spec := range specs {
+			f.Add(spec)
+		}
+	}
+	f.Add("chunky:frac=NaN")
+	f.Add("hetero:cross=NaN")
+	f.Fuzz(func(t *testing.T, spec string) {
+		for _, parse := range specParsers {
+			first, err := parse(spec)
+			if err != nil {
+				continue
+			}
+			if err := reparse(parse, first); err != nil {
+				t.Fatalf("spec %q: %v", spec, err)
+			}
+		}
+	})
 }
 
 // TestRegistryRejectsUnknown pins the error paths: unknown kinds, unknown
@@ -97,6 +134,27 @@ func TestRegistryRejectsUnknown(t *testing.T) {
 	}
 	if _, err := ParseEvaluator("failures:eval=failures"); err == nil {
 		t.Error("self-nested failures evaluator accepted")
+	}
+	if _, err := ParseTraffic("nope"); err == nil {
+		t.Error("unknown traffic kind accepted")
+	}
+	// Non-finite and out-of-range fractions fail at parse time, naming
+	// the parameter, before any point is built.
+	for _, tc := range []struct{ line, param string }{
+		{"topo=rrg:n=16,deg=4,sps=2 traffic=chunky:frac=NaN eval=mcf runs=1", "frac"},
+		{"topo=rrg:n=16,deg=4,sps=2 traffic=permutation eval=failures:frac=NaN,eval=mcf runs=1", "frac"},
+		{"topo=hetero:nl=6,ns=8,pl=10,ps=6,servers=30,cross=NaN traffic=permutation eval=mcf runs=1", "cross"},
+		{"topo=rrg:n=16,deg=4,sps=2 traffic=hotspot:frac=NaN eval=mcf runs=1", "frac"},
+		{"topo=rrg:n=16,deg=4,sps=2 traffic=permutation eval=failures:frac=-0.5,eval=mcf runs=1", "frac"},
+		{"topo=rrg:n=16,deg=4,sps=2 traffic=permutation eval=failures:frac=inf,eval=mcf runs=1", "frac"},
+	} {
+		g, err := ParseGrid(tc.line)
+		if err == nil {
+			_, err = g.Points()
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.param+"=") {
+			t.Errorf("%s: want an error naming %s, got %v", tc.line, tc.param, err)
+		}
 	}
 }
 

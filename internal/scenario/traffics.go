@@ -8,8 +8,8 @@ import (
 )
 
 // Built-in traffic registry entries, wrapping internal/traffic. All
-// server-level generators derive placements via traffic.HostsOf, exactly
-// as core.Evaluation always did, so RNG streams are unchanged.
+// server-level generators derive placements via traffic.HostsOf and draw
+// from the run's stream right after the topology build.
 func init() {
 	RegisterTraffic("permutation", func(p Params) (Traffic, error) {
 		return Permutation{}, p.Reader().Err()

@@ -160,7 +160,7 @@ func AllToAll(h *Hosts) *Matrix {
 // chunky set — while the remaining servers run a server-level random
 // permutation among themselves.
 func Chunky(rng *rand.Rand, h *Hosts, fraction float64) (*Matrix, error) {
-	if fraction < 0 || fraction > 1 {
+	if !(fraction >= 0 && fraction <= 1) {
 		return nil, fmt.Errorf("traffic: chunky fraction %v out of [0,1]", fraction)
 	}
 	var tors []int
@@ -211,7 +211,7 @@ func Chunky(rng *rand.Rand, h *Hosts, fraction float64) (*Matrix, error) {
 // the paper's figures; provided for "easy to augment with arbitrary
 // traffic patterns" (§9).
 func Hotspot(rng *rand.Rand, h *Hosts, fraction float64) (*Matrix, error) {
-	if fraction < 0 || fraction > 1 {
+	if !(fraction >= 0 && fraction <= 1) {
 		return nil, fmt.Errorf("traffic: hotspot fraction %v out of [0,1]", fraction)
 	}
 	n := h.NumServers()

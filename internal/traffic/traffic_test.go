@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -147,6 +148,9 @@ func TestChunkyFractions(t *testing.T) {
 	if _, err := Chunky(rng, h, -0.1); err == nil {
 		t.Fatal("negative fraction should error")
 	}
+	if _, err := Chunky(rng, h, math.NaN()); err == nil {
+		t.Fatal("NaN fraction should error")
+	}
 }
 
 func TestChunky100IsToRLevel(t *testing.T) {
@@ -201,6 +205,9 @@ func TestHotspot(t *testing.T) {
 	}
 	if _, err := Hotspot(rng, h, 2); err == nil {
 		t.Fatal("fraction > 1 should error")
+	}
+	if _, err := Hotspot(rng, h, math.NaN()); err == nil {
+		t.Fatal("NaN fraction should error")
 	}
 }
 
