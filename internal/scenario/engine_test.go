@@ -178,6 +178,64 @@ func (failingTopo) Spec() string { return "" }
 
 func (f failingTopo) Build(*rand.Rand) (*graph.Graph, error) { return nil, f.err }
 
+// measurePoint measures one point on an uncached engine with the given
+// number of workers.
+func measurePoint(t *testing.T, workers int, p Point) []float64 {
+	t.Helper()
+	vals, err := (&Engine{Parallel: workers}).MeasureRuns([]Point{p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return vals[0]
+}
+
+// TestMeasureRunsStat: a point's runs summarize to ordered statistics
+// over every run, with a positive mean.
+func TestMeasureRunsStat(t *testing.T) {
+	st := Summarize(measurePoint(t, 1, Point{Topo: &RRG{N: 16, Deg: 6, SPS: 3}, Traffic: Permutation{}, Eval: MCF{},
+		Seed: 3, Runs: 4, Epsilon: 0.1}))
+	if st.Runs != 4 || !(st.Min <= st.Mean && st.Mean <= st.Max) || st.Std < 0 {
+		t.Fatalf("malformed stat %+v", st)
+	}
+	if st.Mean <= 0 {
+		t.Fatalf("mean %v", st.Mean)
+	}
+}
+
+// TestRunsDeterministicAcrossParallelism: the runs of one point, spread
+// over four workers, measure exactly what one worker measures.
+func TestRunsDeterministicAcrossParallelism(t *testing.T) {
+	p := Point{Topo: &RRG{N: 12, Deg: 4, SPS: 2}, Traffic: Permutation{}, Eval: MCF{},
+		Seed: 5, Runs: 4, Epsilon: 0.12}
+	if seq, par := measurePoint(t, 1, p), measurePoint(t, 4, p); !reflect.DeepEqual(seq, par) {
+		t.Fatalf("parallelism changed results: %v vs %v", seq, par)
+	}
+}
+
+// TestTrafficKindsMeasurePositive: permutation, all-to-all and chunky
+// traffic each load a connected RRG to a positive throughput.
+func TestTrafficKindsMeasurePositive(t *testing.T) {
+	for _, tr := range []Traffic{Permutation{}, AllToAll{}, Chunky{Frac: 0.5}} {
+		runs := measurePoint(t, 1, Point{Topo: &RRG{N: 10, Deg: 4, SPS: 2}, Traffic: tr, Eval: MCF{},
+			Seed: 7, Runs: 2, Epsilon: 0.15})
+		for run, v := range runs {
+			if v <= 0 {
+				t.Errorf("%s run %d measured %v", tr.Spec(), run, v)
+			}
+		}
+	}
+}
+
+// TestDisconnectedPointIsZero: when no path joins the two clusters, every
+// commodity is unreachable and mcf measures exactly 0 instead of failing.
+func TestDisconnectedPointIsZero(t *testing.T) {
+	for run, v := range measurePoint(t, 1, testPoints()[disconnectedPoint]) {
+		if v != 0 {
+			t.Errorf("run %d measured %v, want 0", run, v)
+		}
+	}
+}
+
 // TestStoreWarmRestartEqualsColdSolve is the durability clause of the
 // cache-key invariant: a second "process" (fresh Cache, fresh store
 // handle on the same dir) answers entirely from the store, with values

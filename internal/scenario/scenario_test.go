@@ -158,6 +158,24 @@ func TestRegistryRejectsUnknown(t *testing.T) {
 	}
 }
 
+// TestGridRejectsUnknownTraffic: a grid line naming an unregistered
+// traffic kind fails before any point is built, and the error lists the
+// registered kinds.
+func TestGridRejectsUnknownTraffic(t *testing.T) {
+	g, err := ParseGrid("topo=rrg:n=10,deg=4,sps=2 traffic=workload99 eval=mcf runs=1")
+	if err == nil {
+		_, err = g.Points()
+	}
+	if err == nil {
+		t.Fatal("unknown traffic kind accepted")
+	}
+	for _, kind := range TrafficKinds() {
+		if !strings.Contains(err.Error(), kind) {
+			t.Errorf("error %q does not list traffic kind %q", err, kind)
+		}
+	}
+}
+
 // TestFailuresEvaluator pins the failure wrapper's semantics: frac=0 is
 // the intact metric, higher fractions are deterministic per (point, run)
 // and never above the intact value for mcf throughput.
