@@ -62,6 +62,7 @@ func BenchmarkStoreColdWarm(b *testing.B)      { benchsuite.Run(b, "StoreColdWar
 func BenchmarkRemoteStore(b *testing.B)        { benchsuite.Run(b, "RemoteStore") }
 func BenchmarkServeEvalWarm(b *testing.B)      { benchsuite.Run(b, "ServeEvalWarm") }
 func BenchmarkBisectionBandwidth(b *testing.B) { benchsuite.Run(b, "BisectionBandwidth") }
+func BenchmarkGraphTree(b *testing.B)          { benchsuite.Run(b, "GraphTree") }
 
 func BenchmarkRRGGeneration(b *testing.B) {
 	for _, c := range []struct{ n, r int }{{40, 10}, {200, 10}, {1000, 4}} {

@@ -20,6 +20,8 @@
 // vs warm repeated-instance sweep), the persistent result store (cold process vs warm restart over
 // a primed store directory), the remote store client (a Load round trip
 // against a warm peer, clean vs through the chaos injector), the
+// shortest-path tree rung (GraphTree/dual/rrg: the solver's early-exit
+// rebuilds under a solved dual, heap vs bucket queue), the
 // bisection-bandwidth estimator, two representative figure runners in
 // quick mode (one grid-heavy, one decomposition-heavy), and the serve
 // dataplane: ServeEvalWarm (one warm POST /v1/eval through the handler
@@ -86,6 +88,7 @@ var snapshotNames = []string{
 	"SolverWarmStart/ladder/cold", "SolverWarmStart/ladder/warm",
 	"SolverWarmStart/expand/cold", "SolverWarmStart/expand/warm",
 	"SolverPhasePar/workers=1", "SolverPhasePar/workers=2", "SolverPhasePar/workers=4",
+	"GraphTree/dual/rrg/heap", "GraphTree/dual/rrg/bucket",
 	"BisectionBandwidth",
 	"Fig2a", "Fig9a",
 	"ServeEvalWarm",

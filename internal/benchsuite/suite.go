@@ -65,6 +65,14 @@ var Suite = []Bench{
 	{"SolverPhasePar/workers=1", solve(80, 0.1, 1)},
 	{"SolverPhasePar/workers=2", solve(80, 0.1, 2)},
 	{"SolverPhasePar/workers=4", solve(80, 0.1, 4)},
+	{"GraphTree/uniform/heap", uniformTree(false)},
+	{"GraphTree/uniform/bucket", uniformTree(true)},
+	{"GraphTree/dual/rrg/heap", dualTrees("rrg:n=20,deg=6,sps=3", false)},
+	{"GraphTree/dual/rrg/bucket", dualTrees("rrg:n=20,deg=6,sps=3", true)},
+	{"GraphTree/dual/plrrg/heap", dualTrees("plrrg:n=20,avg=6,kmax=12,sfrac=0.4", false)},
+	{"GraphTree/dual/plrrg/bucket", dualTrees("plrrg:n=20,avg=6,kmax=12,sfrac=0.4", true)},
+	{"GraphTree/dual/vl2/heap", dualTrees("vl2:da=12,di=8", false)},
+	{"GraphTree/dual/vl2/bucket", dualTrees("vl2:da=12,di=8", true)},
 	{"BisectionBandwidth", bisection},
 	{"Fig2a", Figure("2a")},
 	{"Fig9a", Figure("9a")},
@@ -195,6 +203,91 @@ func repair(n, r int, incremental bool) func(*testing.B) {
 				d.Run(0, lens, nil)
 			} else if !d.Repair(lens, changed) {
 				b.Fatal("repair refused")
+			}
+		}
+	}
+}
+
+// uniformTree times one full shortest-path tree from node 0 of a random
+// 400-node graph (a random spanning tree plus 1,000 random links) under
+// near-uniform lengths in [1, 1.01): the early-phase regime where the
+// bucket queue replaces every heap sift with an O(1) slice op.
+func uniformTree(bucket bool) func(*testing.B) {
+	return func(b *testing.B) {
+		rng := rand.New(rand.NewSource(1))
+		const n = 400
+		g := graph.New(n)
+		for i := 1; i < n; i++ {
+			g.AddLink(rng.Intn(i), i, 1)
+		}
+		for i := 0; i < 1000; i++ {
+			if u, v := rng.Intn(n), rng.Intn(n); u != v {
+				g.AddLink(u, v, 1)
+			}
+		}
+		lens := make([]float64, g.NumArcs())
+		for a := range lens {
+			lens[a] = 1 + 0.01*rng.Float64()
+		}
+		delta, _ := graph.LengthRange(lens)
+		d := g.NewDijkstraScratch()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if bucket {
+				d.RunBucketed(0, lens, nil, delta)
+			} else {
+				d.Run(0, lens, nil)
+			}
+		}
+	}
+}
+
+// dualTrees times the solver's early-exit tree rebuilds: one op is one
+// tree per source of a seed-1 permutation on topoSpec, each stopping once
+// that source's destinations settle, under the length function of the
+// best-bound phase of a cold mcf.Solve of that instance (Result.DualLens;
+// bucket width from graph.LengthRange). The specs are perfbench sweep's
+// families.
+func dualTrees(topoSpec string, bucket bool) func(*testing.B) {
+	return func(b *testing.B) {
+		tp, err := scenario.ParseTopology(topoSpec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tr, err := scenario.ParseTraffic("permutation")
+		if err != nil {
+			b.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(1))
+		g, err := tp.Build(rng)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tm, err := tr.Matrix(rng, g)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := mcf.Solve(g, tm.Flows, mcf.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		lens := res.DualLens
+		targets := make([][]int32, g.N())
+		for _, f := range tm.Flows {
+			targets[f.Src] = append(targets[f.Src], int32(f.Dst))
+		}
+		delta, _ := graph.LengthRange(lens)
+		d := g.NewDijkstraScratch()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for src, ts := range targets {
+				switch {
+				case ts == nil:
+				case bucket:
+					d.RunBucketed(src, lens, ts, delta)
+				default:
+					d.Run(src, lens, ts)
+				}
 			}
 		}
 	}

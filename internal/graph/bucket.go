@@ -1,6 +1,9 @@
 package graph
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // The bucket-queue traversal below is the Δ-stepping-style sibling of the
 // heap Dijkstra in dijkstra.go. The Garg–Könemann solver rebuilds roughly
@@ -18,16 +21,46 @@ import "math"
 // current entry is final exactly as in the heap traversal. Distances and
 // parent arcs therefore agree with Run bit-for-bit whenever shortest paths
 // are unique — the same guarantee the repair machinery gives, enforced by
-// FuzzBucketMatchesHeap. Performance does depend on the spread: the
-// traversal visits ~maxDist/delta buckets, so callers should prefer the
-// heap when max length / min length is large (see LengthRange and the
-// adaptive choice in internal/mcf).
+// FuzzBucketMatchesHeap.
+//
+// Performance depends on the spread only through the overflow list. An
+// occupancy bitmap of the resident window lets the drain jump from one
+// occupied bucket straight to the next, so a stretch of empty buckets
+// costs one bitmap probe per 64 slots, and early-exit targets are
+// re-checked once per jump rather than once per bucket. A distance range
+// wider than the window costs rebases instead: each one re-scans the
+// overflow list. That is why callers should prefer the heap when max
+// length / min length is large (see LengthRange and the adaptive choice
+// in internal/mcf).
 
 // bqWindow is the number of resident bucket slots (a power of two).
 // Entries whose bucket lies beyond the resident range go to an overflow
 // list and are redistributed when the window runs dry, so memory stays
 // O(bqWindow + queued entries) no matter how wide the distance range is.
 const bqWindow = 256
+
+// bqOccupancy has one bit per resident slot, set while the slot holds an
+// entry. RunBucketed leaves it all zero, like the slots themselves.
+type bqOccupancy [bqWindow / 64]uint64
+
+func (o *bqOccupancy) set(slot int64)   { o[slot>>6] |= 1 << (slot & 63) }
+func (o *bqOccupancy) clear(slot int64) { o[slot>>6] &^= 1 << (slot & 63) }
+
+// gap returns how many slots lie between slot and the first occupied slot
+// at or after it, wrapping past the last slot. Some slot must be occupied.
+func (o *bqOccupancy) gap(slot int64) int64 {
+	w := slot >> 6
+	if m := o[w] >> (slot & 63); m != 0 {
+		return int64(bits.TrailingZeros64(m))
+	}
+	for i := int64(1); i <= int64(len(o)); i++ {
+		j := (w + i) & (int64(len(o)) - 1)
+		if o[j] != 0 {
+			return (j<<6 + int64(bits.TrailingZeros64(o[j])) - slot) & (bqWindow - 1)
+		}
+	}
+	panic("graph: bucket window has no occupied slot")
+}
 
 // bqMaxIdx bounds the bucket index a relaxation may produce. Beyond it,
 // the int64 conversion of distance/delta would approach overflow (whose
@@ -70,6 +103,13 @@ func LengthRange(length []float64) (minPos, max float64) {
 // early-exit contract is identical, and a completed run is a valid basis
 // for Repair/RepairStale. When shortest paths are unique the tree is
 // bit-identical to the heap path's.
+//
+// A run costs one O(1) push and pop per queued entry, one jump per
+// occupied bucket (a bitmap probe per 64 empty slots skipped, plus one
+// pass over the still-pending targets under early exit), and one
+// overflow rebase (BucketRebases) each time the resident window drains
+// while entries wait beyond it. Empty buckets are skipped, not visited
+// one by one.
 func (d *DijkstraScratch) RunBucketed(src int, length []float64, targets []int32, delta float64) {
 	if !(delta > 0) {
 		d.bqBailed = true
@@ -107,7 +147,7 @@ func (d *DijkstraScratch) RunBucketed(src int, length []float64, targets []int32
 	if d.bqSlots == nil {
 		d.bqSlots = make([][]item, bqWindow)
 	}
-	slots, over := d.bqSlots, d.bqOver[:0]
+	slots, over, occ := d.bqSlots, d.bqOver[:0], &d.bqOcc
 	d.bqRebases = 0
 	d.dist[src] = 0
 	d.via[src] = -1
@@ -123,6 +163,7 @@ func (d *DijkstraScratch) RunBucketed(src int, length []float64, targets []int32
 	cur := int64(0)
 	winEnd := int64(bqWindow)
 	slots[0] = append(slots[0][:0], item{node: int32(src), d: 0})
+	occ.set(0)
 	windowLive := 1
 	broke, bailed := false, false
 	// settle drops every pending target whose distance now lies in a
@@ -168,7 +209,9 @@ func (d *DijkstraScratch) RunBucketed(src int, length []float64, targets []int32
 			w = 0
 			for _, it := range over {
 				if idx := int64(it.d / delta); idx < winEnd {
-					slots[idx&(bqWindow-1)] = append(slots[idx&(bqWindow-1)], it)
+					slot := idx & (bqWindow - 1)
+					slots[slot] = append(slots[slot], it)
+					occ.set(slot)
 					windowLive++
 				} else {
 					over[w] = it
@@ -178,9 +221,14 @@ func (d *DijkstraScratch) RunBucketed(src int, length []float64, targets []int32
 			over = over[:w]
 			continue
 		}
-		s := &slots[cur&(bqWindow-1)]
+		slot := cur & (bqWindow - 1)
+		s := &slots[slot]
 		if len(*s) == 0 {
-			cur++
+			// Jump over the empty stretch to the next occupied bucket.
+			// Nothing pops in between, so one settle at the landing bucket
+			// drops exactly the targets a settle at each skipped bucket
+			// would have.
+			cur += occ.gap(slot)
 			if earlyExit && settle() {
 				broke = true
 				break
@@ -189,6 +237,9 @@ func (d *DijkstraScratch) RunBucketed(src int, length []float64, targets []int32
 		}
 		it := (*s)[len(*s)-1]
 		*s = (*s)[:len(*s)-1]
+		if len(*s) == 0 {
+			occ.clear(slot)
+		}
 		windowLive--
 		if it.d > d.dist[it.node] {
 			continue // stale entry; the node settled at a smaller distance
@@ -210,7 +261,9 @@ func (d *DijkstraScratch) RunBucketed(src int, length []float64, targets []int32
 				d.via[v] = a
 				d.stamp[v] = e
 				if idx := int64(nd / delta); idx < winEnd {
-					slots[idx&(bqWindow-1)] = append(slots[idx&(bqWindow-1)], item{node: v, d: nd})
+					slot := idx & (bqWindow - 1)
+					slots[slot] = append(slots[slot], item{node: v, d: nd})
+					occ.set(slot)
 					windowLive++
 				} else {
 					over = append(over, item{node: v, d: nd})
@@ -222,10 +275,14 @@ func (d *DijkstraScratch) RunBucketed(src int, length []float64, targets []int32
 		}
 	}
 	if broke || bailed {
-		// The break abandons queued entries; empty every slot so the next
-		// run starts from a clean window.
-		for i := range slots {
-			slots[i] = slots[i][:0]
+		// The break abandons queued entries; empty the occupied slots so
+		// the next run starts from a clean window.
+		for w, m := range occ {
+			for ; m != 0; m &= m - 1 {
+				slot := w<<6 + bits.TrailingZeros64(m)
+				slots[slot] = slots[slot][:0]
+			}
+			occ[w] = 0
 		}
 	}
 	d.bqOver = over[:0]

@@ -106,8 +106,24 @@ func TestRunBucketedTargets(t *testing.T) {
 	}
 }
 
+// checkTargets requires every target's root path in the early-exited run
+// ee to match the full reference tree ref node for node.
+func checkTargets(t *testing.T, ctx string, g *Graph, src int, targets []int32, ref, ee *DijkstraScratch) {
+	t.Helper()
+	for _, v := range targets {
+		for at := int(v); at != src; {
+			a := ee.Via(at)
+			if a < 0 || ee.Dist(at) != ref.Dist(at) || a != ref.Via(at) {
+				t.Fatalf("%s: target %d path node %d: bucket %v via %d, reference %v via %d",
+					ctx, v, at, ee.Dist(at), a, ref.Dist(at), ref.Via(at))
+			}
+			at = int(g.Arc(int(a)).From)
+		}
+	}
+}
+
 // TestRunBucketedWideRange: a length spread far beyond the resident window
-// forces overflow rebases; results must stay exact.
+// forces overflow rebases; results must stay exact, full and early-exit.
 func TestRunBucketedWideRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 20; trial++ {
@@ -127,7 +143,77 @@ func TestRunBucketedWideRange(t *testing.T) {
 		dh.Run(src, lens, nil)
 		db.RunBucketed(src, lens, nil, minLen)
 		compareTrees(t, "wide", g, dh, db)
+		targets := []int32{int32((src + 1) % n), int32((src + n/2) % n), int32(rng.Intn(n))}
+		db.RunBucketed(src, lens, targets, minLen)
+		checkTargets(t, "wide early exit", g, src, targets, dh, db)
 	}
+}
+
+// assertCleanWindow requires the bucket queue's resident window to be
+// empty: no queued entry in any slot and every occupancy word zero.
+func assertCleanWindow(t *testing.T, ctx string, d *DijkstraScratch) {
+	t.Helper()
+	for i, s := range d.bqSlots {
+		if len(s) != 0 {
+			t.Fatalf("%s: slot %d holds %d entries", ctx, i, len(s))
+		}
+	}
+	for w, m := range d.bqOcc {
+		if m != 0 {
+			t.Fatalf("%s: occupancy word %d = %#x", ctx, w, m)
+		}
+	}
+}
+
+// TestRunBucketedLeavesWindowClean: every way a run can end — completion,
+// early exit with entries still queued, a bail to the heap mid-traversal,
+// and completion after overflow rebases — must leave the window empty, or
+// the next run on the scratch would pop the abandoned entries.
+func TestRunBucketedLeavesWindowClean(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	g, lens := randomLenGraph(rng, 60, 120, 1, 2)
+	minLen, _ := LengthRange(lens)
+	ref, d := g.NewDijkstraScratch(), g.NewDijkstraScratch()
+	ref.Run(0, lens, nil)
+
+	d.RunBucketed(0, lens, nil, minLen)
+	if !d.complete || d.BucketBailed() {
+		t.Fatal("full run did not complete on the bucket path")
+	}
+	compareTrees(t, "full", g, ref, d)
+	assertCleanWindow(t, "full", d)
+
+	near := g.Arc(int(g.csrView().arc[0])).To // a neighbour of node 0
+	d.RunBucketed(0, lens, []int32{near}, minLen)
+	if d.complete {
+		t.Fatal("early-exit run did not exit early")
+	}
+	checkTargets(t, "early exit", g, 0, []int32{near}, ref, d)
+	assertCleanWindow(t, "early exit", d)
+
+	short := append([]float64(nil), lens...)
+	short[len(short)-1] = minLen / 2
+	ref.Run(0, short, nil)
+	d.RunBucketed(0, short, nil, minLen)
+	if !d.BucketBailed() {
+		t.Fatal("an arc shorter than delta did not bail")
+	}
+	compareTrees(t, "bailed", g, ref, d)
+	assertCleanWindow(t, "bailed", d)
+
+	wide := append([]float64(nil), lens...)
+	for a := range wide {
+		if a%3 == 0 {
+			wide[a] *= 1e3
+		}
+	}
+	ref.Run(0, wide, nil)
+	d.RunBucketed(0, wide, nil, minLen)
+	if d.BucketRebases() == 0 || d.BucketBailed() {
+		t.Fatalf("wide run: %d rebases, bailed %v; want rebases on the bucket path", d.BucketRebases(), d.BucketBailed())
+	}
+	compareTrees(t, "rebasing", g, ref, d)
+	assertCleanWindow(t, "rebasing", d)
 }
 
 // TestRunBucketedReuse: one scratch must survive interleaved heap and
@@ -192,23 +278,6 @@ func TestLengthRange(t *testing.T) {
 			t.Fatalf("LengthRange(%v) = (%v, %v), want (%v, %v)", c.in, minPos, max, c.minPos, c.max)
 		}
 	}
-}
-
-func BenchmarkBucketVsHeap(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	g, lens := randomLenGraph(rng, 400, 1000, 1.0, 1.01)
-	minLen, _ := LengthRange(lens)
-	d := g.NewDijkstraScratch()
-	b.Run("heap", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			d.Run(0, lens, nil)
-		}
-	})
-	b.Run("bucket", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			d.RunBucketed(0, lens, nil, minLen)
-		}
-	})
 }
 
 // TestRunBucketedZeroLengthArc: a zero-length (or generally < delta) arc

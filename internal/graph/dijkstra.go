@@ -24,8 +24,10 @@ type DijkstraScratch struct {
 	// (no early exit), which is the precondition for Repair.
 	complete bool
 	// Bucket-queue state for RunBucketed (see bucket.go), allocated on
-	// first use and reused after.
+	// first use and reused after. Between runs every slot is empty and
+	// bqOcc is all zero.
 	bqSlots   [][]item
+	bqOcc     bqOccupancy
 	bqOver    []item
 	bqPending []int32
 	bqRebases int

@@ -68,6 +68,9 @@ func FuzzGraphRoundTrip(f *testing.F) {
 // full runs and early-exit target runs alike. The fuzzer drives the graph
 // shape, the length distribution, the bucket width (any fraction of the
 // minimum length, the documented validity range), and the target set.
+// After the early-exit run, which abandons queued entries, the same
+// scratch must leave a clean window and build an exact full tree from
+// another source.
 func FuzzBucketMatchesHeap(f *testing.F) {
 	f.Add(int64(1), uint8(255), []byte{0})
 	f.Add(int64(42), uint8(128), []byte{1, 2, 3})
@@ -107,14 +110,7 @@ func FuzzBucketMatchesHeap(f *testing.F) {
 		dh, db := g.NewDijkstraScratch(), g.NewDijkstraScratch()
 		dh.Run(src, lens, nil)
 		db.RunBucketed(src, lens, nil, delta)
-		for v := 0; v < n; v++ {
-			if dh.Dist(v) != db.Dist(v) {
-				t.Fatalf("dist[%d]: heap %v, bucket %v", v, dh.Dist(v), db.Dist(v))
-			}
-			if dh.Via(v) != db.Via(v) {
-				t.Fatalf("via[%d]: heap %d, bucket %d", v, dh.Via(v), db.Via(v))
-			}
-		}
+		compareTrees(t, "full run", g, dh, db)
 		// Early-exit run: targets and their root paths must be final.
 		var targets []int32
 		for _, b := range targetBytes {
@@ -126,19 +122,12 @@ func FuzzBucketMatchesHeap(f *testing.F) {
 			return
 		}
 		db.RunBucketed(src, lens, targets, delta)
-		for _, v := range targets {
-			at := int(v)
-			for at != src {
-				if db.Dist(at) != dh.Dist(at) {
-					t.Fatalf("target %d path node %d: bucket %v, full heap %v", v, at, db.Dist(at), dh.Dist(at))
-				}
-				a := db.Via(at)
-				if a != dh.Via(at) {
-					t.Fatalf("target %d path node %d: bucket via %d, full heap via %d", v, at, a, dh.Via(at))
-				}
-				at = int(g.Arc(int(a)).From)
-			}
-		}
+		checkTargets(t, "early exit", g, src, targets, dh, db)
+		assertCleanWindow(t, "after early exit", db)
+		src2 := (src + 1 + int(deltaByte)) % n
+		dh.Run(src2, lens, nil)
+		db.RunBucketed(src2, lens, nil, delta)
+		compareTrees(t, "full run after early exit", g, dh, db)
 	})
 }
 
