@@ -16,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/json"
 	"flag"
@@ -116,7 +117,7 @@ func main() {
 		cacheKey = fmt.Sprintf("flowsolve|graph=%x|tm=%s|eps=%g|seed=%d",
 			sha256.Sum256(data), *tmName, *eps, *seed)
 		if !*detail && !*verify && !*ecmp {
-			if vals, ok := st.Load(cacheKey); ok && len(vals) == 1 {
+			if vals, ok := st.Load(context.Background(), cacheKey); ok && len(vals) == 1 {
 				fmt.Printf("throughput:   %.5f per unit demand (cached)\n", vals[0])
 				fmt.Printf("commodities:  %d (%d server flows, %d colocated)\n",
 					len(tm.Flows), tm.ServerFlows, tm.Colocated)
@@ -130,7 +131,7 @@ func main() {
 		fatal(err)
 	}
 	if st != nil {
-		if err := st.Save(cacheKey, []float64{res.Throughput}); err != nil {
+		if err := st.SaveLinked(cacheKey, []float64{res.Throughput}, ""); err != nil {
 			fmt.Fprintln(os.Stderr, "flowsolve: cache save:", err)
 		}
 	}

@@ -41,11 +41,11 @@
 // directly. Every subcommand takes -log-format text|json for its
 // structured (log/slog) diagnostics on stderr.
 //
-// With -cache-dir, the content-addressed solve cache is tiered onto a
-// persistent result store (internal/store): results computed by ANY
-// earlier process with the same cache dir are reused instead of
-// re-solved, and the exit summary adds store statistics to the cache's
-// (each counter keyed by its /metrics family name). The serve
+// With -cache-dir, the content-addressed solve cache keeps its results in
+// a persistent result store (internal/store) instead of memory: results
+// computed by ANY earlier process with the same cache dir are reused
+// instead of re-solved, and the exit summary adds store statistics to the
+// cache's (each counter keyed by its /metrics family name). The serve
 // subcommand exposes the same engine as a long-running JSON service (see
 // internal/service for the API); -json prints a -scenario grid in the
 // service's canonical response encoding, so batch and served results can
@@ -110,7 +110,7 @@ func main() {
 		parallel = flag.Bool("parallel", true, "evaluate grid points and runs concurrently (output is byte-identical to serial)")
 		workers  = flag.Int("workers", 0, "worker count with -parallel (0 = GOMAXPROCS)")
 		out      = flag.String("o", "", "output file (or directory with -all); default stdout")
-		cacheDir = flag.String("cache-dir", "", "tier the solve cache onto a persistent result store in this directory")
+		cacheDir = flag.String("cache-dir", "", "keep the solve cache in a persistent result store in this directory")
 		jsonOut  = flag.Bool("json", false, "with -scenario: emit the service's canonical JSON response instead of TSV")
 		warm     = flag.Bool("warm-start", false, "with -scenario: seed delta-shaped points (failure ladders, expansion steps) from their parent's stored witness; every warm solve is flowcheck-certified")
 		logFmt   = flag.String("log-format", "text", "structured log format: text or json")

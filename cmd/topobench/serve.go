@@ -21,15 +21,17 @@ import (
 )
 
 // runServe is the `topobench serve` subcommand: the scenario engine as a
-// long-running HTTP service (see internal/service for the API). With
-// -cache-dir, results persist across restarts — a warm daemon answers
-// previously-solved grids from disk without solving anything. With -peer,
-// the replica joins a fleet: misses consult the peer's result store
+// long-running HTTP service (see internal/service for the API). The solve
+// cache holds one tier: memory by default, or the durable tiers below in
+// its place. With -cache-dir, results persist across restarts — a warm
+// daemon answers previously-solved grids from disk without solving
+// anything, and keeps no in-memory copy of them. With -peer, the replica
+// joins a fleet: misses consult the peer's result store
 // (retries/backoff/circuit breaker, see internal/remotestore), hits are
-// promoted to local disk, and solves are published back — so a grid
-// solved anywhere is solved everywhere. -claim-lease additionally
-// coordinates cold solves through crash-safe claim leases on a shared
-// -cache-dir, so replicas sharing a pool solve each point once
+// promoted to local disk when there is one, and solves are published
+// back — so a grid solved anywhere is solved everywhere. -claim-lease
+// additionally coordinates cold solves through crash-safe claim leases on
+// a shared -cache-dir, so replicas sharing a pool solve each point once
 // fleet-wide.
 func runServe(args []string) {
 	fs := flag.NewFlagSet("topobench serve", flag.ExitOnError)
@@ -94,14 +96,15 @@ func runServe(args []string) {
 	case st != nil && (remote != nil || *lease > 0):
 		// Tiered backend: disk, then peer (with write-back promotion), with
 		// optional claim-lease solve dedup across replicas sharing the dir.
-		var rb store.Backend
+		var rb store.Remote
 		if remote != nil {
 			rb = remote
 		}
 		tiered = store.NewTiered(st, rb, store.TieredOptions{LeaseTTL: *lease})
 		cache.SetBackend(tiered)
 	case remote != nil:
-		// No local disk: the peer is the only durable tier.
+		// No local disk: the peer is the cache's only tier, so repeated
+		// points are read back from it.
 		cache.SetBackend(remote)
 	}
 	eng := &scenario.Engine{Parallel: *workers, Cache: cache, SkipInfeasible: true, WarmStart: *warmStart}

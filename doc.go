@@ -32,16 +32,16 @@
 // # Persistent result store and evaluation service
 //
 // The solve cache's content addresses are stable across processes, so
-// internal/store persists them: a disk-backed tier beneath
-// scenario.Cache keyed on the hex SHA-256 of the point key, with a
-// versioned checksummed binary codec, atomic temp-file-plus-rename
-// publication, 256-way sharded directories, an open-time index, and
-// LRU/byte-budget pruning (Prune). The durability clause of the
+// internal/store persists them: a disk-backed tier that replaces
+// scenario.Cache's memory map, keyed on the hex SHA-256 of the point
+// key, with a versioned checksummed binary codec, atomic
+// temp-file-plus-rename publication, 256-way sharded directories, an
+// open-time index, and LRU/byte-budget pruning (Prune). The durability clause of the
 // cache-key invariant: a stored entry is exactly what a cold solve of
 // its key computes, and anything that could violate that — truncation,
 // bit rot, a foreign codec version (bump store.CodecVersion whenever
 // result encoding changes) — decodes as a miss and is re-solved, never
-// served. `topobench -cache-dir` tiers the shared cache onto a store for
+// served. `topobench -cache-dir` puts the shared cache on a store for
 // batch runs (printing cache + store statistics at exit); a restarted
 // process then answers previously-solved grids ~2000× faster,
 // byte-identically (StoreColdWarm in the bench snapshot, golden tests
@@ -106,7 +106,7 @@
 // controls inherited. With warm starts enabled (Engine.WarmStart,
 // `topobench -scenario -warm-start`, `serve -warm-start`) the engine
 // materializes the parent through the ordinary read ladder
-// (memory → disk store → peer replica — witnesses are ordinary
+// (memory, or disk store → peer replica — witnesses are ordinary
 // content-addressed entries under scenario.WitnessKey, so a witness
 // written by another process or another replica warm-starts this one
 // bit-exactly), maps the parent's dual length witness onto the child's

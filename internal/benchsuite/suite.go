@@ -8,6 +8,7 @@ package benchsuite
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -457,7 +458,7 @@ func primeWitnesses(tb testing.TB, pts []scenario.Point) map[string][]float64 {
 		}
 		for i := 0; i < p.Runs; i++ {
 			k := scenario.WitnessKey(pp.Key(), i)
-			w, ok := prime.Get(k)
+			w, ok := prime.Get(context.Background(), k)
 			if !ok {
 				tb.Fatalf("parent solve exported no witness under %s", k)
 			}
@@ -498,7 +499,7 @@ func warmStart(points func(testing.TB) []scenario.Point, warm bool) func(*testin
 		for i := 0; i < b.N; i++ {
 			cache := scenario.NewCache()
 			for k, v := range wit {
-				cache.Put(k, v)
+				cache.Put(k, v, "")
 			}
 			eng := &scenario.Engine{Parallel: 1, Cache: cache, WarmStart: true}
 			if _, err := eng.MeasureRuns(pts); err != nil {
@@ -569,15 +570,16 @@ func remoteStore(faulty bool) func(*testing.B) {
 			opt.Transport = faultinject.NewTransport(nil, fcfg)
 		}
 		c := remotestore.New(opt)
+		ctx := context.Background()
 		key := "bench-point"
 		vals := make([]float64, 16)
 		for i := range vals {
 			vals[i] = float64(i) * 0.5
 		}
-		if err := c.Save(key, vals); err != nil {
+		if err := c.SaveLinked(key, vals, ""); err != nil {
 			b.Fatal(err)
 		}
-		if got, ok := c.Load(key); !ok || len(got) != len(vals) {
+		if got, ok := c.Load(ctx, key); !ok || len(got) != len(vals) {
 			b.Fatal("peer did not serve the primed entry")
 		}
 		b.ReportAllocs()
@@ -586,7 +588,7 @@ func remoteStore(faulty bool) func(*testing.B) {
 			// Under faults a call may degrade to a miss (breaker open,
 			// retries exhausted) — that IS the measured behavior; what it
 			// must never do is error or stall.
-			c.Load(key)
+			c.Load(ctx, key)
 		}
 		b.StopTimer()
 		if st := c.Stats(); st.Loads < int64(b.N) {

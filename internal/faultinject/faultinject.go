@@ -16,6 +16,7 @@ package faultinject
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -207,34 +208,35 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	return resp, nil
 }
 
-// Backend wraps a store backend (Load/Save) with seeded fault injection —
-// the storage-layer sibling of Transport, for torturing the tiered cache
-// and the store's reader/writer/pruner interplay without a network. A
-// reset or 500 draw fails the call (Load reports a miss, Save an error);
-// timeout stalls it by the configured Latency (backends have no contexts
-// to cancel); payload faults have no seam here — the disk codec's own
-// tamper tests cover corruption — so truncate/corrupt draws pass through.
+// Backend wraps a result tier's Load/SaveLinked pair (the store.Remote
+// contract) with seeded fault injection — the storage-layer sibling of
+// Transport, for torturing the tiered cache and the store's
+// reader/writer/pruner interplay without a network. A reset or 500 draw
+// fails the call (Load reports a miss, SaveLinked an error); a timeout
+// draw stalls it by the configured Latency, then fails it; payload faults
+// have no seam here — the disk codec's own tamper tests cover corruption
+// — so truncate/corrupt draws pass through.
 type Backend struct {
-	load func(key string) ([]float64, bool)
-	save func(key string, vals []float64) error
+	load func(ctx context.Context, key string) ([]float64, bool)
+	save func(key string, vals []float64, parentKey string) error
 	in   *injector
 }
 
-// NewBackend wraps any Load/Save pair. The argument is deliberately a
-// minimal structural interface so *store.Store, store.Tiered, and
+// NewBackend wraps any Load/SaveLinked pair. The argument is deliberately
+// a minimal structural interface so *store.Store, store.Tiered, and
 // remotestore.Client all fit.
 func NewBackend(base interface {
-	Load(key string) ([]float64, bool)
-	Save(key string, vals []float64) error
+	Load(ctx context.Context, key string) ([]float64, bool)
+	SaveLinked(key string, vals []float64, parentKey string) error
 }, cfg Config) *Backend {
-	return &Backend{load: base.Load, save: base.Save, in: newInjector(cfg)}
+	return &Backend{load: base.Load, save: base.SaveLinked, in: newInjector(cfg)}
 }
 
 // Stats snapshots the injected-fault counters.
 func (b *Backend) Stats() Stats { return b.in.stats() }
 
 // Load injects the drawn fault, then delegates.
-func (b *Backend) Load(key string) ([]float64, bool) {
+func (b *Backend) Load(ctx context.Context, key string) ([]float64, bool) {
 	f, delay, _ := b.in.draw()
 	if delay > 0 {
 		time.Sleep(delay)
@@ -246,11 +248,11 @@ func (b *Backend) Load(key string) ([]float64, bool) {
 	case reset, http500:
 		return nil, false
 	}
-	return b.load(key)
+	return b.load(ctx, key)
 }
 
-// Save injects the drawn fault, then delegates.
-func (b *Backend) Save(key string, vals []float64) error {
+// SaveLinked injects the drawn fault, then delegates.
+func (b *Backend) SaveLinked(key string, vals []float64, parentKey string) error {
 	f, delay, _ := b.in.draw()
 	if delay > 0 {
 		time.Sleep(delay)
@@ -262,7 +264,7 @@ func (b *Backend) Save(key string, vals []float64) error {
 	case reset, http500:
 		return fmt.Errorf("faultinject: save failed")
 	}
-	return b.save(key, vals)
+	return b.save(key, vals, parentKey)
 }
 
 // ParseSpec parses the CLI fault specification, a comma-separated

@@ -116,11 +116,14 @@ func TestTransportFaults(t *testing.T) {
 	})
 }
 
-// okBackend is a healthy Load/Save pair for Backend wrapper tests.
+// okBackend is a healthy Load/SaveLinked pair for Backend wrapper tests.
 type okBackend struct{ saves, loads int }
 
-func (b *okBackend) Load(key string) ([]float64, bool) { b.loads++; return []float64{1}, true }
-func (b *okBackend) Save(key string, vals []float64) error {
+func (b *okBackend) Load(context.Context, string) ([]float64, bool) {
+	b.loads++
+	return []float64{1}, true
+}
+func (b *okBackend) SaveLinked(string, []float64, string) error {
 	b.saves++
 	return nil
 }
@@ -130,10 +133,11 @@ func (b *okBackend) Save(key string, vals []float64) error {
 func TestBackendFaults(t *testing.T) {
 	base := &okBackend{}
 	fb := NewBackend(base, Config{ResetProb: 1})
-	if _, ok := fb.Load("k"); ok {
+	ctx := context.Background()
+	if _, ok := fb.Load(ctx, "k"); ok {
 		t.Fatal("reset draw surfaced a hit")
 	}
-	if err := fb.Save("k", nil); err == nil {
+	if err := fb.SaveLinked("k", nil, ""); err == nil {
 		t.Fatal("reset draw surfaced a successful save")
 	}
 	if base.loads != 0 || base.saves != 0 {
@@ -141,10 +145,10 @@ func TestBackendFaults(t *testing.T) {
 	}
 
 	clean := NewBackend(base, Config{})
-	if _, ok := clean.Load("k"); !ok {
+	if _, ok := clean.Load(ctx, "k"); !ok {
 		t.Fatal("clean wrapper lost the hit")
 	}
-	if err := clean.Save("k", nil); err != nil {
+	if err := clean.SaveLinked("k", nil, ""); err != nil {
 		t.Fatal(err)
 	}
 	if base.loads != 1 || base.saves != 1 {

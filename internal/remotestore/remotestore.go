@@ -21,7 +21,7 @@
 //     cooldown, then half-opens to let exactly one probe through — a dead
 //     peer costs one cheap rejection per call, not a retry storm;
 //   - and every failure, at every layer, surfaces as "miss" from Load
-//     (the caller solves locally) or a counted error from Save
+//     (the caller solves locally) or a counted error from SaveLinked
 //     (durability is best-effort). Under the cache-key invariant a local
 //     solve returns byte-identical values, so aggressive degradation is
 //     always safe.
@@ -137,7 +137,7 @@ type Stats struct {
 	Loads      int64 // Load calls
 	LoadHits   int64 // Loads answered with verified values
 	LoadMisses int64 // Loads answered miss (404, failures, short-circuits)
-	Saves      int64 // Save calls
+	Saves      int64 // SaveLinked calls
 	SaveErrs   int64 // Saves that ultimately failed
 	Attempts   int64 // HTTP attempts actually made
 	Retries    int64 // attempts beyond the first of their call
@@ -376,19 +376,14 @@ func retryableStatus(code int) bool {
 // Load fetches the values stored under key on the peer. Every failure —
 // timeout, refused connection, 5xx, breaker open, corrupt payload after
 // retries — degrades to (nil, false): the caller solves locally, which
-// under the cache-key invariant yields identical bytes.
-func (c *Client) Load(key string) ([]float64, bool) {
-	return c.LoadCtx(context.Background(), key)
-}
-
-// LoadCtx is Load carrying the caller's context (store.CtxBackend).
-// When the context holds a sampled trace span, every attempt forwards it
-// as a W3C `traceparent` header, so the peer replica samples the request
-// and its spans land under the caller's trace id — the cross-process
-// half of end-to-end tracing. The attempt timeout still derives from the
-// client's own Options.Timeout, not from ctx: a caller's deadline must
-// not change the retry/breaker behavior the chaos tests pin down.
-func (c *Client) LoadCtx(ctx context.Context, key string) ([]float64, bool) {
+// under the cache-key invariant yields identical bytes. When ctx holds a
+// sampled trace span, every attempt forwards it as a W3C `traceparent`
+// header, so the peer replica samples the request and its spans land
+// under the caller's trace id — the cross-process half of end-to-end
+// tracing. The attempt timeout still derives from the client's own
+// Options.Timeout, not from ctx: a caller's deadline must not change the
+// retry/breaker behavior the chaos tests pin down.
+func (c *Client) Load(ctx context.Context, key string) ([]float64, bool) {
 	c.mu.Lock()
 	c.st.Loads++
 	c.mu.Unlock()
@@ -416,7 +411,7 @@ func (c *Client) LoadCtx(ctx context.Context, key string) ([]float64, bool) {
 			if err != nil {
 				return &attemptErr{err: err, retryable: true}
 			}
-			v, ok := store.DecodeValues(body)
+			v, _, ok := store.DecodeEntry(body)
 			if !ok {
 				// The CRC re-verification: a truncated or bit-flipped
 				// payload is a transport fault, worth another attempt.
@@ -447,16 +442,12 @@ func (c *Client) LoadCtx(ctx context.Context, key string) ([]float64, bool) {
 	return vals, true
 }
 
-// Save publishes the values under key to the peer. The returned error is
+// SaveLinked publishes the values under key to the peer, with the parent
+// key whose result warm-started them ("" for none): the link rides inside
+// the TBRS body, under the same CRC as the values, so the receiving
+// replica persists the warm-start provenance too. The returned error is
 // informational — callers (scenario.Cache, store.Tiered) count it and
 // move on; remote durability is best-effort by design.
-func (c *Client) Save(key string, vals []float64) error {
-	return c.SaveLinked(key, vals, "")
-}
-
-// SaveLinked is Save with a parent content-address link (store.LinkedSaver):
-// the link rides inside the TBRS body, under the same CRC as the values,
-// so the receiving replica persists the warm-start provenance too.
 func (c *Client) SaveLinked(key string, vals []float64, parentKey string) error {
 	c.mu.Lock()
 	c.st.Saves++
@@ -495,3 +486,10 @@ func (c *Client) SaveLinked(key string, vals []float64, parentKey string) error 
 	}
 	return nil
 }
+
+// PinKey is a no-op (scenario.Backend): the peer's entries are not
+// evicted by anything this replica does.
+func (c *Client) PinKey(string) func() { return func() {} }
+
+// Abandon is a no-op (scenario.Backend): the client takes no solve claims.
+func (c *Client) Abandon(string) {}

@@ -1,6 +1,7 @@
 package remotestore
 
 import (
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -81,7 +82,7 @@ func resultServer(t *testing.T, hook func(n int64, w http.ResponseWriter, r *htt
 					break
 				}
 			}
-			if _, ok := store.DecodeValues(body); !ok {
+			if _, _, ok := store.DecodeEntry(body); !ok {
 				http.Error(w, "corrupt", http.StatusBadRequest)
 				return
 			}
@@ -100,10 +101,10 @@ func resultServer(t *testing.T, hook func(n int64, w http.ResponseWriter, r *htt
 func TestSaveThenLoadRoundTrip(t *testing.T) {
 	hs, _ := resultServer(t, nil)
 	c, _ := newTestClient(t, hs.URL, Options{})
-	if err := c.Save(testKey, testVals()); err != nil {
+	if err := c.SaveLinked(testKey, testVals(), ""); err != nil {
 		t.Fatal(err)
 	}
-	vals, ok := c.Load(testKey)
+	vals, ok := c.Load(context.Background(), testKey)
 	if !ok || !reflect.DeepEqual(vals, testVals()) {
 		t.Fatalf("round trip: %v %v", vals, ok)
 	}
@@ -118,7 +119,7 @@ func TestSaveThenLoadRoundTrip(t *testing.T) {
 func TestMissIsAuthoritative(t *testing.T) {
 	hs, calls := resultServer(t, nil)
 	c, _ := newTestClient(t, hs.URL, Options{Attempts: 5})
-	if _, ok := c.Load("never stored"); ok {
+	if _, ok := c.Load(context.Background(), "never stored"); ok {
 		t.Fatal("phantom hit")
 	}
 	if got := calls.Load(); got != 1 {
@@ -141,7 +142,7 @@ func TestRetryOn5xxThenSuccess(t *testing.T) {
 		return false
 	})
 	c, _ := newTestClient(t, hs.URL, Options{Attempts: 3})
-	if err := c.Save(testKey, testVals()); err != nil {
+	if err := c.SaveLinked(testKey, testVals(), ""); err != nil {
 		t.Fatalf("save failed despite a successful final attempt: %v", err)
 	}
 	if got := calls.Load(); got != 3 {
@@ -157,7 +158,7 @@ func TestRetryOn5xxThenSuccess(t *testing.T) {
 // the CRC re-verification, are retried, and ultimately degrade to a miss
 // — never to wrong values.
 func TestCorruptPayloadReadsAsMiss(t *testing.T) {
-	good := store.EncodeValues(testVals())
+	good := store.EncodeLinked(testVals(), "")
 	corrupt := append([]byte(nil), good...)
 	corrupt[len(corrupt)-3] ^= 0x40 // flip one payload bit
 	for name, body := range map[string][]byte{
@@ -172,7 +173,7 @@ func TestCorruptPayloadReadsAsMiss(t *testing.T) {
 				return true
 			})
 			c, _ := newTestClient(t, hs.URL, Options{Attempts: 3})
-			if vals, ok := c.Load(testKey); ok {
+			if vals, ok := c.Load(context.Background(), testKey); ok {
 				t.Fatalf("corrupt payload surfaced as values: %v", vals)
 			}
 			if got := calls.Load(); got != 3 {
@@ -192,10 +193,10 @@ func TestDeadPeerDegradesToMiss(t *testing.T) {
 	url := hs.URL
 	hs.Close() // now nothing listens there
 	c, _ := newTestClient(t, url, Options{Attempts: 2})
-	if _, ok := c.Load(testKey); ok {
+	if _, ok := c.Load(context.Background(), testKey); ok {
 		t.Fatal("hit from a dead peer")
 	}
-	if err := c.Save(testKey, testVals()); err == nil {
+	if err := c.SaveLinked(testKey, testVals(), ""); err == nil {
 		t.Fatal("save to a dead peer must report its (counted) error")
 	}
 	st := c.Stats()
@@ -222,7 +223,7 @@ func TestBreakerTripShortCircuitAndProbe(t *testing.T) {
 	})
 
 	for i := 0; i < 3; i++ {
-		if _, ok := c.Load(testKey); ok {
+		if _, ok := c.Load(context.Background(), testKey); ok {
 			t.Fatal("hit from a failing peer")
 		}
 	}
@@ -236,7 +237,7 @@ func TestBreakerTripShortCircuitAndProbe(t *testing.T) {
 	// Open: calls short-circuit — the network is not touched.
 	before := calls.Load()
 	for i := 0; i < 4; i++ {
-		if _, ok := c.Load(testKey); ok {
+		if _, ok := c.Load(context.Background(), testKey); ok {
 			t.Fatal("hit while open")
 		}
 	}
@@ -252,7 +253,7 @@ func TestBreakerTripShortCircuitAndProbe(t *testing.T) {
 	if got := c.State(); got != HalfOpen {
 		t.Fatalf("state after cooldown: %v, want half-open", got)
 	}
-	if _, ok := c.Load(testKey); ok {
+	if _, ok := c.Load(context.Background(), testKey); ok {
 		t.Fatal("probe hit a failing peer")
 	}
 	if got := c.State(); got != Open {
@@ -262,16 +263,16 @@ func TestBreakerTripShortCircuitAndProbe(t *testing.T) {
 	// ...and a successful probe closes the breaker for good.
 	healthy.Store(true)
 	clk.advance(6 * time.Second)
-	if _, ok := c.Load("never stored"); ok {
+	if _, ok := c.Load(context.Background(), "never stored"); ok {
 		t.Fatal("phantom hit")
 	}
 	if got := c.State(); got != Closed {
 		t.Fatalf("state after successful probe: %v, want closed", got)
 	}
-	if err := c.Save(testKey, testVals()); err != nil {
+	if err := c.SaveLinked(testKey, testVals(), ""); err != nil {
 		t.Fatalf("save through a recovered breaker: %v", err)
 	}
-	if vals, ok := c.Load(testKey); !ok || !reflect.DeepEqual(vals, testVals()) {
+	if vals, ok := c.Load(context.Background(), testKey); !ok || !reflect.DeepEqual(vals, testVals()) {
 		t.Fatalf("round trip after recovery: %v %v", vals, ok)
 	}
 }
@@ -292,7 +293,7 @@ func TestHalfOpenProbeIsExclusive(t *testing.T) {
 		return true
 	})
 	c, clk := newTestClient(t, hs.URL, Options{Attempts: 1, BreakerThreshold: 1, BreakerCooldown: time.Second})
-	c.Load(testKey) // trips immediately (threshold 1)
+	c.Load(context.Background(), testKey) // trips immediately (threshold 1)
 	if c.State() != Open {
 		t.Fatal("breaker should be open")
 	}
@@ -302,7 +303,7 @@ func TestHalfOpenProbeIsExclusive(t *testing.T) {
 	probeDone := make(chan struct{})
 	go func() {
 		defer close(probeDone)
-		c.Load(testKey) // the probe; parks on <-release
+		c.Load(context.Background(), testKey) // the probe; parks on <-release
 	}()
 	// Wait until the probe owns the half-open slot, then race others.
 	for {
@@ -315,7 +316,7 @@ func TestHalfOpenProbeIsExclusive(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	before := c.Stats().ShortCircuits
-	c.Load(testKey)
+	c.Load(context.Background(), testKey)
 	if got := c.Stats().ShortCircuits; got != before+1 {
 		t.Fatalf("concurrent call during probe: short circuits %d, want %d", got, before+1)
 	}
@@ -334,7 +335,7 @@ func TestRecentErrorsWindow(t *testing.T) {
 		return true
 	})
 	c, clk := newTestClient(t, hs.URL, Options{Attempts: 2, BreakerThreshold: 100})
-	c.Load(testKey) // 2 failed attempts
+	c.Load(context.Background(), testKey) // 2 failed attempts
 	if got := c.RecentErrors(30 * time.Second); got != 2 {
 		t.Fatalf("recent errors: %d, want 2", got)
 	}

@@ -248,7 +248,7 @@ func (e *Engine) runPoint(ctx context.Context, p Point) ([]float64, error) {
 		defer sp.End()
 	}
 	if e.Cache != nil && key != "" {
-		if vals, ok := e.Cache.GetCtx(ctx, key); ok {
+		if vals, ok := e.Cache.Get(ctx, key); ok {
 			return vals, nil
 		}
 	}
@@ -280,7 +280,7 @@ func (e *Engine) runPoint(ctx context.Context, p Point) ([]float64, error) {
 		if pw != nil {
 			parentKey = pw.parentKey
 		}
-		e.Cache.PutLinked(key, vals, parentKey)
+		e.Cache.Put(key, vals, parentKey)
 	}
 	return vals, nil
 }
@@ -299,11 +299,12 @@ type pointWarm struct {
 }
 
 // prepareWarm derives the point's parent and gathers its per-run
-// witnesses from the cache tiers (memory → disk → remote), materializing
-// the parent point on a full-tier miss. Returns nil when the point has no
-// derivable parent or no witness could be obtained — the point then runs
-// exactly as with WarmStart off. Never returns an error: warm starts are
-// an optimization, and any failure here degrades to a cold solve.
+// witnesses from the cache's tier (memory, or a backend's disk → remote
+// ladder), materializing the parent point on a miss. Returns nil when the
+// point has no derivable parent or no witness could be obtained — the
+// point then runs exactly as with WarmStart off. Never returns an error:
+// warm starts are an optimization, and any failure here degrades to a
+// cold solve.
 func (e *Engine) prepareWarm(ctx context.Context, p Point, key string) *pointWarm {
 	if !e.WarmStart || e.Cache == nil || key == "" {
 		return nil
@@ -320,7 +321,7 @@ func (e *Engine) prepareWarm(ctx context.Context, p Point, key string) *pointWar
 		lens := make([][]float64, p.runs())
 		all := true
 		for i := range lens {
-			if w, ok := e.Cache.GetCtx(ctx, WitnessKey(parentKey, i)); ok {
+			if w, ok := e.Cache.Get(ctx, WitnessKey(parentKey, i)); ok {
 				lens[i] = w
 			} else {
 				all = false
@@ -492,7 +493,7 @@ func (e *Engine) oneRun(cctx context.Context, p Point, i int, keep bool, pw *poi
 			// Publish the run's witness as an ordinary cache entry so this
 			// point's future children (in this process or any replica) can
 			// warm-start from it.
-			e.Cache.Put(WitnessKey(p.Key(), i), w.Witness)
+			e.Cache.Put(WitnessKey(p.Key(), i), w.Witness, "")
 		}
 	}
 	return v, d, err

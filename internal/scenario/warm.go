@@ -11,7 +11,7 @@ import (
 // point. When Engine.WarmStart is on, the engine derives that parent,
 // obtains the parent solve's exported dual witness (mcf.Result.DualLens,
 // stored per run as an ordinary content-addressed cache entry, so it
-// flows through memory → disk → remote exactly like results), maps it
+// flows through memory, or disk → remote, exactly like results), maps it
 // onto the child's arcs, and seeds the child solve with it. Every
 // warm-started solve is re-certified by internal/flowcheck before its
 // value is accepted; a failed certification falls back to a cold solve —

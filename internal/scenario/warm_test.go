@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"reflect"
 	"runtime"
 	"sync"
@@ -105,9 +106,9 @@ func TestWarmStartDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // memBackend is a map-backed cache Backend standing in for a peer
-// replica's result store: entries arrive via Save from "another process"
-// and are served to this one via Load, exercising the same promotion path
-// a remotestore client uses.
+// replica's result store: entries arrive via SaveLinked from "another
+// process" and are served to this one via Load, the same path a
+// remotestore client takes.
 type memBackend struct {
 	mu sync.Mutex
 	m  map[string][]float64
@@ -115,21 +116,23 @@ type memBackend struct {
 
 func newMemBackend() *memBackend { return &memBackend{m: map[string][]float64{}} }
 
-func (b *memBackend) Load(key string) ([]float64, bool) {
+func (b *memBackend) Load(_ context.Context, key string) ([]float64, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	v, ok := b.m[key]
-	return v, ok
+	return append([]float64(nil), v...), ok
 }
 
-func (b *memBackend) Save(key string, vals []float64) error {
+func (b *memBackend) SaveLinked(key string, vals []float64, _ string) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	cp := make([]float64, len(vals))
-	copy(cp, vals)
-	b.m[key] = cp
+	b.m[key] = append([]float64(nil), vals...)
 	return nil
 }
+
+func (b *memBackend) PinKey(string) func() { return func() {} }
+
+func (b *memBackend) Abandon(string) {}
 
 // TestWarmStartParentSourceIrrelevant pins byte-determinism across the
 // witness transport ladder: a child warm-started from a parent witness it

@@ -211,7 +211,7 @@ func TestResultHeaders(t *testing.T) {
 	if !strings.HasPrefix(ttag, `"`+key+".t") || ttag == jtag {
 		t.Fatalf("tbrs ETag %q (json %q): representations must not share validators", ttag, jtag)
 	}
-	vals, ok := store.DecodeValues(tbody)
+	vals, _, ok := store.DecodeEntry(tbody)
 	if !ok {
 		t.Fatal("raw TBRS response failed codec verification")
 	}

@@ -100,7 +100,7 @@ func TestPutAndRawGet(t *testing.T) {
 	srv, hs := newTestServer(t, t.TempDir(), 4)
 	vals := []float64{3.25, -1, 0.5}
 	addr := store.Addr("pushed point")
-	entry := store.EncodeValues(vals)
+	entry := store.EncodeLinked(vals, "")
 
 	if status := putEntry(t, hs.URL, addr, entry); status != http.StatusNoContent {
 		t.Fatalf("PUT: %d", status)
@@ -251,7 +251,7 @@ func TestHealthzDegradedAndWedged(t *testing.T) {
 	}
 
 	check(http.StatusOK, "ok")
-	remote.Load("some key") // fails against the dead peer → recent errors
+	remote.Load(context.Background(), "some key") // fails against the dead peer → recent errors
 	check(http.StatusOK, "degraded")
 	if len(rep.Reasons) == 0 {
 		t.Fatal("degraded report carries no reasons")

@@ -111,8 +111,9 @@ import (
 	"repro/internal/trace"
 )
 
-// Config wires a Server. Engine and Cache normally share the same tiered
-// cache; Store is the cache's durable tier (nil for memory-only serving).
+// Config wires a Server. Engine and Cache normally share the same cache;
+// Store is the disk store holding that cache's results, directly or
+// behind a Tiered backend (nil for memory-only serving).
 type Config struct {
 	Engine *scenario.Engine
 	Cache  *scenario.Cache
@@ -893,7 +894,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	if tbrs {
 		// Peer replicas (internal/remotestore) ask for the raw TBRS codec
 		// bytes. raw is the verified on-disk entry exactly as a Save wrote
-		// it — decodeAppend already re-checked magic, version, and CRC — so
+		// it — its decode already re-checked magic, version, and CRC — so
 		// it is forwarded without re-encoding and a peer still never
 		// receives disk corruption.
 		h["Content-Type"] = tbrsCTVal

@@ -135,6 +135,31 @@ func TestEvalMatchesEngineAndPersists(t *testing.T) {
 	}
 }
 
+// TestStoreBackedServeKeepsNoMemoryCopy is the one-tier rule at the
+// daemon: with a store attached, solved points live in the store alone.
+// Two distinct grids sharing a point leave no resident memory entries,
+// and the second grid's copy of the shared point is a store hit. Point i
+// of a grid solves under seed+i, so the second grid starts one seed later
+// to share deg=8 exactly.
+func TestStoreBackedServeKeepsNoMemoryCopy(t *testing.T) {
+	if testing.Short() {
+		t.Skip("flow-solver evaluation; skipped in -short")
+	}
+	_, hs := newTestServer(t, t.TempDir(), 4)
+	for _, tail := range []string{"sweep=deg:6..8:2 runs=2 eps=0.12 seed=1", "sweep=deg:8..10:2 runs=2 eps=0.12 seed=2"} {
+		grid := "topo=rrg:n=16,deg=6,sps=2 traffic=permutation eval=mcf " + tail
+		if status, body := postEval(t, hs.URL, grid); status != http.StatusOK {
+			t.Fatalf("%s: %d %s", grid, status, body)
+		}
+	}
+	if got := metric(t, hs.URL, "cache_entries"); got != 0 {
+		t.Fatalf("store-backed daemon holds %d in-memory entries, want 0", got)
+	}
+	if got := metric(t, hs.URL, "cache_store_hits_total"); got != 1 {
+		t.Fatalf("shared point: cache_store_hits_total %d, want 1", got)
+	}
+}
+
 // TestResultByContentAddress: every point key in an eval response is
 // retrievable via GET /v1/result/<key> with matching values.
 func TestResultByContentAddress(t *testing.T) {

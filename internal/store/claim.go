@@ -38,7 +38,7 @@ func (s *Store) claimPath(addr string) string {
 
 // Claim tries to acquire the solve lease for addr on behalf of owner.
 // won=true means the caller holds the lease until deadline and should
-// solve, publish via Save/SaveAddr, and Unclaim. won=false means another
+// solve, publish via SaveLinked/SaveAddrLinked, and Unclaim. won=false means another
 // owner holds it; deadline is when that lease expires (the longest a
 // waiter should poll before reclaiming). Any filesystem failure degrades
 // to won=true — when claims cannot be coordinated, solving locally is

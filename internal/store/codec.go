@@ -18,17 +18,17 @@ import (
 //	12+8n   32    parent content address (raw SHA-256), iff flag bit 0
 //	…       4     CRC-32 (IEEE) of everything before it
 //
-// decode treats ANY deviation — short file, wrong magic, foreign codec
-// version, unknown flag bits, count/length mismatch, checksum failure —
-// as "no entry": a store can only ever return exactly what encode wrote,
-// never garbage.
+// DecodeEntry treats ANY deviation — short file, wrong magic, foreign
+// codec version, unknown flag bits, count/length mismatch, checksum
+// failure — as "no entry": a store can only ever return exactly what
+// EncodeLinked wrote, never garbage.
 //
 // The parent link (codec v2) records which entry's solve warm-started
 // this one — the delta-evaluation chain made durable, so a fresh process
 // or a peer replica can observe the provenance of an incremental result.
 // The link is an optimization/observability hint, never load-bearing for
-// correctness: a reader that ignores it (DecodeValues) still gets exactly
-// the certified run values.
+// correctness: a reader that ignores DecodeEntry's parent still gets
+// exactly the certified run values.
 //
 // CodecVersion must be bumped whenever the encoding of values changes
 // (layout, semantics, or the meaning of a run value): entries written by
@@ -45,17 +45,21 @@ const (
 
 	// flagParent marks an entry carrying a parent content-address link.
 	flagParent uint16 = 1 << 0
-	// knownFlags is the set decode accepts; any other bit means a future
+	// knownFlags is the set DecodeEntry accepts; any other bit means a future
 	// (or corrupt) writer and the entry reads as a miss.
 	knownFlags = flagParent
 )
 
 var magic = [4]byte{'T', 'B', 'R', 'S'}
 
-// encode serializes run values into the versioned entry format, with an
-// optional parent content-address link (parent is "" or 64 hex chars; a
-// malformed parent is silently dropped rather than corrupting the entry).
-func encode(vals []float64, parent string) []byte {
+// EncodeLinked serializes run values into the versioned entry format —
+// the bytes a SaveLinked writes — with an optional parent content-address
+// link (parent is "" or 64 hex chars; a malformed parent is silently
+// dropped rather than corrupting the entry). It is exported for
+// transports that move entries between stores verbatim (the remote-store
+// wire format is exactly the on-disk format, so the CRC travels with the
+// values and the receiver re-verifies it).
+func EncodeLinked(vals []float64, parent string) []byte {
 	var link []byte
 	if len(parent) == 2*parentSize {
 		if raw, err := hex.DecodeString(parent); err == nil {
@@ -79,47 +83,19 @@ func encode(vals []float64, parent string) []byte {
 	return buf
 }
 
-// EncodeValues serializes run values into the entry format — the bytes a
-// Save would write. It is exported for transports that move entries
-// between stores verbatim (the remote-store wire format is exactly the
-// on-disk format, so the CRC travels with the values and the receiver
-// re-verifies it).
-func EncodeValues(vals []float64) []byte { return encode(vals, "") }
-
-// EncodeLinked is EncodeValues plus a parent content-address link (hex;
-// "" for none) — the linked-entry wire format.
-func EncodeLinked(vals []float64, parent string) []byte { return encode(vals, parent) }
-
-// DecodeValues parses entry bytes, ok=false on any corruption, version
-// mismatch, or truncation — the receiving end of EncodeValues. A decoded
-// entry is exactly what some encode produced; garbage never parses. A
-// parent link, if present, is verified (it is under the CRC) but not
-// returned; use DecodeEntry to read it.
-func DecodeValues(buf []byte) ([]float64, bool) {
-	vals, _, ok := decodeEntry(buf, nil)
-	return vals, ok
-}
-
-// DecodeEntry parses entry bytes including the parent content-address
-// link ("" when the entry carries none). Verification rules are
-// DecodeValues's exactly.
+// DecodeEntry parses entry bytes — the receiving end of EncodeLinked —
+// returning the values and the parent content-address link ("" when the
+// entry carries none), ok=false on any corruption, version mismatch,
+// unknown flags, or truncation. A decoded entry is exactly what some
+// EncodeLinked produced; garbage never parses.
 func DecodeEntry(buf []byte) (vals []float64, parent string, ok bool) {
 	return decodeEntry(buf, nil)
 }
 
-// decodeAppend is DecodeValues with caller-owned value scratch: parsed
-// values are appended to vals (which may be nil or a reused slice sliced
-// to zero length), so a hot read loop decodes entry after entry without
-// allocating a fresh values slice per entry. On ok=false the returned
-// slice is vals untouched.
-func decodeAppend(buf []byte, vals []float64) ([]float64, bool) {
-	out, _, ok := decodeEntry(buf, vals)
-	return out, ok
-}
-
-// decodeEntry parses an entry, returning ok=false on any corruption,
-// version mismatch, unknown flags, or truncation. Values are appended to
-// vals (nil allocates fresh).
+// decodeEntry is DecodeEntry with caller-owned value scratch: parsed
+// values are appended to vals (nil allocates fresh; a reused slice sliced
+// to zero length lets a hot read loop decode entry after entry without
+// allocating). On ok=false the returned slice is vals untouched.
 func decodeEntry(buf []byte, vals []float64) ([]float64, string, bool) {
 	if len(buf) < headerSize+trailerSize {
 		return vals, "", false

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -22,7 +23,7 @@ func TestOrphanTempGC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Save("live-key", []float64{1, 2, 3}); err != nil {
+	if err := s.SaveLinked("live-key", []float64{1, 2, 3}, ""); err != nil {
 		t.Fatal(err)
 	}
 
@@ -56,7 +57,7 @@ func TestOrphanTempGC(t *testing.T) {
 	if s2.Stats().Entries != 1 {
 		t.Fatalf("entries: %d, want 1 (debris must not be indexed)", s2.Stats().Entries)
 	}
-	if vals, ok := s2.Load("live-key"); !ok || !reflect.DeepEqual(vals, []float64{1, 2, 3}) {
+	if vals, ok := s2.Load(bg, "live-key"); !ok || !reflect.DeepEqual(vals, []float64{1, 2, 3}) {
 		t.Fatalf("live entry lost across crash recovery: %v %v", vals, ok)
 	}
 	for _, p := range []string{filepath.Join(shard, ".tmp-dead1"), filepath.Join(dir, ".tmp-dead2")} {
@@ -125,7 +126,7 @@ type mapBackend struct {
 	down bool
 }
 
-func (b *mapBackend) Load(key string) ([]float64, bool) {
+func (b *mapBackend) Load(_ context.Context, key string) ([]float64, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.down {
@@ -135,7 +136,7 @@ func (b *mapBackend) Load(key string) ([]float64, bool) {
 	return v, ok
 }
 
-func (b *mapBackend) Save(key string, vals []float64) error {
+func (b *mapBackend) SaveLinked(key string, vals []float64, _ string) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.down {
@@ -158,12 +159,12 @@ func TestTieredPromotion(t *testing.T) {
 	remote := &mapBackend{m: map[string][]float64{"pt": {4, 5, 6}}}
 	tiered := NewTiered(disk, remote, TieredOptions{})
 
-	vals, ok := tiered.Load("pt")
+	vals, ok := tiered.Load(bg, "pt")
 	if !ok || !reflect.DeepEqual(vals, []float64{4, 5, 6}) {
 		t.Fatalf("remote hit: %v %v", vals, ok)
 	}
 	remote.down = true
-	if vals, ok := tiered.Load("pt"); !ok || !reflect.DeepEqual(vals, []float64{4, 5, 6}) {
+	if vals, ok := tiered.Load(bg, "pt"); !ok || !reflect.DeepEqual(vals, []float64{4, 5, 6}) {
 		t.Fatalf("promoted entry not served from disk: %v %v", vals, ok)
 	}
 	st := tiered.Stats()
@@ -171,18 +172,18 @@ func TestTieredPromotion(t *testing.T) {
 		t.Fatalf("stats: %+v", st)
 	}
 
-	// A miss everywhere reports miss; a Save publishes to both tiers.
-	if _, ok := tiered.Load("cold"); ok {
+	// A miss everywhere reports miss; a SaveLinked publishes to both tiers.
+	if _, ok := tiered.Load(bg, "cold"); ok {
 		t.Fatal("phantom hit")
 	}
 	remote.down = false
-	if err := tiered.Save("cold", []float64{7}); err != nil {
+	if err := tiered.SaveLinked("cold", []float64{7}, ""); err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := remote.Load("cold"); !ok || v[0] != 7 {
+	if v, ok := remote.Load(bg, "cold"); !ok || v[0] != 7 {
 		t.Fatal("save did not reach the remote tier")
 	}
-	if v, ok := disk.Load("cold"); !ok || v[0] != 7 {
+	if v, ok := disk.Load(bg, "cold"); !ok || v[0] != 7 {
 		t.Fatal("save did not reach disk")
 	}
 }
@@ -195,13 +196,13 @@ func TestTieredRemoteSaveFailureIsBestEffort(t *testing.T) {
 		t.Fatal(err)
 	}
 	tiered := NewTiered(disk, &mapBackend{down: true}, TieredOptions{})
-	if err := tiered.Save("pt", []float64{1}); err != nil {
+	if err := tiered.SaveLinked("pt", []float64{1}, ""); err != nil {
 		t.Fatalf("save failed because the REMOTE was down: %v", err)
 	}
 	if got := tiered.Stats().RemoteSaveErrs; got != 1 {
 		t.Fatalf("remote save errors: %d, want 1", got)
 	}
-	if _, ok := disk.Load("pt"); !ok {
+	if _, ok := disk.Load(bg, "pt"); !ok {
 		t.Fatal("disk write lost")
 	}
 }
@@ -220,7 +221,7 @@ func TestTieredClaimSingleflight(t *testing.T) {
 	}
 	r1, r2 := open(), open()
 
-	if _, ok := r1.Load("pt"); ok {
+	if _, ok := r1.Load(bg, "pt"); ok {
 		t.Fatal("cold pool must miss")
 	}
 	if got := r1.Stats().ClaimsWon; got != 1 {
@@ -233,14 +234,14 @@ func TestTieredClaimSingleflight(t *testing.T) {
 	}
 	waited := make(chan res, 1)
 	go func() {
-		v, ok := r2.Load("pt")
+		v, ok := r2.Load(bg, "pt")
 		waited <- res{v, ok}
 	}()
 	// Let r2 lose the claim and enter its poll loop, then publish.
 	for r2.Stats().ClaimsLost == 0 {
 		time.Sleep(time.Millisecond)
 	}
-	if err := r1.Save("pt", []float64{9, 9}); err != nil {
+	if err := r1.SaveLinked("pt", []float64{9, 9}, ""); err != nil {
 		t.Fatal(err)
 	}
 	got := <-waited
@@ -273,16 +274,16 @@ func TestTieredClaimRechecksAfterWin(t *testing.T) {
 		return NewTiered(disk, nil, TieredOptions{LeaseTTL: 10 * time.Second, Poll: 2 * time.Millisecond})
 	}
 	r1, r2 := open(), open()
-	if _, ok := r1.Disk().Load("pt"); ok {
+	if _, ok := r1.Disk().Load(bg, "pt"); ok {
 		t.Fatal("cold pool must miss")
 	}
-	if _, ok := r2.Load("pt"); ok {
+	if _, ok := r2.Load(bg, "pt"); ok {
 		t.Fatal("cold pool must miss")
 	}
-	if err := r2.Save("pt", []float64{9, 9}); err != nil {
+	if err := r2.SaveLinked("pt", []float64{9, 9}, ""); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := r1.Load("pt")
+	got, ok := r1.Load(bg, "pt")
 	if !ok || !reflect.DeepEqual(got, []float64{9, 9}) {
 		t.Fatalf("r1 after r2's publish: %v %v (a miss means solving the key a second time)", got, ok)
 	}
@@ -308,12 +309,12 @@ func TestTieredCrashReclaim(t *testing.T) {
 	crasher := open(40 * time.Millisecond)
 	heir := open(40 * time.Millisecond)
 
-	if _, ok := crasher.Load("pt"); ok {
+	if _, ok := crasher.Load(bg, "pt"); ok {
 		t.Fatal("cold pool must miss")
 	}
 	// crasher now holds the lease and "dies": it never Saves.
 	start := time.Now()
-	if _, ok := heir.Load("pt"); ok {
+	if _, ok := heir.Load(bg, "pt"); ok {
 		t.Fatal("heir must get the miss (and the solve) after the lease expires")
 	}
 	if waited := time.Since(start); waited > 2*time.Second {
@@ -367,8 +368,8 @@ func TestPruneUnderFaultyConcurrentWriters(t *testing.T) {
 			defer writerWG.Done()
 			for i := 0; i < rounds; i++ {
 				key := fmt.Sprintf("w%d-i%d", w, i)
-				flaky.Save(key, valsFor(w, i)) // errors are injected; ignore
-				if vals, ok := flaky.Load(key); ok && !reflect.DeepEqual(vals, valsFor(w, i)) {
+				flaky.SaveLinked(key, valsFor(w, i), "") // errors are injected; ignore
+				if vals, ok := flaky.Load(bg, key); ok && !reflect.DeepEqual(vals, valsFor(w, i)) {
 					t.Errorf("torn read: %s gave %v", key, vals)
 					return
 				}
@@ -383,7 +384,7 @@ func TestPruneUnderFaultyConcurrentWriters(t *testing.T) {
 	for w := 0; w < writers; w++ {
 		for i := 0; i < rounds; i++ {
 			key := fmt.Sprintf("w%d-i%d", w, i)
-			if vals, ok := disk.Load(key); ok && !reflect.DeepEqual(vals, valsFor(w, i)) {
+			if vals, ok := disk.Load(bg, key); ok && !reflect.DeepEqual(vals, valsFor(w, i)) {
 				t.Fatalf("surviving entry %s corrupt: %v", key, vals)
 			}
 		}

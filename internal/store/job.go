@@ -146,6 +146,11 @@ func DecodeJob(buf []byte) (JobRecord, bool) {
 	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(buf[len(body):]) {
 		return JobRecord{}, false
 	}
+	// EncodeJob writes zeros into the reserved bytes; anything else is a
+	// record no EncodeJob produced.
+	if buf[7] != 0 || buf[10] != 0 || buf[11] != 0 {
+		return JobRecord{}, false
+	}
 	rec := JobRecord{
 		State:   JobState(buf[6]),
 		Status:  binary.LittleEndian.Uint16(buf[8:10]),

@@ -76,6 +76,23 @@ func TestJobCodecTamper(t *testing.T) {
 	if _, ok := DecodeJob(EncodeJob(weird)); ok {
 		t.Fatal("out-of-range state accepted")
 	}
+	// Nor may a record with nonzero reserved header bytes: EncodeJob never
+	// writes one, so it would decode to a record that re-encodes to
+	// different bytes.
+	for _, i := range []int{7, 10, 11} {
+		if _, ok := DecodeJob(reserveJob(good, i)); ok {
+			t.Fatalf("nonzero reserved byte %d accepted", i)
+		}
+	}
+}
+
+// reserveJob returns a copy of an encoded job record with reserved header
+// byte i set to 0x5a and the CRC trailer recomputed, so only the reserved
+// byte can reject it.
+func reserveJob(good []byte, i int) []byte {
+	bad := append([]byte(nil), good...)
+	bad[i] = 0x5a
+	return withCRC(bad)
 }
 
 func TestJobSaveLoadDeleteList(t *testing.T) {

@@ -68,7 +68,7 @@ func TestPruneConcurrentSaveRepublish(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Save("pt", []float64{1}); err != nil {
+	if err := s.SaveLinked("pt", []float64{1}, ""); err != nil {
 		t.Fatal(err)
 	}
 	addr := Addr("pt")
@@ -76,7 +76,7 @@ func TestPruneConcurrentSaveRepublish(t *testing.T) {
 	s.pruneHook = func(a string) {
 		if a == addr {
 			republished = true
-			if err := s.SaveAddr(addr, []float64{2, 2}); err != nil {
+			if err := s.SaveAddrLinked(addr, []float64{2, 2}, ""); err != nil {
 				t.Errorf("re-save during prune window: %v", err)
 			}
 		}
@@ -85,7 +85,7 @@ func TestPruneConcurrentSaveRepublish(t *testing.T) {
 	if !republished {
 		t.Fatal("prune never selected the entry — the test exercised nothing")
 	}
-	vals, ok := s.Load("pt")
+	vals, ok := s.Load(bg, "pt")
 	if !ok || !reflect.DeepEqual(vals, []float64{2, 2}) {
 		t.Fatalf("re-published entry lost to the racing prune: %v %v", vals, ok)
 	}

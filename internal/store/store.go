@@ -1,8 +1,10 @@
 // Package store is the disk-backed tier of the scenario engine's
-// content-addressed solve cache. It persists per-point run values under
-// their content address — the SHA-256 of the point's Key() string, the
-// same address the in-memory scenario.Cache uses — so a second process
-// answers a previously-solved grid from disk instead of re-solving it.
+// content-addressed solve cache: attached with scenario.Cache.SetBackend
+// (directly, or behind Tiered), it replaces the cache's in-memory map. It
+// persists per-point run values under their content address — the
+// SHA-256 of the point's Key() string, the same address the in-memory
+// scenario.Cache uses — so a second process answers a previously-solved
+// grid from disk instead of re-solving it.
 //
 // The durability contract extends the cache-key invariant across
 // processes: under that invariant a stored entry holds exactly what a
@@ -14,6 +16,13 @@
 // directory), so a truncated, tampered, torn, or stale-codec-version file
 // is silently re-solved and replaced.
 //
+// The store never fsyncs. A process crash loses nothing published — the
+// rename is atomic and the bytes sit in the page cache — but a power loss
+// after the rename can leave an entry whose bytes never reached the disk.
+// That entry fails its CRC and reads as a miss, by design: the point is
+// re-solved and the entry rewritten, as for any other damaged file.
+// Durability is best-effort; correctness is not.
+//
 // Layout: <dir>/<addr[:2]>/<addr[2:]> where addr is the lowercase hex
 // content address — 256 shard directories keep listings short at
 // millions of entries. Open scans the tree once into an in-memory index
@@ -23,6 +32,7 @@
 package store
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -201,9 +211,10 @@ func (s *Store) path(addr string) string {
 	return filepath.Join(s.dir, addr[:2], addr[2:])
 }
 
-// Load returns the run values stored under key, if a valid entry exists.
-// Corrupt or truncated entries are dropped and read as misses.
-func (s *Store) Load(key string) ([]float64, bool) {
+// Load returns the run values stored under key, if a valid entry exists
+// (scenario.Backend). Corrupt or truncated entries are dropped and read
+// as misses. A disk read records no span of its own, so ctx is unused.
+func (s *Store) Load(_ context.Context, key string) ([]float64, bool) {
 	return s.LoadAddr(Addr(key))
 }
 
@@ -294,7 +305,7 @@ func (s *Store) loadAddrBuf(addr string, buf []byte, vals []float64, useNeg bool
 		s.st.Misses++
 		return nil, nil, false
 	}
-	vals, decOK := decodeAppend(buf, vals[:0])
+	vals, _, decOK := decodeEntry(buf, vals[:0])
 	if !decOK {
 		s.dropLocked(addr, e)
 		s.st.Corrupt++
@@ -344,19 +355,14 @@ func (s *Store) dropLocked(addr string, e *entry) {
 	}
 }
 
-// Save publishes run values under key. Publication is atomic: the entry
-// is written to a temp file in its shard directory and renamed into
+// SaveLinked publishes run values under key (scenario.Backend), with a
+// parent content-address link: the entry records (codec v2) which entry's
+// result warm-started this solve. parentKey is the parent's cache KEY
+// (hashed here); "" writes an unlinked entry. Publication is atomic: the
+// entry is written to a temp file in its shard directory and renamed into
 // place, so concurrent writers racing on one key both leave a complete,
 // decodable entry (last rename wins) and readers never observe a torn
 // write.
-func (s *Store) Save(key string, vals []float64) error {
-	return s.SaveAddr(Addr(key), vals)
-}
-
-// SaveLinked is Save with a parent content-address link: the entry
-// records (codec v2) which entry's result warm-started this solve.
-// parentKey is the parent's cache KEY (hashed here); "" writes an
-// unlinked entry.
 func (s *Store) SaveLinked(key string, vals []float64, parentKey string) error {
 	parent := ""
 	if parentKey != "" {
@@ -365,19 +371,14 @@ func (s *Store) SaveLinked(key string, vals []float64, parentKey string) error {
 	return s.SaveAddrLinked(Addr(key), vals, parent)
 }
 
-// SaveAddr is Save by precomputed content address — the receiving end of
-// the service's PUT /v1/result/<key> route, where only the address is on
-// the wire. The address must be a well-formed content address; the caller
-// vouches that vals were solved under the key hashing to it.
-func (s *Store) SaveAddr(addr string, vals []float64) error {
-	return s.SaveAddrLinked(addr, vals, "")
-}
-
-// SaveAddrLinked is SaveAddr with an optional parent content address
-// (lowercase hex, or "" for none) recorded in the entry's codec-v2 parent
-// link. A malformed parent is an error, like a malformed address: links
-// exist to be followed, so a link that cannot be followed must fail loudly
-// at write time rather than silently degrade.
+// SaveAddrLinked is SaveLinked by precomputed content addresses — the
+// receiving end of the service's PUT /v1/result/<key> route, where only
+// the addresses are on the wire. The address must be a well-formed
+// content address; the caller vouches that vals were solved under the key
+// hashing to it. parent is lowercase hex, or "" for none. A malformed
+// parent is an error, like a malformed address: links exist to be
+// followed, so a link that cannot be followed must fail loudly at write
+// time rather than silently degrade.
 func (s *Store) SaveAddrLinked(addr string, vals []float64, parent string) error {
 	if len(addr) != 2*sha256.Size || !isHex(addr) {
 		return fmt.Errorf("store: malformed content address %q", addr)
@@ -389,7 +390,7 @@ func (s *Store) SaveAddrLinked(addr string, vals []float64, parent string) error
 	if err := os.MkdirAll(shard, 0o755); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	buf := encode(vals, parent)
+	buf := EncodeLinked(vals, parent)
 	tmp, err := os.CreateTemp(shard, ".tmp-*")
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
@@ -513,21 +514,16 @@ func (s *Store) Stats() Stats {
 // PinKey pins the entry stored under key against Prune eviction for the
 // duration of an external use — an in-flight warm start reading the
 // parent's witness, say — returning a release function (idempotent; call
-// it exactly when the use ends). Pinning an absent entry is a no-op whose
-// release does nothing: pins protect what exists, they do not reserve
-// addresses.
+// it exactly when the use ends). It shares the eviction exclusion with
+// in-flight Loads (entry.pins), so a pinned parent entry survives any
+// Prune that runs while a warm start depends on it — the parent-link
+// extension of the pinned-read rule. Pinning an absent entry is a no-op
+// whose release does nothing: pins protect what exists, they do not
+// reserve addresses.
 func (s *Store) PinKey(key string) func() {
-	return s.PinAddr(Addr(key))
-}
-
-// PinAddr is PinKey by precomputed content address. It shares the
-// eviction exclusion with in-flight Loads (entry.pins), so a pinned
-// parent entry survives any Prune that runs while a warm start depends on
-// it — the parent-link extension of the pinned-read rule.
-func (s *Store) PinAddr(addr string) func() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.index[addr]
+	e, ok := s.index[Addr(key)]
 	if !ok {
 		return func() {}
 	}
@@ -541,6 +537,10 @@ func (s *Store) PinAddr(addr string) func() {
 		})
 	}
 }
+
+// Abandon is a no-op (scenario.Backend): a bare store takes no solve
+// claims to release; Tiered does.
+func (*Store) Abandon(string) {}
 
 // EnableNegativeCache attaches a bounded negative cache of at most max
 // addresses with the given TTL (both > 0; zero values pick 4096 entries

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -11,6 +12,9 @@ import (
 	"testing"
 	"time"
 )
+
+// bg is the context of every test Load: no test here cancels or traces.
+var bg = context.Background()
 
 // TestRoundTripAcrossHandles is the durability contract: values written
 // through one store handle are read back reflect.DeepEqual through a
@@ -27,7 +31,7 @@ func TestRoundTripAcrossHandles(t *testing.T) {
 		"c|eps=0.2|seed=3": {42},
 	}
 	for k, v := range vals {
-		if err := w.Save(k, v); err != nil {
+		if err := w.SaveLinked(k, v, ""); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -37,7 +41,7 @@ func TestRoundTripAcrossHandles(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k, want := range vals {
-		got, ok := r.Load(k)
+		got, ok := r.Load(bg, k)
 		if !ok {
 			t.Fatalf("key %q missing via fresh handle", k)
 		}
@@ -49,7 +53,7 @@ func TestRoundTripAcrossHandles(t *testing.T) {
 	if st.Hits != 3 || st.Misses != 0 || st.Entries != 3 {
 		t.Fatalf("stats after warm reads: %+v", st)
 	}
-	if _, ok := r.Load("never-written"); ok {
+	if _, ok := r.Load(bg, "never-written"); ok {
 		t.Fatal("phantom hit")
 	}
 }
@@ -67,10 +71,10 @@ func TestLoadAdoptsLateWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Save("late", []float64{1, 2}); err != nil {
+	if err := w.SaveLinked("late", []float64{1, 2}, ""); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := r.Load("late")
+	got, ok := r.Load(bg, "late")
 	if !ok || !reflect.DeepEqual(got, []float64{1, 2}) {
 		t.Fatalf("late write not adopted: %v %v", got, ok)
 	}
@@ -92,11 +96,11 @@ func TestConcurrentWritersOneKey(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			for rep := 0; rep < 20; rep++ {
-				if err := s.Save("hot", []float64{float64(i), float64(rep)}); err != nil {
+				if err := s.SaveLinked("hot", []float64{float64(i), float64(rep)}, ""); err != nil {
 					t.Errorf("save: %v", err)
 					return
 				}
-				if vals, ok := s.Load("hot"); ok {
+				if vals, ok := s.Load(bg, "hot"); ok {
 					if len(vals) != 2 || vals[0] < 0 || vals[0] >= racers {
 						t.Errorf("torn read: %v", vals)
 						return
@@ -106,7 +110,7 @@ func TestConcurrentWritersOneKey(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	vals, ok := s.Load("hot")
+	vals, ok := s.Load(bg, "hot")
 	if !ok || len(vals) != 2 {
 		t.Fatalf("final read: %v %v", vals, ok)
 	}
@@ -147,7 +151,7 @@ func TestCorruptionIsAMiss(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := s.Save("k", []float64{1, 2, 3}); err != nil {
+			if err := s.SaveLinked("k", []float64{1, 2, 3}, ""); err != nil {
 				t.Fatal(err)
 			}
 			path := s.path(Addr("k"))
@@ -160,7 +164,7 @@ func TestCorruptionIsAMiss(t *testing.T) {
 			}
 			// Both through the live handle and a fresh one.
 			for _, h := range []*Store{s, mustOpen(t, dir)} {
-				if vals, ok := h.Load("k"); ok {
+				if vals, ok := h.Load(bg, "k"); ok {
 					t.Fatalf("tampered entry served: %v", vals)
 				}
 			}
@@ -171,10 +175,10 @@ func TestCorruptionIsAMiss(t *testing.T) {
 				t.Fatalf("corruption not counted: %+v", st)
 			}
 			// The key is writable again and round-trips.
-			if err := s.Save("k", []float64{9}); err != nil {
+			if err := s.SaveLinked("k", []float64{9}, ""); err != nil {
 				t.Fatal(err)
 			}
-			if vals, ok := s.Load("k"); !ok || !reflect.DeepEqual(vals, []float64{9}) {
+			if vals, ok := s.Load(bg, "k"); !ok || !reflect.DeepEqual(vals, []float64{9}) {
 				t.Fatalf("rewrite after corruption: %v %v", vals, ok)
 			}
 		})
@@ -196,7 +200,7 @@ func TestPruneRespectsBound(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir)
 	for i := 0; i < 10; i++ {
-		if err := s.Save(fmt.Sprintf("k%d", i), []float64{float64(i), 0, 0, 0}); err != nil {
+		if err := s.SaveLinked(fmt.Sprintf("k%d", i), []float64{float64(i), 0, 0, 0}, ""); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -204,7 +208,7 @@ func TestPruneRespectsBound(t *testing.T) {
 	per := total / 10
 	// Touch k7..k9 so k0..k6 are the LRU tail.
 	for i := 7; i < 10; i++ {
-		if _, ok := s.Load(fmt.Sprintf("k%d", i)); !ok {
+		if _, ok := s.Load(bg, fmt.Sprintf("k%d", i)); !ok {
 			t.Fatalf("k%d missing before prune", i)
 		}
 	}
@@ -217,12 +221,12 @@ func TestPruneRespectsBound(t *testing.T) {
 		t.Fatalf("after prune: %+v (budget %d)", st, 3*per)
 	}
 	for i := 0; i < 7; i++ {
-		if _, ok := s.Load(fmt.Sprintf("k%d", i)); ok {
+		if _, ok := s.Load(bg, fmt.Sprintf("k%d", i)); ok {
 			t.Fatalf("k%d survived prune", i)
 		}
 	}
 	for i := 7; i < 10; i++ {
-		if vals, ok := s.Load(fmt.Sprintf("k%d", i)); !ok || vals[0] != float64(i) {
+		if vals, ok := s.Load(bg, fmt.Sprintf("k%d", i)); !ok || vals[0] != float64(i) {
 			t.Fatalf("k%d lost by prune: %v %v", i, vals, ok)
 		}
 	}
@@ -239,7 +243,7 @@ func TestPruneNeverEvictsMidRead(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir)
 	want := []float64{1, 2, 3, 4}
-	if err := s.Save("pinned", want); err != nil {
+	if err := s.SaveLinked("pinned", want, ""); err != nil {
 		t.Fatal(err)
 	}
 
@@ -255,7 +259,7 @@ func TestPruneNeverEvictsMidRead(t *testing.T) {
 	}
 	got := make(chan res, 1)
 	go func() {
-		v, ok := s.Load("pinned")
+		v, ok := s.Load(bg, "pinned")
 		got <- res{v, ok}
 	}()
 	<-inRead
@@ -296,7 +300,7 @@ func TestOpenRejectsUnusableDir(t *testing.T) {
 func TestOpenIgnoresForeignFiles(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir)
-	if err := s.Save("k", []float64{1}); err != nil {
+	if err := s.SaveLinked("k", []float64{1}, ""); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, "README"), []byte("hi"), 0o644); err != nil {
@@ -309,7 +313,7 @@ func TestOpenIgnoresForeignFiles(t *testing.T) {
 	if st := f.Stats(); st.Entries != 1 {
 		t.Fatalf("foreign files indexed: %+v", st)
 	}
-	if vals, ok := f.Load("k"); !ok || vals[0] != 1 {
+	if vals, ok := f.Load(bg, "k"); !ok || vals[0] != 1 {
 		t.Fatalf("real entry lost among junk: %v %v", vals, ok)
 	}
 }
@@ -324,8 +328,8 @@ func TestCodecRoundTrip(t *testing.T) {
 		{0.1, 0.2, 0.30000000000000004},
 	}
 	for _, vals := range cases {
-		got, ok := DecodeValues(encode(vals, ""))
-		if !ok || !reflect.DeepEqual(got, vals) {
+		got, parent, ok := DecodeEntry(EncodeLinked(vals, ""))
+		if !ok || !reflect.DeepEqual(got, vals) || parent != "" {
 			t.Fatalf("codec round trip %v -> %v (%v)", vals, got, ok)
 		}
 	}
@@ -339,11 +343,11 @@ func TestPruneNeverEvictsPinnedParent(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir)
 	want := []float64{4, 5, 6}
-	if err := s.Save("parent", want); err != nil {
+	if err := s.SaveLinked("parent", want, ""); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if err := s.Save(fmt.Sprintf("filler%d", i), []float64{float64(i)}); err != nil {
+		if err := s.SaveLinked(fmt.Sprintf("filler%d", i), []float64{float64(i)}, ""); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -351,7 +355,7 @@ func TestPruneNeverEvictsPinnedParent(t *testing.T) {
 	if s.Prune(0) != 5 {
 		t.Fatal("prune did not evict exactly the unpinned entries")
 	}
-	if vals, ok := s.Load("parent"); !ok || !reflect.DeepEqual(vals, want) {
+	if vals, ok := s.Load(bg, "parent"); !ok || !reflect.DeepEqual(vals, want) {
 		t.Fatalf("pinned parent evicted or damaged: %v %v", vals, ok)
 	}
 	// Release is idempotent; after it the entry prunes normally.
@@ -360,7 +364,7 @@ func TestPruneNeverEvictsPinnedParent(t *testing.T) {
 	if s.Prune(0) != 1 {
 		t.Fatal("released parent not evicted")
 	}
-	if _, ok := s.Load("parent"); ok {
+	if _, ok := s.Load(bg, "parent"); ok {
 		t.Fatal("parent survived post-release prune")
 	}
 	// Pinning an address that holds no entry is a harmless no-op.
@@ -375,10 +379,10 @@ func TestNegativeCache(t *testing.T) {
 	s := mustOpen(t, dir)
 	s.EnableNegativeCache(4, 50*time.Millisecond)
 
-	if _, ok := s.Load("ghost"); ok {
+	if _, ok := s.Load(bg, "ghost"); ok {
 		t.Fatal("absent key loaded")
 	}
-	if _, ok := s.Load("ghost"); ok {
+	if _, ok := s.Load(bg, "ghost"); ok {
 		t.Fatal("absent key loaded")
 	}
 	if st := s.Stats(); st.NegHits != 1 || st.Misses != 2 {
@@ -387,33 +391,33 @@ func TestNegativeCache(t *testing.T) {
 
 	// A write through this handle drops the negative entry at once: the
 	// very next lookup must see the fresh value.
-	if err := s.Save("ghost", []float64{7}); err != nil {
+	if err := s.SaveLinked("ghost", []float64{7}, ""); err != nil {
 		t.Fatal(err)
 	}
-	if vals, ok := s.Load("ghost"); !ok || vals[0] != 7 {
+	if vals, ok := s.Load(bg, "ghost"); !ok || vals[0] != 7 {
 		t.Fatalf("negative entry outlived the publish: %v %v", vals, ok)
 	}
 
 	// Out-of-band publishes (another process) become visible after the
 	// TTL: a fresh store handle on the same dir stands in for the writer.
-	if _, ok := s.Load("late"); ok {
+	if _, ok := s.Load(bg, "late"); ok {
 		t.Fatal("absent key loaded")
 	}
-	if err := mustOpen(t, dir).Save("late", []float64{8}); err != nil {
+	if err := mustOpen(t, dir).SaveLinked("late", []float64{8}, ""); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.Load("late"); ok {
+	if _, ok := s.Load(bg, "late"); ok {
 		t.Fatal("negative entry expired early")
 	}
 	time.Sleep(60 * time.Millisecond)
-	if vals, ok := s.Load("late"); !ok || vals[0] != 8 {
+	if vals, ok := s.Load(bg, "late"); !ok || vals[0] != 8 {
 		t.Fatalf("publish invisible after TTL: %v %v", vals, ok)
 	}
 
 	// The memo is bounded: overflowing it evicts oldest-first rather than
 	// growing without limit.
 	for i := 0; i < 10; i++ {
-		s.Load(fmt.Sprintf("bulk%d", i))
+		s.Load(bg, fmt.Sprintf("bulk%d", i))
 	}
 	if n := len(s.neg.at); n > 4 {
 		t.Fatalf("negative cache grew to %d entries, bound is 4", n)
@@ -421,9 +425,9 @@ func TestNegativeCache(t *testing.T) {
 }
 
 // TestCodecLinkedRoundTrip exercises the codec v2 parent link: linked
-// entries round-trip values and parent address, DecodeValues still
-// verifies and ignores the link, and malformed parents are dropped at
-// encode time rather than corrupting the entry.
+// entries round-trip values and parent address, unlinked entries report
+// none, and malformed parents are dropped at encode time rather than
+// corrupting the entry.
 func TestCodecLinkedRoundTrip(t *testing.T) {
 	vals := []float64{1, 2, 3}
 	parent := Addr("the parent key")
@@ -432,11 +436,8 @@ func TestCodecLinkedRoundTrip(t *testing.T) {
 	if !ok || !reflect.DeepEqual(got, vals) || gotParent != parent {
 		t.Fatalf("linked round trip: %v %q %v", got, gotParent, ok)
 	}
-	if got, ok := DecodeValues(buf); !ok || !reflect.DeepEqual(got, vals) {
-		t.Fatalf("DecodeValues on linked entry: %v %v", got, ok)
-	}
 	// Unlinked entries report no parent.
-	if _, p, ok := DecodeEntry(EncodeValues(vals)); !ok || p != "" {
+	if _, p, ok := DecodeEntry(EncodeLinked(vals, "")); !ok || p != "" {
 		t.Fatalf("unlinked entry carries parent %q (%v)", p, ok)
 	}
 	// A malformed parent cannot be followed, so encode drops it.
@@ -448,13 +449,13 @@ func TestCodecLinkedRoundTrip(t *testing.T) {
 // TestCodecRejectsForeignEntries: entries from other codec versions or
 // with unknown flag bits read as misses — never as values.
 func TestCodecRejectsForeignEntries(t *testing.T) {
-	buf := EncodeValues([]float64{1, 2})
+	buf := EncodeLinked([]float64{1, 2}, "")
 
 	// A v1 writer's entry: same layout, older version word, valid CRC.
 	v1 := append([]byte(nil), buf...)
 	binary.LittleEndian.PutUint16(v1[4:6], 1)
 	binary.LittleEndian.PutUint32(v1[len(v1)-4:], crc32.ChecksumIEEE(v1[:len(v1)-4]))
-	if _, ok := DecodeValues(v1); ok {
+	if _, _, ok := DecodeEntry(v1); ok {
 		t.Fatal("v1 entry decoded under the v2 codec")
 	}
 
@@ -462,7 +463,7 @@ func TestCodecRejectsForeignEntries(t *testing.T) {
 	future := append([]byte(nil), buf...)
 	binary.LittleEndian.PutUint16(future[6:8], 1<<7)
 	binary.LittleEndian.PutUint32(future[len(future)-4:], crc32.ChecksumIEEE(future[:len(future)-4]))
-	if _, ok := DecodeValues(future); ok {
+	if _, _, ok := DecodeEntry(future); ok {
 		t.Fatal("unknown-flag entry decoded")
 	}
 

@@ -10,31 +10,15 @@ import (
 	"repro/internal/trace"
 )
 
-// Backend is the key-value contract a Tiered remote tier must honor —
-// structurally identical to scenario.Backend, restated here so the store
-// layer does not depend on the scenario engine. Load must return false on
-// any failure (a backend surfaces absence, never wrong data); both
-// methods must be safe for concurrent use.
-type Backend interface {
-	Load(key string) ([]float64, bool)
-	Save(key string, vals []float64) error
-}
-
-// CtxBackend is the optional Backend extension for context-aware loads
-// (structurally scenario.CtxBackend): a backend that can propagate the
-// caller's trace context downstream — the remotestore client forwards it
-// as a W3C traceparent header so the peer's spans join the caller's
-// trace — implements LoadCtx. Tiered.LoadCtx uses it when present.
-type CtxBackend interface {
-	LoadCtx(ctx context.Context, key string) ([]float64, bool)
-}
-
-// LinkedSaver is the optional Backend extension for parent-linked
-// publication: a backend that can record which entry's result
-// warm-started this one (codec v2 parent link) implements it. Callers
-// fall back to plain Save — losing the link, never the values — when the
-// backend does not.
-type LinkedSaver interface {
+// Remote is the contract a Tiered remote tier must honor — in practice
+// the remotestore client speaking to a peer replica. Load returns the
+// values stored under a key, false on any failure (a remote surfaces
+// absence, never wrong data); when ctx holds a sampled trace span the
+// remote may forward it, so the peer's spans join the caller's trace.
+// SaveLinked publishes values with the parent key whose result
+// warm-started them ("" for none). Both must be safe for concurrent use.
+type Remote interface {
+	Load(ctx context.Context, key string) ([]float64, bool)
 	SaveLinked(key string, vals []float64, parentKey string) error
 }
 
@@ -74,7 +58,7 @@ type TieredOptions struct {
 // never wrong bytes and never a stall.
 type Tiered struct {
 	disk   *Store
-	remote Backend
+	remote Remote
 	opt    TieredOptions
 
 	mu    sync.Mutex
@@ -125,7 +109,7 @@ func (s TieredStats) Metrics(emit func(name, help string, v int64)) {
 
 // NewTiered wires a tiered backend over the local disk store and an
 // optional remote tier (nil for disk-only with claim singleflight).
-func NewTiered(disk *Store, remote Backend, opt TieredOptions) *Tiered {
+func NewTiered(disk *Store, remote Remote, opt TieredOptions) *Tiered {
 	if opt.Poll <= 0 {
 		opt.Poll = 25 * time.Millisecond
 	}
@@ -148,20 +132,14 @@ func (t *Tiered) count(f func(*TieredStats)) {
 	t.mu.Unlock()
 }
 
-// Load implements Backend/scenario.Backend over the tiers. A false return
-// means the caller should solve — and, when claims are enabled, that this
-// replica holds the solve lease (or waiting it out was exhausted).
-func (t *Tiered) Load(key string) ([]float64, bool) {
-	return t.LoadCtx(context.Background(), key)
-}
-
-// LoadCtx is Load carrying the caller's context. When the context holds
-// a sampled trace span, every rung of the degradation ladder records a
-// span — disk read, peer read (forwarded to the remote tier via
-// CtxBackend so its spans join the same trace), and claim-lease waits
-// with their outcome; on the unsampled path the span calls are inert
-// and LoadCtx costs the same as Load.
-func (t *Tiered) LoadCtx(ctx context.Context, key string) ([]float64, bool) {
+// Load implements scenario.Backend over the tiers. A false return means
+// the caller should solve — and, when claims are enabled, that this
+// replica holds the solve lease (or waiting it out was exhausted). When
+// ctx holds a sampled trace span, every rung of the degradation ladder
+// records a span — disk read, peer read (ctx is forwarded to the remote
+// tier so its spans join the same trace), and claim-lease waits with
+// their outcome; on the unsampled path the span calls are inert.
+func (t *Tiered) Load(ctx context.Context, key string) ([]float64, bool) {
 	addr := Addr(key)
 	dsp := trace.StartSpan(ctx, "tier.disk")
 	if vals, ok := t.disk.LoadAddr(addr); ok {
@@ -174,13 +152,13 @@ func (t *Tiered) LoadCtx(ctx context.Context, key string) ([]float64, bool) {
 	dsp.End()
 	if t.remote != nil {
 		psp := trace.StartSpan(ctx, "tier.peer")
-		vals, ok := t.loadRemote(ctx, key)
+		vals, ok := t.remote.Load(ctx, key)
 		if ok {
 			psp.Attr("outcome", "hit")
 			psp.End()
 			// Write-back promotion: the next miss on this replica (or any
 			// pool peer) is a disk hit even if the remote is down by then.
-			if err := t.disk.SaveAddr(addr, vals); err != nil {
+			if err := t.disk.SaveAddrLinked(addr, vals, ""); err != nil {
 				t.count(func(s *TieredStats) { s.RemoteHits++; s.PromoteErrs++ })
 			} else {
 				t.count(func(s *TieredStats) { s.RemoteHits++; s.Promotions++ })
@@ -254,50 +232,22 @@ func (t *Tiered) LoadCtx(ctx context.Context, key string) ([]float64, bool) {
 	return nil, false
 }
 
-// loadRemote dispatches one remote-tier read, via LoadCtx when the
-// remote backend is context-aware.
-func (t *Tiered) loadRemote(ctx context.Context, key string) ([]float64, bool) {
-	if cb, ok := t.remote.(CtxBackend); ok {
-		return cb.LoadCtx(ctx, key)
-	}
-	return t.remote.Load(key)
-}
-
-// Save publishes to disk, best-effort to the remote tier, and releases
-// this replica's claim on the key (waiters see the result on their next
-// poll). The disk write's error is the authoritative one; remote failures
-// are counted, never raised — mirroring the cache's durability-is-best-
+// SaveLinked publishes to disk, best-effort to the remote tier, and
+// releases this replica's claim on the key (waiters see the result on
+// their next poll). The parent content-address link rides along to both
+// tiers — the remotestore client carries it inside the TBRS body. The
+// disk write's error is the authoritative one; remote failures are
+// counted, never raised — mirroring the cache's durability-is-best-
 // effort rule.
-func (t *Tiered) Save(key string, vals []float64) error {
-	return t.SaveLinked(key, vals, "")
-}
-
-// SaveLinked is Save with a parent content-address link threaded through
-// every tier that supports one: always the local disk entry, and the
-// remote tier too when it implements LinkedSaver (the remotestore client
-// does — the link travels inside the TBRS body). A remote tier without
-// linked saves still gets the values; the link is an optimization hint,
-// never load-bearing.
 func (t *Tiered) SaveLinked(key string, vals []float64, parentKey string) error {
-	addr := Addr(key)
-	parent := ""
-	if parentKey != "" {
-		parent = Addr(parentKey)
-	}
-	err := t.disk.SaveAddrLinked(addr, vals, parent)
+	err := t.disk.SaveLinked(key, vals, parentKey)
 	if t.remote != nil {
-		var rerr error
-		if ls, ok := t.remote.(LinkedSaver); ok && parentKey != "" {
-			rerr = ls.SaveLinked(key, vals, parentKey)
-		} else {
-			rerr = t.remote.Save(key, vals)
-		}
-		if rerr != nil {
+		if rerr := t.remote.SaveLinked(key, vals, parentKey); rerr != nil {
 			t.count(func(s *TieredStats) { s.RemoteSaveErrs++ })
 		}
 	}
 	if t.opt.LeaseTTL > 0 {
-		t.disk.Unclaim(addr, t.opt.Owner)
+		t.disk.Unclaim(Addr(key), t.opt.Owner)
 	}
 	return err
 }
@@ -308,11 +258,11 @@ func (t *Tiered) SaveLinked(key string, vals []float64, parentKey string) error 
 func (t *Tiered) PinKey(key string) func() { return t.disk.PinKey(key) }
 
 // Abandon releases this replica's claim on a key whose solve produced no
-// result — it errored, was canceled, or the point was infeasible. Save
-// never runs for such a solve, so without this release the claim would
-// park every fleet peer waiting on the key for the full lease TTL.
-// Unclaim is owner-verified, so abandoning a claim this replica does not
-// hold (a wait-timeout miss, say) is a safe no-op.
+// result — it errored, was canceled, or the point was infeasible.
+// SaveLinked never runs for such a solve, so without this release the
+// claim would park every fleet peer waiting on the key for the full lease
+// TTL. Unclaim is owner-verified, so abandoning a claim this replica does
+// not hold (a wait-timeout miss, say) is a safe no-op.
 func (t *Tiered) Abandon(key string) {
 	if t.opt.LeaseTTL <= 0 {
 		return
