@@ -61,9 +61,9 @@
 //	topobench -scenario "topo=plrrg:n=40,avg=8,kmax=16,sfrac=0.4 traffic=hotspot:frac=0.3 eval=mcf sweep=traffic.frac:0.1,0.3,0.5"
 //	topobench -scenario "topo=vl2:da=8,di=8 traffic=none eval=bisection sweep=da:4..12:2"
 //
-// Grid points and runs are evaluated concurrently by default (bounded by
-// GOMAXPROCS); -parallel=false forces serial execution. Both modes emit
-// byte-identical TSV for the same seed.
+// Grid points and runs are evaluated concurrently on -workers workers
+// (0, the default, means GOMAXPROCS; -workers 1 is serial). Every worker
+// count emits byte-identical TSV for the same seed.
 //
 // Output is TSV, one block per curve, matching the series of the paper's
 // figure (see DESIGN.md §4 for the per-figure index).
@@ -107,8 +107,7 @@ func main() {
 		seed     = flag.Int64("seed", 1, "base RNG seed")
 		eps      = flag.Float64("eps", 0, "flow solver epsilon (default 0.08, or 0.12 with -quick)")
 		quick    = flag.Bool("quick", false, "reduced grids and run counts")
-		parallel = flag.Bool("parallel", true, "evaluate grid points and runs concurrently (output is byte-identical to serial)")
-		workers  = flag.Int("workers", 0, "worker count with -parallel (0 = GOMAXPROCS)")
+		workers  = flag.Int("workers", 0, "workers evaluating grid points and runs (0 = GOMAXPROCS, 1 = serial; output is byte-identical at every count)")
 		out      = flag.String("o", "", "output file (or directory with -all); default stdout")
 		cacheDir = flag.String("cache-dir", "", "keep the solve cache in a persistent result store in this directory")
 		jsonOut  = flag.Bool("json", false, "with -scenario: emit the service's canonical JSON response instead of TSV")
@@ -140,16 +139,15 @@ func main() {
 		return
 	}
 
-	par := *workers
-	if !*parallel {
-		par = 1
-	}
 	// Bound TOTAL in-flight work (across nested grid/run/simulation
 	// parallelism) to the requested worker count, not just each level.
-	runner.SetMaxInFlight(par)
-	// With -cache-dir, the shared solve cache persists beneath this and
-	// every future invocation: an unusable dir must fail loudly here, not
-	// silently degrade to re-solving everything.
+	runner.SetMaxInFlight(*workers)
+	// Share one solve cache across everything this invocation runs, so
+	// figures (and -all batches) reusing instances never re-solve; Fig12b's
+	// sizing search relies on it. With -cache-dir it persists beneath this
+	// and every future invocation: an unusable dir must fail loudly here,
+	// not silently degrade to re-solving everything.
+	cache := scenario.NewCache()
 	var st *store.Store
 	if *cacheDir != "" {
 		var err error
@@ -157,16 +155,14 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		scenario.Default.SetBackend(st)
+		cache.SetBackend(st)
 	}
-	// Share one solve cache across everything this invocation runs, so
-	// figures (and -all batches) reusing instances never re-solve.
-	opts := experiments.Options{Runs: *runs, Seed: *seed, Epsilon: *eps, Quick: *quick, Parallel: par,
-		Cache: scenario.Default}
+	opts := experiments.Options{Runs: *runs, Seed: *seed, Epsilon: *eps, Quick: *quick, Parallel: *workers,
+		Cache: cache}
 
 	switch {
 	case *scen != "":
-		if err := runScenario(*scen, *runs, *seed, *eps, par, *out, *jsonOut, *warm); err != nil {
+		if err := runScenario(*scen, *runs, *seed, *eps, *workers, cache, *out, *jsonOut, *warm); err != nil {
 			fatal(err)
 		}
 	case *all:
@@ -190,13 +186,13 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	printCacheStats(scenario.Default, st)
+	printCacheStats(cache, st)
 }
 
 // runScenario parses and executes one -scenario grid. Flag values apply as
 // defaults; runs/seed/eps inside the grid line win.
-func runScenario(line string, runs int, seed int64, eps float64, par int, outPath string, jsonOut, warm bool) error {
-	eng := &scenario.Engine{Parallel: par, Cache: scenario.Default, SkipInfeasible: true, WarmStart: warm}
+func runScenario(line string, runs int, seed int64, eps float64, par int, cache *scenario.Cache, outPath string, jsonOut, warm bool) error {
+	eng := &scenario.Engine{Parallel: par, Cache: cache, SkipInfeasible: true, WarmStart: warm}
 	start := time.Now()
 	w := os.Stdout
 	if outPath != "" {

@@ -33,7 +33,7 @@
 //
 // The solve cache's content addresses are stable across processes, so
 // internal/store persists them: a disk-backed tier that replaces
-// scenario.Cache's memory map, keyed on the hex SHA-256 of the point
+// scenario.Cache's memory LRU, keyed on the hex SHA-256 of the point
 // key, with a versioned checksummed binary codec, atomic
 // temp-file-plus-rename publication, 256-way sharded directories, an
 // open-time index, and LRU/byte-budget pruning (Prune). The durability clause of the
@@ -194,8 +194,8 @@
 // scenario engine maps its points, their runs, and the packet simulations
 // and bisection trials inside them onto. Every task seeds its RNG deterministically from
 // (Options.Seed, point index) and results are reduced in grid order, so
-// parallel output is byte-identical to serial output; topobench runs
-// parallel by default (-parallel=false forces serial). Nested pools share
+// parallel output is byte-identical to serial output; topobench runs on
+// GOMAXPROCS workers by default (-workers 1 is serial). Nested pools share
 // one process-wide weighted semaphore, so total in-flight work stays
 // bounded by runner.SetMaxInFlight (GOMAXPROCS by default) no matter how
 // grids, runs, and simulations nest. cmd/benchjson runs the hot-path

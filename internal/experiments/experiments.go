@@ -38,8 +38,8 @@ type Options struct {
 	// cache: instances shared within one figure (e.g. a sizing search
 	// repeated across chunky fractions) still solve once, while repeated
 	// invocations — benchmarks, the parallel-vs-serial determinism tests —
-	// measure real work. Pass scenario.Default (as topobench does) to
-	// share solves across figures in one process. Cached values are
+	// measure real work. Pass one cache to every figure (as topobench does)
+	// to share solves across figures in one process. Cached values are
 	// byte-identical to cold solves, so this field never changes output.
 	Cache *scenario.Cache
 }

@@ -332,9 +332,3 @@ func ParseSpec(spec string) (Config, error) {
 	}
 	return cfg, nil
 }
-
-// Enabled reports whether the config injects anything at all.
-func (c Config) Enabled() bool {
-	return c.TimeoutProb > 0 || c.ResetProb > 0 || c.HTTP500Prob > 0 ||
-		c.TruncateProb > 0 || c.CorruptProb > 0 || c.LatencyProb > 0
-}

@@ -174,11 +174,7 @@ func TestParseSpec(t *testing.T) {
 	if diff := combined - 0.2; diff > 1e-12 || diff < -1e-12 {
 		t.Fatalf("combined error rate %v, want 0.2 (reset=%v http500=%v)", combined, cfg.ResetProb, cfg.HTTP500Prob)
 	}
-	if !cfg.Enabled() {
-		t.Fatal("parsed config reports disabled")
-	}
-
-	if c, err := ParseSpec(""); err != nil || c.Enabled() {
+	if c, err := ParseSpec(""); err != nil || c != (Config{}) {
 		t.Fatalf("empty spec: %+v %v", c, err)
 	}
 	for _, bad := range []string{"bogus=1", "error=2", "seed=x", "latency=fast", "error"} {

@@ -163,11 +163,3 @@ func Map[T any](p *Pool, n int, fn func(i int) (T, error)) ([]T, error) {
 	}
 	return out, nil
 }
-
-// Each is Map for tasks with no result value.
-func Each(p *Pool, n int, fn func(i int) error) error {
-	_, err := Map(p, n, func(i int) (struct{}, error) {
-		return struct{}{}, fn(i)
-	})
-	return err
-}

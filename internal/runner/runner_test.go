@@ -71,19 +71,6 @@ func TestMapRunsEveryIndexBelowFailure(t *testing.T) {
 	}
 }
 
-func TestEach(t *testing.T) {
-	var count atomic.Int64
-	if err := Each(New(4), 64, func(i int) error {
-		count.Add(1)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if count.Load() != 64 {
-		t.Fatalf("ran %d tasks, want 64", count.Load())
-	}
-}
-
 func TestSerialPoolRunsInline(t *testing.T) {
 	p := New(1)
 	if !p.Serial() {
@@ -121,8 +108,8 @@ func TestNestedMapsBounded(t *testing.T) {
 	SetMaxInFlight(cap)
 	defer SetMaxInFlight(0)
 	var cur, peak atomic.Int64
-	err := Each(New(cap), 6, func(i int) error {
-		return Each(New(cap), 6, func(j int) error {
+	_, err := Map(New(cap), 6, func(i int) ([]struct{}, error) {
+		return Map(New(cap), 6, func(j int) (struct{}, error) {
 			c := cur.Add(1)
 			for {
 				p := peak.Load()
@@ -132,7 +119,7 @@ func TestNestedMapsBounded(t *testing.T) {
 			}
 			time.Sleep(2 * time.Millisecond)
 			cur.Add(-1)
-			return nil
+			return struct{}{}, nil
 		})
 	})
 	if err != nil {

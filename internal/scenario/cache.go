@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"sync"
 
+	"repro/internal/lru"
 	"repro/internal/trace"
 )
 
@@ -40,30 +41,40 @@ type Backend interface {
 // the cache can never change results, only skip work; the cache tests
 // enforce reflect.DeepEqual between cached and cold values.
 //
-// The cache holds exactly one tier: an in-memory map, or — once
+// The cache holds exactly one tier: an in-memory LRU, or — once
 // SetBackend attaches one — the Backend alone (a disk store persisting
 // results across processes), so a store-backed process keeps no second
-// in-memory copy of what the store already holds. Backend save errors
-// (disk full, torn permissions) are counted, not raised — the solve
-// already has its value, durability is best-effort.
+// in-memory copy of what the store already holds. The memory tier evicts
+// whole entries, least recently used first, to stay within memBudget;
+// under the key invariant an evicted point re-solves to the same values,
+// and an evicted warm-start witness only makes a later child solve cold.
+// Backend save errors (disk full, torn permissions) are counted, not
+// raised — the solve already has its value, durability is best-effort.
 //
 // The cache is safe for concurrent use. Values are stored and returned as
 // private copies, so callers can neither corrupt an entry nor observe a
 // later mutation.
 type Cache struct {
 	mu      sync.Mutex
-	entries map[[sha256.Size]byte][]float64
+	mem     *lru.Cache[[sha256.Size]byte, []float64]
 	backend Backend
-	st      CacheStats // counters; Stats fills in Entries
+	st      CacheStats // counters; Stats fills in Evictions and Entries
 }
+
+// The memory tier charges each entry 8 bytes per value plus
+// memEntryOverhead (key, map slot, recency links) against memBudget, which
+// batch runs stay far below: all quick figures together hold ~400 entries.
+const memBudget, memEntryOverhead = 64 << 20, 128
 
 // CacheStats snapshots a cache's lookup counters: Hits served from
 // memory, StoreHits served from the backend, Misses served from neither;
-// StoreErrs counts backend save failures, Entries the resident in-memory
+// StoreErrs counts backend save failures, Evictions the memory-tier
+// entries dropped to keep its budget, Entries the resident memory-tier
 // entries.
 type CacheStats struct {
 	Hits, Misses         int64
 	StoreHits, StoreErrs int64
+	Evictions            int64
 	Entries              int
 }
 
@@ -74,20 +85,17 @@ func (s CacheStats) Metrics(emit func(name, help string, v int64)) {
 	emit("cache_store_hits_total", "Solve-cache hits served from the backing store tier.", s.StoreHits)
 	emit("cache_misses_total", "Solve-cache misses (the point was solved).", s.Misses)
 	emit("cache_store_errors_total", "Solve-cache store-tier read/write errors.", s.StoreErrs)
+	emit("cache_evictions_total", "Solve-cache memory-tier entries evicted by the byte budget.", s.Evictions)
 	emit("cache_entries", "Solve-cache resident memory-tier entries.", int64(s.Entries))
 }
 
 // NewCache returns an empty in-memory solve cache.
-func NewCache() *Cache {
-	return &Cache{entries: map[[sha256.Size]byte][]float64{}}
-}
+func NewCache() *Cache { return newCache(memBudget) }
 
-// Default is the process-wide cache shared by the experiment layer: every
-// figure and sweep run through it, so instances shared across figures (or
-// across probes of one adaptive search) solve once per process. topobench
-// attaches a disk store as its tier when -cache-dir is set, making "once
-// per process" into "once, ever".
-var Default = NewCache()
+// newCache returns an empty cache whose memory tier holds budget bytes.
+func newCache(budget int64) *Cache {
+	return &Cache{mem: lru.New[[sha256.Size]byte, []float64](budget)}
+}
 
 // SetBackend attaches (or, with nil, detaches) the durable tier. Safe to
 // call concurrently with lookups; typically wired once at startup.
@@ -128,7 +136,7 @@ func (c *Cache) Get(ctx context.Context, key string) ([]float64, bool) {
 	}
 	h := sha256.Sum256([]byte(key))
 	c.mu.Lock()
-	vals, ok := c.entries[h]
+	vals, ok := c.mem.Get(h)
 	if !ok {
 		c.st.Misses++
 		c.mu.Unlock()
@@ -146,7 +154,7 @@ func (c *Cache) Get(ctx context.Context, key string) ([]float64, bool) {
 }
 
 // Put stores the run values under key — in the backend when one is
-// attached, else in memory. parentKey names the point whose result
+// attached, else in the memory tier. parentKey names the point whose result
 // warm-started this solve ("" for none); the backend records the link as
 // durable provenance and observability, and lookups never depend on it.
 func (c *Cache) Put(key string, vals []float64, parentKey string) {
@@ -162,7 +170,7 @@ func (c *Cache) Put(key string, vals []float64, parentKey string) {
 	cp := make([]float64, len(vals))
 	copy(cp, vals)
 	c.mu.Lock()
-	c.entries[h] = cp
+	c.mem.Add(h, cp, memEntryOverhead+8*int64(len(cp)))
 	c.mu.Unlock()
 }
 
@@ -176,8 +184,8 @@ func (c *Cache) Abandon(key string) {
 }
 
 // Pin pins key's backend entry against eviction, returning an idempotent
-// release. Without a backend nothing is evicted, and the release is a
-// no-op.
+// release. Without a backend it is a no-op: an evicted memory-tier parent
+// or witness only makes a child solve cold.
 func (c *Cache) Pin(key string) func() {
 	if backend := c.tier(); backend != nil {
 		return backend.PinKey(key)
@@ -190,15 +198,6 @@ func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := c.st
-	st.Entries = len(c.entries)
+	st.Evictions, st.Entries = c.mem.Evictions(), c.mem.Len()
 	return st
-}
-
-// Reset drops every in-memory entry and zeroes the counters. The backend,
-// if any, keeps its entries — durable state outlives process resets.
-func (c *Cache) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.entries = map[[sha256.Size]byte][]float64{}
-	c.st = CacheStats{}
 }

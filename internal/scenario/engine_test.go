@@ -347,6 +347,40 @@ func cacheStats(c *Cache) (int64, int64, int) {
 	return st.Hits, st.Misses, st.Entries
 }
 
+// TestMemoryTierEvicts: a memory tier with room for one entry stays within
+// its budget and counts the eviction a second point causes, and the
+// evicted point re-solves to exactly its first values.
+func TestMemoryTierEvicts(t *testing.T) {
+	pts := testPoints()
+	a, b := pts[:1], pts[4:5] // two runs each
+	budget := int64(memEntryOverhead + 8*2)
+	cache := newCache(budget)
+	eng := &Engine{Parallel: 1, Cache: cache}
+	measure := func(p []Point) [][]float64 {
+		t.Helper()
+		vals, err := eng.MeasureRuns(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if size := cache.mem.Size(); size > budget {
+			t.Fatalf("memory tier holds %d bytes, budget %d", size, budget)
+		}
+		return vals
+	}
+	first := measure(a)
+	measure(b)
+	if st := cache.Stats(); st.Evictions != 1 || st.Entries != 1 {
+		t.Fatalf("after a second point: %+v, want 1 eviction and 1 entry", st)
+	}
+	again := measure(a)
+	if st := cache.Stats(); st.Hits != 0 || st.Misses != 3 {
+		t.Fatalf("evicted point was not re-solved: %+v", st)
+	}
+	if !reflect.DeepEqual(again, first) {
+		t.Fatalf("re-solve after eviction: %v, first solve %v", again, first)
+	}
+}
+
 // TestDetailedMatchesScalar pins the two evaluation paths of the mcf
 // evaluator against each other: the detailed value equals the scalar
 // value, and detailed runs carry usable graphs and results.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/lru"
 	"repro/internal/store"
 )
 
@@ -14,12 +15,12 @@ import (
 // the canonical response BYTES themselves are cacheable — a warm request
 // is answered by one map lookup and one socket write, with no grid parse,
 // no engine walk, and no re-marshal. Population is already singleflighted
-// by the flight table (one evaluation, one put); eviction is LRU to a byte
-// budget, mirroring store.Prune semantics: entries leave whole or not at
-// all — a hit returns the complete cached body or nil, never a prefix —
-// and a response already handed to a writer stays valid after eviction
-// because entries are immutable (eviction drops the reference, it never
-// mutates or truncates the bytes).
+// by the flight table (one evaluation, one put); eviction is internal/lru's
+// least-recently-used order under a byte budget: entries leave whole or
+// not at all — a hit returns the complete cached body or nil, never a
+// prefix — and a response already handed to a writer stays valid after
+// eviction because entries are immutable (eviction drops the reference,
+// it never mutates or truncates the bytes).
 //
 // Keys are the same SHA-256 content addressing the store uses, over a
 // VERSIONED preimage: respSchemaVersion | store.CodecVersion | grid line.
@@ -60,13 +61,6 @@ func respKeyFor(scratch []byte, prefix, line string) (respKey, []byte) {
 	return sha256.Sum256(scratch), scratch
 }
 
-// respEntry is one cached canonical response. body is immutable from
-// insertion on.
-type respEntry struct {
-	body   []byte
-	access int64
-}
-
 // respCacheStats is a point-in-time snapshot of the byte cache.
 type respCacheStats struct {
 	Hits, Misses, Evictions int64
@@ -84,20 +78,18 @@ func (s respCacheStats) Metrics(emit func(name, help string, v int64)) {
 	emit("response_bytes_cache_bytes", "Response-byte cache resident bytes.", s.Bytes)
 }
 
-// respCache is the content-addressed response-byte cache. maxBytes <= 0
-// disables it entirely (every get is a counted miss, every put a no-op).
+// respCache is the content-addressed response-byte cache: an LRU over
+// canonical bodies, each charged its length against maxBytes. A negative
+// maxBytes disables it entirely (the budget refuses every body, so every
+// get is a counted miss).
 type respCache struct {
-	maxBytes int64
-
-	mu      sync.Mutex
-	entries map[respKey]*respEntry
-	bytes   int64
-	clock   int64
-	st      respCacheStats // counters; stats fills in Entries and Bytes
+	mu  sync.Mutex
+	lru *lru.Cache[respKey, []byte]
+	st  respCacheStats // counters; stats fills in Evictions, Entries and Bytes
 }
 
 func newRespCache(maxBytes int64) *respCache {
-	return &respCache{maxBytes: maxBytes, entries: map[respKey]*respEntry{}}
+	return &respCache{lru: lru.New[respKey, []byte](maxBytes)}
 }
 
 // get returns the complete cached canonical bytes for k, or nil on a miss.
@@ -106,57 +98,28 @@ func newRespCache(maxBytes int64) *respCache {
 func (c *respCache) get(k respKey) []byte {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.entries[k]
+	body, ok := c.lru.Get(k)
 	if !ok {
 		c.st.Misses++
 		return nil
 	}
-	c.clock++
-	e.access = c.clock
 	c.st.Hits++
-	return e.body
+	return body
 }
 
-// put caches body under k and evicts least-recently-used entries until the
+// put caches body under k, evicting least-recently-used entries until the
 // cache fits its byte budget. The caller transfers the body in: it must
 // never be mutated afterwards (the service's response bodies never are —
 // they are freshly marshaled and only ever written to sockets). A body
 // larger than the whole budget is not cached: admitting it would evict
 // everything for an entry the next put removes anyway.
 func (c *respCache) put(k respKey, body []byte) {
-	if c.maxBytes <= 0 || int64(len(body)) > c.maxBytes {
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.clock++
-	if e, ok := c.entries[k]; ok {
-		// Racing populates for one key carry byte-identical bodies (the
-		// invariant this cache is built on); keep the resident entry.
-		e.access = c.clock
-		return
-	}
-	c.entries[k] = &respEntry{body: body, access: c.clock}
-	c.bytes += int64(len(body))
-	for c.bytes > c.maxBytes {
-		var (
-			lruKey respKey
-			lru    *respEntry
-		)
-		for key, e := range c.entries {
-			if e == c.entries[k] {
-				continue // never evict the entry this put admitted
-			}
-			if lru == nil || e.access < lru.access {
-				lruKey, lru = key, e
-			}
-		}
-		if lru == nil {
-			break
-		}
-		delete(c.entries, lruKey)
-		c.bytes -= int64(len(lru.body))
-		c.st.Evictions++
+	// Racing populates for one key carry byte-identical bodies (the
+	// invariant this cache is built on); keep the resident entry.
+	if _, ok := c.lru.Get(k); !ok {
+		c.lru.Add(k, body, int64(len(body)))
 	}
 }
 
@@ -165,6 +128,6 @@ func (c *respCache) stats() respCacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := c.st
-	st.Entries, st.Bytes = len(c.entries), c.bytes
+	st.Evictions, st.Entries, st.Bytes = c.lru.Evictions(), c.lru.Len(), c.lru.Size()
 	return st
 }

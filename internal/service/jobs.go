@@ -140,16 +140,13 @@ func writeJobStatus(w http.ResponseWriter, status int, j *job) {
 // leaves a recoverable job.
 func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
-	var req EvalRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	sc := evalScratchPool.Get().(*evalScratch)
+	defer evalScratchPool.Put(sc)
+	line, err := readGrid(r, sc)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if strings.TrimSpace(req.Grid) == "" {
-		writeError(w, http.StatusBadRequest, errors.New("request needs a grid line"))
-		return
-	}
-	line := strings.Join(strings.Fields(req.Grid), " ")
 	// Parse up front: a malformed grid fails the submission, not the job.
 	grid, err := scenario.ParseGrid(line)
 	if err != nil {

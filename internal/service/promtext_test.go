@@ -182,14 +182,14 @@ func TestMetricsPrometheusWellFormed(t *testing.T) {
 		t.Fatal("no samples parsed")
 	}
 
-	// Every component's families are present: 70 single-sample families
+	// Every component's families are present: 71 single-sample families
 	// plus the request-latency histogram, including each family CI's
 	// smokes grep for and perfbench scrapes.
-	if len(families) != 71 {
-		t.Errorf("%d families, want 71", len(families))
+	if len(families) != 72 {
+		t.Errorf("%d families, want 72", len(families))
 	}
 	for _, name := range []string{
-		"cache_store_hits_total", "store_writes_total", "store_parent_links_total",
+		"cache_store_hits_total", "cache_evictions_total", "store_writes_total", "store_parent_links_total",
 		"warm_attempts_total", "warm_starts_total", "warm_cert_fallbacks_total", "warm_parent_hits_total",
 		"remote_failures_total", "jobs_recovered_total", "traces_sampled_total",
 		"response_bytes_cache_hits_total", "response_bytes_cache_misses_total",

@@ -528,8 +528,9 @@ var evalScratchPool = sync.Pool{New: func() any { return &evalScratch{} }}
 // hundred bytes; anything beyond this is not a grid request.
 const maxEvalBody = 1 << 20
 
-// readGrid reads and parses the request body into sc, returning the
-// whitespace-normalized grid line.
+// readGrid reads and parses an eval or job request body into sc,
+// returning the whitespace-normalized grid line. The body must be exactly
+// one JSON object of at most maxEvalBody bytes.
 func readGrid(r *http.Request, sc *evalScratch) (string, error) {
 	buf := sc.body[:0]
 	for {
@@ -538,16 +539,17 @@ func readGrid(r *http.Request, sc *evalScratch) (string, error) {
 		}
 		n, err := r.Body.Read(buf[len(buf):cap(buf)])
 		buf = buf[:len(buf)+n]
+		// Before the EOF break: the last bytes may arrive with io.EOF.
+		if len(buf) > maxEvalBody {
+			sc.body = buf
+			return "", errors.New("request body too large")
+		}
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			sc.body = buf
 			return "", fmt.Errorf("reading request: %w", err)
-		}
-		if len(buf) > maxEvalBody {
-			sc.body = buf
-			return "", errors.New("request body too large")
 		}
 	}
 	sc.body = buf

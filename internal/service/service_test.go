@@ -238,37 +238,62 @@ func contains(xs []string, want string) bool {
 	return false
 }
 
-// TestBadRequests: malformed JSON, an empty grid, a bad grammar, an ε
-// the solver cannot honor and a grid too large to materialize all answer
-// 400 with a JSON error, never 500, and write nothing to the store — an
-// unsolved NaN-ε point must never be cached or persisted as a result.
+// TestBadRequests: malformed JSON, a body with bytes after its JSON
+// object, a body over maxEvalBody, an empty grid, a bad grammar, an ε the
+// solver cannot honor and a grid too large to materialize all answer 400
+// with a JSON error on both /v1/eval and /v1/jobs, never 500 or 202, and
+// write nothing to the store — an unsolved NaN-ε point must never be
+// cached or persisted as a result.
 func TestBadRequests(t *testing.T) {
 	_, hs := newTestServer(t, t.TempDir(), 4)
-	resp, err := http.Post(hs.URL+"/v1/eval", "application/json", strings.NewReader("{not json"))
-	if err != nil {
-		t.Fatal(err)
+	reqBody := func(grid string) string {
+		b, err := json.Marshal(EvalRequest{Grid: grid})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("malformed JSON: %d", resp.StatusCode)
-	}
+	// The padding spaces normalize away, so only the size is wrong.
+	prefix := `{"grid": "` + testGrid
+	tooLarge := prefix + strings.Repeat(" ", maxEvalBody+1-len(prefix)-len(`"}`)) + `"}`
+	bodies := []string{"{not json", reqBody(testGrid) + ` {"grid": "x"}`, tooLarge}
 	for _, grid := range []string{"", "traffic=permutation", "topo=nope:n=4", "topo=rrg bogus=1",
 		testGrid + " eps=NaN", testGrid + " eps=-1", testGrid + " eps=0.7", testGrid + " eps=Inf",
 		testGrid + " sweep=deg:0..2000000000", testGrid + " sweep=deg:0..9223372036854775807",
 		testGrid + " runs=1000000000", testGrid + " runs=-1"} {
-		status, body := postEval(t, hs.URL, grid)
-		if status != http.StatusBadRequest {
-			t.Fatalf("grid %q: status %d body %s", grid, status, body)
-		}
-		var e struct {
-			Error string `json:"error"`
-		}
-		if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
-			t.Fatalf("grid %q: error body %s", grid, body)
+		bodies = append(bodies, reqBody(grid))
+	}
+	for _, route := range []string{"/v1/eval", "/v1/jobs"} {
+		for _, body := range bodies {
+			resp, err := http.Post(hs.URL+route, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			shown := body
+			if len(shown) > 200 {
+				shown = fmt.Sprintf("%.200s... (%d bytes)", body, len(body))
+			}
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("%s %q: status %d body %s", route, shown, resp.StatusCode, data)
+			}
+			var e struct {
+				Error string `json:"error"`
+			}
+			if err := json.Unmarshal(data, &e); err != nil || e.Error == "" {
+				t.Fatalf("%s %q: error body %s", route, shown, data)
+			}
 		}
 	}
 	if got := metric(t, hs.URL, "store_writes_total"); got != 0 {
-		t.Fatalf("rejected grids wrote %d store entries", got)
+		t.Fatalf("rejected requests wrote %d store entries", got)
+	}
+	if got := metric(t, hs.URL, "jobs_submitted_total"); got != 0 {
+		t.Fatalf("rejected requests submitted %d jobs", got)
 	}
 }
 

@@ -252,7 +252,7 @@ func TestTieredClaimSingleflight(t *testing.T) {
 		t.Fatalf("waiter stats: %+v (must be served, not solve)", st)
 	}
 	// The lease was released on publish.
-	if _, _, ok := r1.Disk().ClaimHolder(Addr("pt")); ok {
+	if _, _, ok := r1.disk.ClaimHolder(Addr("pt")); ok {
 		t.Fatal("lease survived its publish")
 	}
 }
@@ -274,7 +274,7 @@ func TestTieredClaimRechecksAfterWin(t *testing.T) {
 		return NewTiered(disk, nil, TieredOptions{LeaseTTL: 10 * time.Second, Poll: 2 * time.Millisecond})
 	}
 	r1, r2 := open(), open()
-	if _, ok := r1.Disk().Load(bg, "pt"); ok {
+	if _, ok := r1.disk.Load(bg, "pt"); ok {
 		t.Fatal("cold pool must miss")
 	}
 	if _, ok := r2.Load(bg, "pt"); ok {
@@ -290,7 +290,7 @@ func TestTieredClaimRechecksAfterWin(t *testing.T) {
 	if st := r1.Stats(); st.ClaimsWon != 0 || st.WaitHits != 1 {
 		t.Fatalf("r1 stats: %+v (must be served, not solve)", st)
 	}
-	if _, _, ok := r1.Disk().ClaimHolder(Addr("pt")); ok {
+	if _, _, ok := r1.disk.ClaimHolder(Addr("pt")); ok {
 		t.Fatal("the re-check left its claim behind")
 	}
 }

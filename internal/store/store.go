@@ -1,6 +1,6 @@
 // Package store is the disk-backed tier of the scenario engine's
 // content-addressed solve cache: attached with scenario.Cache.SetBackend
-// (directly, or behind Tiered), it replaces the cache's in-memory map. It
+// (directly, or behind Tiered), it replaces the cache's memory tier. It
 // persists per-point run values under their content address — the
 // SHA-256 of the point's Key() string, the same address the in-memory
 // scenario.Cache uses — so a second process answers a previously-solved
@@ -44,6 +44,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/lru"
 )
 
 // Store is one handle on a result-store directory. It is safe for
@@ -60,10 +62,13 @@ type Store struct {
 	clock int64 // logical access clock for LRU ordering
 	st    Stats // counters; Stats fills in Entries and Bytes
 
-	// neg, when enabled, short-circuits repeated misses on addresses known
-	// to be absent, so a hot 404 path costs a map probe instead of a disk
-	// stat per request. See EnableNegativeCache.
-	neg *negCache
+	// neg short-circuits repeated misses on addresses known to be absent,
+	// so a hot 404 path costs a map probe instead of a disk stat per
+	// request: an LRU from address to the time of its failed probe, one
+	// unit per entry, trusted for negTTL. Its budget is 0, so it holds
+	// nothing, until EnableNegativeCache.
+	neg    *lru.Cache[string, time.Time]
+	negTTL time.Duration
 
 	// loadHook, when set (tests only), runs after a Load has pinned its
 	// entry and released the lock, before the file is read — the window a
@@ -145,7 +150,7 @@ func Open(dir string) (*Store, error) {
 	probe.Close()
 	os.Remove(probe.Name())
 
-	s := &Store{dir: dir, index: map[string]*entry{}}
+	s := &Store{dir: dir, index: map[string]*entry{}, neg: lru.New[string, time.Time](0)}
 	err = filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() {
 			return err
@@ -193,9 +198,6 @@ func Open(dir string) (*Store, error) {
 // orphanGrace is how old a .tmp-* file must be before Open treats it as a
 // crashed writer's orphan rather than a racing process's in-flight Save.
 const orphanGrace = time.Minute
-
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
 
 func isHex(a string) bool {
 	for i := 0; i < len(a); i++ {
@@ -264,7 +266,7 @@ func (s *Store) loadAddrBuf(addr string, buf []byte, vals []float64, useNeg bool
 		// (a client polling an address nobody has solved) does not pay a
 		// disk stat per lookup; entries expire after a short TTL, bounding
 		// how long another process's out-of-band publish can stay unseen.
-		if useNeg && s.neg != nil && s.neg.fresh(addr, time.Now()) {
+		if at, ok := s.neg.Get(addr); ok && useNeg && time.Since(at) < s.negTTL {
 			s.st.NegHits++
 			s.st.Misses++
 			s.mu.Unlock()
@@ -275,11 +277,9 @@ func (s *Store) loadAddrBuf(addr string, buf []byte, vals []float64, useNeg bool
 			s.index[addr] = e
 			s.bytes += e.size
 			found = true
-			if s.neg != nil {
-				s.neg.drop(addr)
-			}
-		} else if s.neg != nil {
-			s.neg.add(addr, time.Now())
+			s.neg.Remove(addr)
+		} else {
+			s.neg.Add(addr, time.Now(), 1) // refreshes an expired entry
 		}
 	}
 	if !found {
@@ -421,11 +421,9 @@ func (s *Store) SaveAddrLinked(addr string, vals []float64, parent string) error
 	if parent != "" {
 		s.st.ParentLinks++
 	}
-	if s.neg != nil {
-		// The address exists now: a negative entry recorded before this
-		// publish must not outlive it.
-		s.neg.drop(addr)
-	}
+	// The address exists now: a negative entry recorded before this
+	// publish must not outlive it.
+	s.neg.Remove(addr)
 	s.clock++
 	if e, ok := s.index[addr]; ok {
 		s.bytes += int64(len(buf)) - e.size
@@ -559,47 +557,5 @@ func (s *Store) EnableNegativeCache(max int, ttl time.Duration) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.neg = &negCache{max: max, ttl: ttl, at: map[string]time.Time{}}
-}
-
-// negCache is the bounded absent-address memo. All methods are called
-// under the store lock. Eviction is FIFO by insertion order: negative
-// entries are worth at most one TTL, so recency refinements buy nothing.
-type negCache struct {
-	max  int
-	ttl  time.Duration
-	at   map[string]time.Time // addr -> when the failed probe happened
-	fifo []string
-}
-
-func (n *negCache) fresh(addr string, now time.Time) bool {
-	t, ok := n.at[addr]
-	if !ok {
-		return false
-	}
-	if now.Sub(t) >= n.ttl {
-		delete(n.at, addr)
-		return false
-	}
-	return true
-}
-
-func (n *negCache) add(addr string, now time.Time) {
-	if _, ok := n.at[addr]; ok {
-		n.at[addr] = now
-		return
-	}
-	for len(n.at) >= n.max && len(n.fifo) > 0 {
-		old := n.fifo[0]
-		n.fifo = n.fifo[1:]
-		delete(n.at, old)
-	}
-	n.at[addr] = now
-	n.fifo = append(n.fifo, addr)
-}
-
-func (n *negCache) drop(addr string) {
-	// The fifo keeps the address; a later eviction of an already-dropped
-	// entry is harmless (delete of an absent key).
-	delete(n.at, addr)
+	s.neg, s.negTTL = lru.New[string, time.Time](int64(max)), ttl
 }

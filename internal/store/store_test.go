@@ -419,7 +419,7 @@ func TestNegativeCache(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		s.Load(bg, fmt.Sprintf("bulk%d", i))
 	}
-	if n := len(s.neg.at); n > 4 {
+	if n := s.neg.Len(); n > 4 {
 		t.Fatalf("negative cache grew to %d entries, bound is 4", n)
 	}
 }

@@ -123,9 +123,6 @@ func NewTiered(disk *Store, remote Remote, opt TieredOptions) *Tiered {
 	return &Tiered{disk: disk, remote: remote, opt: opt}
 }
 
-// Disk returns the local tier.
-func (t *Tiered) Disk() *Store { return t.disk }
-
 func (t *Tiered) count(f func(*TieredStats)) {
 	t.mu.Lock()
 	f(&t.stats)
