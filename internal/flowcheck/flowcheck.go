@@ -34,6 +34,11 @@
 // VerifyPacket certifies the packet simulator's measurement-window output
 // (packet.Audit): exact per-node packet conservation, per-arc line-rate
 // sanity, and goodput/delivered consistency.
+//
+// Every product that feeds a sum is wrapped in an explicit float64
+// conversion. The conversion rounds the product, so no CPU fuses it into
+// a multiply-add, and every check sums the same bits on every
+// architecture.
 package flowcheck
 
 import (
@@ -383,7 +388,7 @@ func VerifyPacketReport(g *graph.Graph, res *packet.Result) (*Report, error) {
 	// transmission already in flight when the window opened.
 	rateBad := -1
 	for arc := 0; arc < m; arc++ {
-		limit := g.Arc(arc).Cap*a.Measure*(1+1e-9) + 1
+		limit := float64(g.Arc(arc).Cap*a.Measure*(1+1e-9)) + 1
 		if float64(a.ArcTransits[arc]) > limit {
 			rateBad = arc
 			break
@@ -392,7 +397,7 @@ func VerifyPacketReport(g *graph.Graph, res *packet.Result) (*Report, error) {
 	if rateBad >= 0 {
 		r.Checks = append(r.Checks, Check{Name: "linerate",
 			Detail: fmt.Sprintf("arc %d completed %d transmissions, capacity admits %.0f",
-				rateBad, a.ArcTransits[rateBad], g.Arc(rateBad).Cap*a.Measure+1)})
+				rateBad, a.ArcTransits[rateBad], float64(g.Arc(rateBad).Cap*a.Measure)+1)})
 	} else {
 		r.Checks = append(r.Checks, Check{Name: "linerate", Pass: true,
 			Detail: "no arc outran its capacity"})
@@ -413,8 +418,8 @@ func VerifyPacketReport(g *graph.Graph, res *packet.Result) (*Report, error) {
 			goodputBad = fmt.Sprintf("flow destination %d out of range", f.Dst)
 			break
 		}
-		perNode[f.Dst] += f.Goodput * a.Measure
-		total += f.Goodput * a.Measure
+		perNode[f.Dst] += float64(f.Goodput * a.Measure)
+		total += float64(f.Goodput * a.Measure)
 		mean += f.Goodput
 		if f.Goodput < minG {
 			minG = f.Goodput
@@ -610,7 +615,7 @@ func optimalityCheck(g *graph.Graph, flows []traffic.Flow, res *mcf.Result, gapT
 				Detail: fmt.Sprintf("invalid witness length %v on arc %d", l, a)})
 			return
 		}
-		lenCap += l * g.Arc(a).Cap
+		lenCap += float64(l * g.Arc(a).Cap)
 	}
 	bySrc := map[int][]int{}
 	for j, f := range flows {
@@ -626,7 +631,7 @@ func optimalityCheck(g *graph.Graph, flows []traffic.Flow, res *mcf.Result, gapT
 					Detail: fmt.Sprintf("commodity %d unreachable under witness lengths", j)})
 				return
 			}
-			alpha += flows[j].Demand * d
+			alpha += float64(flows[j].Demand * d)
 		}
 	}
 	if alpha <= 0 {

@@ -11,8 +11,8 @@ import (
 // function — exactly the early- and mid-phase regime of the solver, where
 // lengths start at δ/cap and have not yet spread — a monotone bucket queue
 // replaces every heap sift (O(log n) with data-dependent branches) with an
-// O(1) append/pop on a flat slice, which is both cheaper and far friendlier
-// to the cache and branch predictor.
+// O(1) push/pop on one flat entry arena, which is both cheaper and far
+// friendlier to the cache and branch predictor.
 //
 // Correctness does not depend on the length spread, only the precondition
 // delta ≤ min positive arc length: then a node popped from the current
@@ -27,11 +27,11 @@ import (
 // occupancy bitmap of the resident window lets the drain jump from one
 // occupied bucket straight to the next, so a stretch of empty buckets
 // costs one bitmap probe per 64 slots, and early-exit targets are
-// re-checked once per jump rather than once per bucket. A distance range
-// wider than the window costs rebases instead: each one re-scans the
-// overflow list. That is why callers should prefer the heap when max
-// length / min length is large (see LengthRange and the adaptive choice
-// in internal/mcf).
+// re-checked only at a jump or rebase that follows a target's pop. A
+// distance range wider than the window costs rebases instead: each one
+// re-scans the overflow list. That is why callers should prefer the heap
+// when max length / min length is large (see LengthRange and the adaptive
+// choice in internal/mcf).
 
 // bqWindow is the number of resident bucket slots (a power of two).
 // Entries whose bucket lies beyond the resident range go to an overflow
@@ -40,11 +40,12 @@ import (
 const bqWindow = 256
 
 // bqOccupancy has one bit per resident slot, set while the slot holds an
-// entry. RunBucketed leaves it all zero, like the slots themselves.
+// entry. RunBucketed leaves it all zero.
 type bqOccupancy [bqWindow / 64]uint64
 
-func (o *bqOccupancy) set(slot int64)   { o[slot>>6] |= 1 << (slot & 63) }
-func (o *bqOccupancy) clear(slot int64) { o[slot>>6] &^= 1 << (slot & 63) }
+func (o *bqOccupancy) has(slot int64) bool { return o[slot>>6]&(1<<(slot&63)) != 0 }
+func (o *bqOccupancy) set(slot int64)      { o[slot>>6] |= 1 << (slot & 63) }
+func (o *bqOccupancy) clear(slot int64)    { o[slot>>6] &^= 1 << (slot & 63) }
 
 // gap returns how many slots lie between slot and the first occupied slot
 // at or after it, wrapping past the last slot. Some slot must be occupied.
@@ -60,6 +61,52 @@ func (o *bqOccupancy) gap(slot int64) int64 {
 		}
 	}
 	panic("graph: bucket window has no occupied slot")
+}
+
+// bqEntry is one queued (node, distance) pair in a bucketQueue's arena.
+// next is the arena index of the next-older entry of the same slot, or -1
+// at the end of the slot's list.
+type bqEntry struct {
+	node, next int32
+	d          float64
+}
+
+// bucketQueue is RunBucketed's working state, allocated by a scratch's
+// first RunBucketed, so scratches that only Run carry none. Every entry
+// pushed into the resident window during a run is appended to one arena,
+// empty again once the run ends, and each slot's entries form a LIFO list
+// through it: head[slot] is the slot's newest entry. The occupancy bitmap
+// is the only record of which slots hold entries (head is meaningful only
+// where its bit is set), so a run that ends early empties the window by
+// zeroing four words instead of visiting its slots.
+type bucketQueue struct {
+	head    [bqWindow]int32
+	occ     bqOccupancy
+	arena   []bqEntry
+	over    []item  // entries beyond the window, in push order
+	pending []int32 // early-exit targets not yet settled
+}
+
+func (q *bucketQueue) push(slot int64, node int32, d float64) {
+	next := int32(-1)
+	if q.occ.has(slot) {
+		next = q.head[slot]
+	} else {
+		q.occ.set(slot)
+	}
+	q.head[slot] = int32(len(q.arena))
+	q.arena = append(q.arena, bqEntry{node: node, next: next, d: d})
+}
+
+// pop removes and returns the newest entry of an occupied slot.
+func (q *bucketQueue) pop(slot int64) (node int32, d float64) {
+	e := q.arena[q.head[slot]]
+	if e.next < 0 {
+		q.occ.clear(slot)
+	} else {
+		q.head[slot] = e.next
+	}
+	return e.node, e.d
 }
 
 // bqMaxIdx bounds the bucket index a relaxation may produce. Beyond it,
@@ -105,11 +152,11 @@ func LengthRange(length []float64) (minPos, max float64) {
 // bit-identical to the heap path's.
 //
 // A run costs one O(1) push and pop per queued entry, one jump per
-// occupied bucket (a bitmap probe per 64 empty slots skipped, plus one
-// pass over the still-pending targets under early exit), and one
-// overflow rebase (BucketRebases) each time the resident window drains
-// while entries wait beyond it. Empty buckets are skipped, not visited
-// one by one.
+// occupied bucket (a bitmap probe per 64 empty slots skipped), one pass
+// over the still-pending targets at each jump or rebase that follows a
+// target's pop under early exit, and one overflow rebase (BucketRebases)
+// each time the resident window drains while entries wait beyond it.
+// Empty buckets are skipped, not visited one by one.
 func (d *DijkstraScratch) RunBucketed(src int, length []float64, targets []int32, delta float64) {
 	if !(delta > 0) {
 		d.bqBailed = true
@@ -129,6 +176,10 @@ func (d *DijkstraScratch) RunBucketed(src int, length []float64, targets []int32
 	}
 	e := d.epoch
 	c := d.g.csrView()
+	if d.bq == nil {
+		d.bq = &bucketQueue{arena: make([]bqEntry, 0, d.g.n)}
+	}
+	q := d.bq
 	// Early-exit bookkeeping differs from the heap path: within a bucket,
 	// entries pop in arbitrary order and — when an arc shorter than delta
 	// sneaks in — a popped node can still improve while its bucket drains.
@@ -136,7 +187,7 @@ func (d *DijkstraScratch) RunBucketed(src int, length []float64, targets []int32
 	// its bucket: every later entry has distance ≥ cur·delta, which
 	// exceeds anything in earlier buckets, so no future relaxation can
 	// improve it. That keeps early exit exact for any positive delta.
-	pending := d.bqPending[:0]
+	pending := q.pending[:0]
 	for _, t := range targets {
 		if d.tmark[t] != e {
 			d.tmark[t] = e
@@ -144,10 +195,7 @@ func (d *DijkstraScratch) RunBucketed(src int, length []float64, targets []int32
 		}
 	}
 	earlyExit := len(pending) > 0
-	if d.bqSlots == nil {
-		d.bqSlots = make([][]item, bqWindow)
-	}
-	slots, over, occ := d.bqSlots, d.bqOver[:0], &d.bqOcc
+	over := q.over[:0]
 	d.bqRebases = 0
 	d.dist[src] = 0
 	d.via[src] = -1
@@ -162,13 +210,20 @@ func (d *DijkstraScratch) RunBucketed(src int, length []float64, targets []int32
 	// and the idx&mask slot addressing never collides within the window.
 	cur := int64(0)
 	winEnd := int64(bqWindow)
-	slots[0] = append(slots[0][:0], item{node: int32(src), d: 0})
-	occ.set(0)
+	q.push(0, int32(src), 0)
 	windowLive := 1
 	broke, bailed := false, false
 	// settle drops every pending target whose distance now lies in a
-	// bucket strictly before cur; returns true when none remain.
+	// bucket strictly before cur; returns true when none remain. cur moves
+	// only at a jump or a rebase, and a pending target's bucket can fall
+	// behind cur only after its current entry pops (the entry holds cur
+	// at or below its bucket until then). So settle runs at a jump or
+	// rebase only when a pending target popped since the last one
+	// (targetPopped), and drops exactly the targets a settle at every
+	// jump and rebase would drop, at the same points.
+	targetPopped := false
 	settle := func() bool {
+		targetPopped = false
 		w := 0
 		for _, tn := range pending {
 			if d.stamp[tn] == e && int64(d.dist[tn]/delta) < cur {
@@ -202,16 +257,14 @@ func (d *DijkstraScratch) RunBucketed(src int, length []float64, targets []int32
 				break
 			}
 			cur, winEnd = minIdx, minIdx+bqWindow
-			if earlyExit && settle() {
+			if targetPopped && settle() {
 				broke = true
 				break
 			}
 			w = 0
 			for _, it := range over {
 				if idx := int64(it.d / delta); idx < winEnd {
-					slot := idx & (bqWindow - 1)
-					slots[slot] = append(slots[slot], it)
-					occ.set(slot)
+					q.push(idx&(bqWindow-1), it.node, it.d)
 					windowLive++
 				} else {
 					over[w] = it
@@ -222,33 +275,31 @@ func (d *DijkstraScratch) RunBucketed(src int, length []float64, targets []int32
 			continue
 		}
 		slot := cur & (bqWindow - 1)
-		s := &slots[slot]
-		if len(*s) == 0 {
+		if !q.occ.has(slot) {
 			// Jump over the empty stretch to the next occupied bucket.
 			// Nothing pops in between, so one settle at the landing bucket
 			// drops exactly the targets a settle at each skipped bucket
 			// would have.
-			cur += occ.gap(slot)
-			if earlyExit && settle() {
+			cur += q.occ.gap(slot)
+			if targetPopped && settle() {
 				broke = true
 				break
 			}
 			continue
 		}
-		it := (*s)[len(*s)-1]
-		*s = (*s)[:len(*s)-1]
-		if len(*s) == 0 {
-			occ.clear(slot)
-		}
+		u, du := q.pop(slot)
 		windowLive--
-		if it.d > d.dist[it.node] {
+		if du > d.dist[u] {
 			continue // stale entry; the node settled at a smaller distance
 		}
-		for k, end := c.start[it.node], c.start[it.node+1]; k < end; k++ {
+		if earlyExit && d.tmark[u] == e {
+			targetPopped = true
+		}
+		for k, end := c.start[u], c.start[u+1]; k < end; k++ {
 			v := c.to[k]
 			a := c.arc[k]
 			l := length[a]
-			nd := it.d + l
+			nd := du + l
 			if l < delta || nd >= limit {
 				// An arc shorter than the bucket width (ordering argument
 				// void) or a distance near index overflow: this traversal
@@ -261,9 +312,7 @@ func (d *DijkstraScratch) RunBucketed(src int, length []float64, targets []int32
 				d.via[v] = a
 				d.stamp[v] = e
 				if idx := int64(nd / delta); idx < winEnd {
-					slot := idx & (bqWindow - 1)
-					slots[slot] = append(slots[slot], item{node: v, d: nd})
-					occ.set(slot)
+					q.push(idx&(bqWindow-1), v, nd)
 					windowLive++
 				} else {
 					over = append(over, item{node: v, d: nd})
@@ -274,19 +323,13 @@ func (d *DijkstraScratch) RunBucketed(src int, length []float64, targets []int32
 			break
 		}
 	}
-	if broke || bailed {
-		// The break abandons queued entries; empty the occupied slots so
-		// the next run starts from a clean window.
-		for w, m := range occ {
-			for ; m != 0; m &= m - 1 {
-				slot := w<<6 + bits.TrailingZeros64(m)
-				slots[slot] = slots[slot][:0]
-			}
-			occ[w] = 0
-		}
-	}
-	d.bqOver = over[:0]
-	d.bqPending = pending[:0]
+	// A break abandons queued entries: zeroing the bitmap and emptying the
+	// arena leaves the window empty for the next run however this one
+	// ended.
+	q.occ = bqOccupancy{}
+	q.arena = q.arena[:0]
+	q.over = over[:0]
+	q.pending = pending[:0]
 	if bailed {
 		// Partial results from this attempt carry the current epoch; Run
 		// advances the epoch, so they are invisible to it and the rerun is

@@ -150,18 +150,20 @@ func TestRunBucketedWideRange(t *testing.T) {
 }
 
 // assertCleanWindow requires the bucket queue's resident window to be
-// empty: no queued entry in any slot and every occupancy word zero.
+// empty: every occupancy word zero (the bitmap is the only record of
+// which slots hold entries) and no entry left in the arena.
 func assertCleanWindow(t *testing.T, ctx string, d *DijkstraScratch) {
 	t.Helper()
-	for i, s := range d.bqSlots {
-		if len(s) != 0 {
-			t.Fatalf("%s: slot %d holds %d entries", ctx, i, len(s))
-		}
+	if d.bq == nil {
+		t.Fatalf("%s: no bucket queue after a bucketed run", ctx)
 	}
-	for w, m := range d.bqOcc {
+	for w, m := range d.bq.occ {
 		if m != 0 {
 			t.Fatalf("%s: occupancy word %d = %#x", ctx, w, m)
 		}
+	}
+	if n := len(d.bq.arena); n != 0 {
+		t.Fatalf("%s: arena holds %d entries", ctx, n)
 	}
 }
 
@@ -338,4 +340,66 @@ func TestRunBucketedIndexOverflowBails(t *testing.T) {
 		t.Fatal("bail flag stuck after a clean run")
 	}
 	compareTrees(t, "post-bail", g, ref, d)
+}
+
+// uniformTreeGraph is the GraphTree/uniform benchmark's instance: a
+// random 400-node graph (a random spanning tree plus 1,000 random links)
+// under near-uniform lengths in [1, 1.01).
+func uniformTreeGraph() (*Graph, []float64) {
+	rng := rand.New(rand.NewSource(1))
+	const n = 400
+	g := New(n)
+	for i := 1; i < n; i++ {
+		g.AddLink(rng.Intn(i), i, 1)
+	}
+	for i := 0; i < 1000; i++ {
+		if u, v := rng.Intn(n), rng.Intn(n); u != v {
+			g.AddLink(u, v, 1)
+		}
+	}
+	lens := make([]float64, g.NumArcs())
+	for a := range lens {
+		lens[a] = 1 + 0.01*rng.Float64()
+	}
+	return g, lens
+}
+
+// TestRunBucketedAllocs pins the flat queue's allocation profile on the
+// GraphTree/uniform instance. A fresh scratch's first full run allocates
+// the queue and grows its one arena: a few allocations (4 today) however
+// many buckets the run touches, so a sixteenth of the bucket width, which
+// spreads the same tree over ~16× the buckets, must stay within the same
+// bound. The slice-per-slot queue grew a stack per touched slot and made
+// 37 allocations here at either width. Every later run on the scratch,
+// full or early-exit, allocates nothing.
+func TestRunBucketedAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations")
+	}
+	g, lens := uniformTreeGraph()
+	minLen, _ := LengthRange(lens)
+	fresh := testing.AllocsPerRun(20, func() { g.NewDijkstraScratch() })
+	first := func(delta float64) float64 {
+		return testing.AllocsPerRun(20, func() {
+			g.NewDijkstraScratch().RunBucketed(0, lens, nil, delta)
+		}) - fresh
+	}
+	const maxFirst = 6
+	wide, narrow := first(minLen), first(minLen/16)
+	if wide > maxFirst || narrow > maxFirst {
+		t.Fatalf("first run allocated %v (delta = minLen) and %v (delta = minLen/16) times, want at most %d",
+			wide, narrow, maxFirst)
+	}
+	d := g.NewDijkstraScratch()
+	d.RunBucketed(0, lens, nil, minLen/16)
+	if d.BucketBailed() || d.BucketRebases() != 0 {
+		t.Fatalf("narrow run: bailed %v, %d rebases; want a plain bucket run", d.BucketBailed(), d.BucketRebases())
+	}
+	targets := []int32{17, 201, 399}
+	if a := testing.AllocsPerRun(20, func() {
+		d.RunBucketed(int(targets[0]), lens, nil, minLen)
+		d.RunBucketed(0, lens, targets, minLen/16)
+	}); a != 0 {
+		t.Fatalf("later runs allocated %v times, want 0", a)
+	}
 }

@@ -6,7 +6,8 @@ import "math"
 // computations over one graph. The flow solver runs thousands of Dijkstras
 // per solve under an evolving length function; the scratch makes each run
 // allocation-free: dist/via validity is tracked with an epoch stamp (no
-// O(n) clearing between runs) and the heap keeps its backing array.
+// O(n) clearing between runs), and the heap and the bucket queue's entry
+// arena keep their backing arrays.
 //
 // A scratch is bound to the graph that created it and must not be used
 // after links are added. It is not safe for concurrent use; create one
@@ -23,13 +24,10 @@ type DijkstraScratch struct {
 	// complete records whether the last Run settled every reachable node
 	// (no early exit), which is the precondition for Repair.
 	complete bool
-	// Bucket-queue state for RunBucketed (see bucket.go), allocated on
-	// first use and reused after. Between runs every slot is empty and
-	// bqOcc is all zero.
-	bqSlots   [][]item
-	bqOcc     bqOccupancy
-	bqOver    []item
-	bqPending []int32
+	// Bucket-queue state for RunBucketed (see bucket.go): the queue is
+	// allocated by the first RunBucketed and reused after; between runs
+	// its occupancy bitmap is all zero.
+	bq        *bucketQueue
 	bqRebases int
 	bqBailed  bool
 	// Repair working buffers, allocated on first use and reused after.

@@ -3,6 +3,8 @@ package graph
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -128,6 +130,81 @@ func FuzzBucketMatchesHeap(f *testing.F) {
 		dh.Run(src2, lens, nil)
 		db.RunBucketed(src2, lens, nil, delta)
 		compareTrees(t, "full run after early exit", g, dh, db)
+	})
+}
+
+// FuzzBucketMatchesOracle: the flat bucket queue must replay the
+// slice-per-slot queue it replaced (sliceQueue, the oracle) exactly. On a
+// derived random graph whose lengths spread up to 2^23-fold, two scratches
+// run the same sequence of full and early-exit runs (up to 64 targets,
+// duplicates and the source included), one per queue; after every run
+// both must hold the same stamped dist/via bit for bit, the same
+// BucketRebases, BucketBailed and completeness, and the flat queue must
+// leave a clean window. The bucket width sweeps (0, 2·minLen], so bails
+// are covered too.
+func FuzzBucketMatchesOracle(f *testing.F) {
+	f.Add(int64(1), uint8(127), uint8(0), []byte{0})
+	f.Add(int64(42), uint8(128), uint8(10), []byte{1, 2, 3})
+	f.Add(int64(99), uint8(1), uint8(23), []byte{7, 7, 7, 7})
+	f.Add(int64(7), uint8(64), uint8(16), []byte{200, 100, 50, 25, 12, 6})
+	f.Add(int64(5), uint8(200), uint8(20), []byte{9, 8, 7, 6, 5, 4, 3, 2, 1, 0})
+	f.Add(int64(-1), uint8(1), uint8(23), []byte("1")) // early exit at a rebase
+
+	f.Fuzz(func(t *testing.T, seed int64, deltaByte, spread uint8, targetBytes []byte) {
+		if len(targetBytes) > 64 {
+			return
+		}
+		rng := rand.New(rand.NewSource(seed))
+		n := 4 + rng.Intn(60)
+		g := New(n)
+		for i := 1; i < n; i++ {
+			g.AddLink(rng.Intn(i), i, 1)
+		}
+		extra := rng.Intn(3 * n)
+		for i := 0; i < extra; i++ {
+			u, v := rng.Intn(n), rng.Intn(n)
+			if u != v {
+				g.AddLink(u, v, 1)
+			}
+		}
+		lens := make([]float64, g.NumArcs())
+		for a := range lens {
+			lens[a] = 0.05 + rng.Float64()
+			if rng.Intn(4) == 0 {
+				lens[a] *= math.Ldexp(1, rng.Intn(int(spread%24)+1))
+			}
+		}
+		minLen, _ := LengthRange(lens)
+		delta := minLen * (float64(deltaByte) + 1) / 128
+		var targets []int32
+		for _, b := range targetBytes {
+			targets = append(targets, int32(int(b)%n))
+		}
+		flat, ref := g.NewDijkstraScratch(), g.NewDijkstraScratch()
+		var oracle sliceQueue
+		src := rng.Intn(n)
+		src2 := (src + 1 + int(deltaByte)) % n
+		for _, r := range []struct {
+			src     int
+			targets []int32
+		}{{src, nil}, {src, targets}, {src2, nil}, {src2, targets}, {src, targets[len(targets)/2:]}} {
+			flat.RunBucketed(r.src, lens, r.targets, delta)
+			oracle.run(ref, r.src, lens, r.targets, delta)
+			ctx := fmt.Sprintf("src %d, %d targets", r.src, len(r.targets))
+			if flat.BucketRebases() != ref.BucketRebases() || flat.BucketBailed() != ref.BucketBailed() || flat.complete != ref.complete {
+				t.Fatalf("%s: flat rebases %d bailed %v complete %v; oracle %d %v %v", ctx,
+					flat.BucketRebases(), flat.BucketBailed(), flat.complete,
+					ref.BucketRebases(), ref.BucketBailed(), ref.complete)
+			}
+			for v := 0; v < n; v++ {
+				if flat.Reached(v) != ref.Reached(v) ||
+					math.Float64bits(flat.Dist(v)) != math.Float64bits(ref.Dist(v)) || flat.Via(v) != ref.Via(v) {
+					t.Fatalf("%s: node %d: flat reached %v dist %v via %d; oracle %v %v %d", ctx, v,
+						flat.Reached(v), flat.Dist(v), flat.Via(v), ref.Reached(v), ref.Dist(v), ref.Via(v))
+				}
+			}
+			assertCleanWindow(t, ctx, flat)
+		}
 	})
 }
 

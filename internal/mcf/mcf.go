@@ -13,10 +13,11 @@
 package mcf
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/graph"
@@ -256,17 +257,20 @@ func Solve(g *graph.Graph, flows []traffic.Flow, opt Options) (*Result, error) {
 
 // state holds the working data of one solve.
 type state struct {
-	g     *graph.Graph
-	eps   float64
-	m     int       // arc count
-	caps  []float64 // per-arc capacity
-	lens  []float64 // GK length function
-	flow  []float64 // raw accumulated per-arc flow
-	bySrc map[int][]int
-	srcs  []int // sorted keys of bySrc, for deterministic iteration
+	g    *graph.Graph
+	eps  float64
+	m    int       // arc count
+	caps []float64 // per-arc capacity
+	lens []float64 // GK length function
+	flow []float64 // raw accumulated per-arc flow
+	// srcs holds the distinct commodity sources in ascending node order;
+	// every per-source structure is indexed by position in it.
+	srcs  []source
 	flows []traffic.Flow
 	// routed[j] is the total demand routed so far for commodity j.
 	routed []float64
+	// hops[j] is commodity j's hop distance, from checkReachability.
+	hops []int
 	// volume-weighted path length accumulator.
 	volLen, vol float64
 	phases      int
@@ -280,16 +284,11 @@ type state struct {
 	// the solve once it reaches 1. It is maintained incrementally (O(1) per
 	// arc update) instead of rescanning all m arcs every phase.
 	lenCapSum float64
-	// perSrc holds one persistent shortest-path tree per distinct source.
-	// Trees survive across phases: lengths only grow, so a tree path stays
-	// usable until its total length exceeds (1+ε) of its at-build total,
-	// regardless of when the tree was built. When the per-source footprint
-	// would be too large, perSrc is nil and the shared tree is rebuilt per
-	// source batch instead.
-	perSrc    map[int]*srcTree
-	shared    *srcTree
-	pathBuf   []int32
-	targetBuf []int32
+	// shared is non-nil in the shared-tree fallback: when one persistent
+	// tree per source (source.tree) would be too large, this one tree is
+	// rebuilt per source batch instead.
+	shared  *srcTree
+	pathBuf []int32
 
 	// grownAt[a] is the value of growSeq when arc a's length last grew;
 	// growSeq advances once per routed piece. A persistent tree remembers
@@ -320,8 +319,9 @@ type state struct {
 	prebuildNanos, routeNanos int64
 
 	// Phase-start concurrent prebuild (see prebuildTrees): pool bounds the
-	// workers, staleSrcs is the reusable list of sources whose trees the
-	// phase refreshes up front, and prebuilds counts those refreshes.
+	// workers, staleSrcs is the reusable list of the positions in srcs of
+	// the sources whose trees the phase refreshes up front, and prebuilds
+	// counts those refreshes.
 	pool      *runner.Pool
 	staleSrcs []int
 	prebuilds int
@@ -348,6 +348,19 @@ type state struct {
 	warm bool
 }
 
+// source is one distinct commodity source: its commodities in flow order,
+// their destinations (the early-exit targets of its tree builds) and, outside
+// the shared-tree fallback, its persistent tree. Trees survive across
+// phases: lengths only grow, so a tree path stays usable until its total
+// length exceeds (1+ε) of its at-build total, regardless of when the tree
+// was built.
+type source struct {
+	node    int
+	flows   []int
+	targets []int32
+	tree    *srcTree // created by the first treeFor
+}
+
 // srcTree is a shortest-path tree rooted at one source, with the length
 // snapshot needed to detect per-path staleness.
 type srcTree struct {
@@ -369,9 +382,6 @@ type srcTree struct {
 	// the phase the tree was last refreshed in.
 	phaseOf   int
 	refreshes int
-	// targets caches the source batch's destination list so a concurrent
-	// prebuild task needs no shared buffer; filled by the phase-start scan.
-	targets []int32
 }
 
 // persistentTreeBudget caps the memory (in bytes, approximately) spent on
@@ -387,7 +397,6 @@ func newState(g *graph.Graph, flows []traffic.Flow, eps float64, opt Options) *s
 		caps:        make([]float64, m),
 		lens:        make([]float64, m),
 		flow:        make([]float64, m),
-		bySrc:       make(map[int][]int),
 		flows:       flows,
 		routed:      make([]float64, len(flows)),
 		pool:        runner.New(opt.Workers),
@@ -395,7 +404,10 @@ func newState(g *graph.Graph, flows []traffic.Flow, eps float64, opt Options) *s
 		bestBound:   math.Inf(1),
 		startedAt:   time.Now(),
 	}
-	delta := (1 + eps) * math.Pow((1+eps)*float64(m), -1/eps)
+	// Every product that feeds a sum in this file, delta included (see
+	// lenCapSum below), is converted explicitly: the conversion rounds it,
+	// so no CPU fuses it into a multiply-add.
+	delta := float64((1 + eps) * math.Pow((1+eps)*float64(m), -1/eps))
 	for a := 0; a < m; a++ {
 		s.caps[a] = g.Arc(a).Cap
 	}
@@ -405,18 +417,29 @@ func newState(g *graph.Graph, flows []traffic.Flow, eps float64, opt Options) *s
 			s.lenCapSum += delta
 		}
 	}
-	for j, f := range flows {
-		s.bySrc[f.Src] = append(s.bySrc[f.Src], j)
+	// Group the commodities by source, sources ascending and each source's
+	// commodities in flow order, in two flat arrays.
+	order := make([]int, len(flows))
+	for j := range order {
+		order[j] = j
 	}
-	for src := range s.bySrc {
-		s.srcs = append(s.srcs, src)
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(flows[a].Src, flows[b].Src) })
+	dsts := make([]int32, len(flows))
+	for k, j := range order {
+		dsts[k] = int32(flows[j].Dst)
 	}
-	sort.Ints(s.srcs)
+	for lo := 0; lo < len(order); {
+		node := flows[order[lo]].Src
+		hi := lo + 1
+		for hi < len(order) && flows[order[hi]].Src == node {
+			hi++
+		}
+		s.srcs = append(s.srcs, source{node: node, flows: order[lo:hi], targets: dsts[lo:hi]})
+		lo = hi
+	}
 	// Footprint per persistent tree: lenAtBuild (8m) plus the scratch's
 	// dist/via/stamp/tmark arrays (20n).
-	if len(s.srcs)*(8*m+20*g.N()) <= persistentTreeBudget {
-		s.perSrc = make(map[int]*srcTree, len(s.srcs))
-	} else {
+	if len(s.srcs)*(8*m+20*g.N()) > persistentTreeBudget {
 		s.shared = &srcTree{scratch: g.NewDijkstraScratch(), lenAtBuild: make([]float64, m)}
 		// The shared slot is reused by every source, so a tree never
 		// survives long enough for incremental repair to pay off.
@@ -449,7 +472,7 @@ func (s *state) seedWarm(warm []float64, delta float64) bool {
 	mapped := 0
 	for a, l := range warm {
 		if usable(l) {
-			sum += l * s.caps[a]
+			sum += float64(l * s.caps[a])
 			mapped++
 		}
 	}
@@ -470,36 +493,40 @@ func (s *state) seedWarm(warm []float64, delta float64) bool {
 	s.lenCapSum = 0
 	for a := 0; a < s.m; a++ {
 		s.lens[a] *= scale
-		s.lenCapSum += s.lens[a] * s.caps[a]
+		s.lenCapSum += float64(s.lens[a] * s.caps[a])
 	}
 	s.warm = true
 	return true
 }
 
-// treeFor returns the tree slot for src: the persistent per-source tree,
-// or the shared slot (invalidated, since another source last used it).
-func (s *state) treeFor(src int) *srcTree {
-	if s.perSrc == nil {
+// treeFor returns the tree slot for the source at position i of srcs: its
+// persistent tree, or the shared slot (invalidated, since another source
+// last used it).
+func (s *state) treeFor(i int) *srcTree {
+	if s.shared != nil {
 		s.shared.built = false
 		return s.shared
 	}
-	t := s.perSrc[src]
-	if t == nil {
-		t = &srcTree{scratch: s.g.NewDijkstraScratch(), lenAtBuild: make([]float64, s.m)}
-		s.perSrc[src] = t
+	sc := &s.srcs[i]
+	if sc.tree == nil {
+		sc.tree = &srcTree{scratch: s.g.NewDijkstraScratch(), lenAtBuild: make([]float64, s.m)}
 	}
-	return t
+	return sc.tree
 }
 
+// checkReachability runs one BFS per distinct source, fails on the first
+// disconnected commodity, and keeps every commodity's hop distance for
+// Result.DemandSPL.
 func (s *state) checkReachability() error {
-	// One BFS per distinct source suffices.
-	for _, src := range s.srcs {
-		js := s.bySrc[src]
-		dist := s.g.BFS(src)
-		for _, j := range js {
-			if dist[s.flows[j].Dst] < 0 {
-				return fmt.Errorf("%w: %d -> %d", ErrUnreachable, src, s.flows[j].Dst)
+	s.hops = make([]int, len(s.flows))
+	for _, sc := range s.srcs {
+		dist := s.g.BFS(sc.node)
+		for _, j := range sc.flows {
+			h := dist[s.flows[j].Dst]
+			if h < 0 {
+				return fmt.Errorf("%w: %d -> %d", ErrUnreachable, sc.node, s.flows[j].Dst)
 			}
+			s.hops[j] = h
 		}
 	}
 	return nil
@@ -541,19 +568,20 @@ func (s *state) choosePhaseTraversal() {
 	s.useBucket = minLen > 0 && maxLen <= bucketRangeLimit*minLen
 }
 
-// runTree executes one shortest-path tree construction for src with the
+// runTree executes one shortest-path tree construction for sc with the
 // phase's traversal choice, reporting whether the bucket path ran and how
 // many overflow rebases it needed. It writes only t's scratch, so it is
 // safe to run concurrently for distinct trees while s.lens is frozen.
-func (s *state) runTree(t *srcTree, src int, targets []int32) (bucket, bailed bool, rebases int) {
+func (s *state) runTree(t *srcTree, sc *source) (bucket, bailed bool, rebases int) {
+	targets := sc.targets
 	if t.full {
 		targets = nil
 	}
 	if s.useBucket {
-		t.scratch.RunBucketed(src, s.lens, targets, s.phaseDelta)
+		t.scratch.RunBucketed(sc.node, s.lens, targets, s.phaseDelta)
 		return true, t.scratch.BucketBailed(), t.scratch.BucketRebases()
 	}
-	t.scratch.Run(src, s.lens, targets)
+	t.scratch.Run(sc.node, s.lens, targets)
 	return false, false, 0
 }
 
@@ -589,9 +617,9 @@ func (s *state) noteBucket(bucket, bailed bool, rebases int) {
 // needs every reachable node settled — while cold sources keep the early
 // exit once every destination of the batch is settled, exactly as before
 // repair existed.
-func (s *state) buildTree(t *srcTree, src int, targets []int32) {
+func (s *state) buildTree(t *srcTree, sc *source) {
 	t.full = !s.noRepair && t.hot
-	bucket, bailed, rebases := s.runTree(t, src, targets)
+	bucket, bailed, rebases := s.runTree(t, sc)
 	copy(t.lenAtBuild, s.lens)
 	t.seq = s.growSeq
 	t.built = true
@@ -620,9 +648,9 @@ const (
 // seq, falling back to a rebuild when the source is cold (early-exited
 // tree), repair is disabled, or the repair went over budget (stale region
 // too large).
-func (s *state) refreshTree(t *srcTree, src int, targets []int32) {
+func (s *state) refreshTree(t *srcTree, sc *source) {
 	if !t.built {
-		s.buildTree(t, src, targets)
+		s.buildTree(t, sc)
 		return
 	}
 	// Heat detector: a second staleness within one phase means the source's
@@ -637,7 +665,7 @@ func (s *state) refreshTree(t *srcTree, src int, targets []int32) {
 		t.phaseOf, t.refreshes = s.phases, 1
 	}
 	if s.noRepair || !t.full {
-		s.buildTree(t, src, targets)
+		s.buildTree(t, sc)
 		return
 	}
 	seq := t.seq
@@ -654,25 +682,25 @@ func (s *state) refreshTree(t *srcTree, src int, targets []int32) {
 		s.noRepair = true
 	}
 	if !ok {
-		s.buildTree(t, src, targets)
+		s.buildTree(t, sc)
 	}
 }
 
-// phaseStale reports whether src's tree needs a phase-start refresh: never
+// phaseStale reports whether sc's tree needs a phase-start refresh: never
 // built, or some requested root path is missing or has outgrown (1+ε) of
 // its at-build length under the phase-start lengths. This is exactly the
 // test the routing loop applies before each piece, so the prebuild
 // refreshes only trees whose first piece of the phase would have forced a
 // serial refresh anyway.
-func (s *state) phaseStale(t *srcTree, src int) bool {
+func (s *state) phaseStale(t *srcTree, sc *source) bool {
 	if !t.built {
 		return true
 	}
 	onePlusEps := 1 + s.eps
-	for _, j := range s.bySrc[src] {
+	for _, dst := range sc.targets {
 		var nowLen, buildLen float64
-		at := s.flows[j].Dst
-		for at != src {
+		at := int(dst)
+		for at != sc.node {
 			a := t.scratch.Via(at)
 			if a < 0 {
 				return true // the tree does not reach this destination
@@ -702,8 +730,9 @@ type prebuildStats struct {
 // length function. It is the concurrent mirror of refreshTree: same repair
 // attempt, budget, and rebuild fallback — but every shared input (lens,
 // grownAt, growSeq, the phase's traversal choice, the adaptive switches)
-// is read-only here, and it writes only t.
-func (s *state) prebuildOne(t *srcTree, src int) prebuildStats {
+// is read-only here, and it writes only sc's tree.
+func (s *state) prebuildOne(sc *source) prebuildStats {
+	t := sc.tree
 	var st prebuildStats
 	if t.built && t.full && !s.noRepair {
 		seq := t.seq
@@ -718,7 +747,7 @@ func (s *state) prebuildOne(t *srcTree, src int) prebuildStats {
 		}
 	}
 	t.full = !s.noRepair && t.hot
-	st.bucket, st.bailed, st.rebases = s.runTree(t, src, t.targets)
+	st.bucket, st.bailed, st.rebases = s.runTree(t, sc)
 	copy(t.lenAtBuild, s.lens)
 	t.seq = s.growSeq
 	t.built = true
@@ -736,13 +765,13 @@ func (s *state) prebuildOne(t *srcTree, src int) prebuildStats {
 // stale again mid-phase (from this phase's own routing) are refreshed
 // serially exactly as before.
 func (s *state) prebuildTrees() {
-	if s.perSrc == nil {
+	if s.shared != nil {
 		return // shared-tree fallback: one slot, nothing to parallelize
 	}
 	stale := s.staleSrcs[:0]
-	for _, src := range s.srcs {
-		t := s.treeFor(src)
-		if !s.phaseStale(t, src) {
+	for i := range s.srcs {
+		t := s.treeFor(i)
+		if !s.phaseStale(t, &s.srcs[i]) {
 			continue
 		}
 		// The phase-start staleness of a previously-built tree counts
@@ -751,19 +780,14 @@ func (s *state) prebuildTrees() {
 		if t.built {
 			t.phaseOf, t.refreshes = s.phases, 1
 		}
-		t.targets = t.targets[:0]
-		for _, j := range s.bySrc[src] {
-			t.targets = append(t.targets, int32(s.flows[j].Dst))
-		}
-		stale = append(stale, src)
+		stale = append(stale, i)
 	}
 	s.staleSrcs = stale
 	if len(stale) == 0 {
 		return
 	}
-	stats, _ := runner.Map(s.pool, len(stale), func(i int) (prebuildStats, error) {
-		src := stale[i]
-		return s.prebuildOne(s.perSrc[src], src), nil
+	stats, _ := runner.Map(s.pool, len(stale), func(k int) (prebuildStats, error) {
+		return s.prebuildOne(&s.srcs[stale[k]]), nil
 	})
 	// Serial reduce in source order: counters and kill switches see the
 	// same sequence no matter how the tasks were scheduled.
@@ -804,25 +828,20 @@ func (s *state) runPhase() {
 	defer func() { s.routeNanos += time.Since(routeStart).Nanoseconds() }()
 	onePlusEps := 1 + s.eps
 	s.alpha = 0
-	for _, src := range s.srcs {
-		js := s.bySrc[src]
-		targets := s.targetBuf[:0]
-		for _, j := range js {
-			targets = append(targets, int32(s.flows[j].Dst))
-		}
-		s.targetBuf = targets
-		t := s.treeFor(src)
+	for i := range s.srcs {
+		sc := &s.srcs[i]
+		t := s.treeFor(i)
 		if !t.built {
-			s.buildTree(t, src, targets)
+			s.buildTree(t, sc)
 		}
-		for _, j := range js {
+		for _, j := range sc.flows {
 			dst := s.flows[j].Dst
 			remaining := s.flows[j].Demand
 			// In shared-tree mode the slot is overwritten by the next
 			// source, so the dual term must be taken from the tree the
 			// first piece routes on; per-source mode defers to the fresher
 			// phase-end trees below.
-			firstPiece := s.perSrc == nil
+			firstPiece := s.shared != nil
 			for remaining > 0 {
 				path := s.walkPath(t, dst)
 				if path != nil {
@@ -836,7 +855,7 @@ func (s *state) runPhase() {
 					}
 				}
 				if path == nil {
-					s.refreshTree(t, src, targets)
+					s.refreshTree(t, sc)
 					path = s.walkPath(t, dst)
 					if path == nil {
 						// Should be impossible after checkReachability.
@@ -844,7 +863,7 @@ func (s *state) runPhase() {
 					}
 				}
 				if firstPiece {
-					s.alpha += s.flows[j].Demand * t.scratch.Dist(dst)
+					s.alpha += float64(s.flows[j].Demand * t.scratch.Dist(dst))
 					firstPiece = false
 				}
 				bottleneck := math.Inf(1)
@@ -863,31 +882,31 @@ func (s *state) runPhase() {
 				for _, a := range path {
 					s.flow[a] += u
 					old := s.lens[a]
-					nl := old * (1 + s.eps*u/s.caps[a])
+					nl := float64(old * (1 + s.eps*u/s.caps[a]))
 					s.lens[a] = nl
-					s.lenCapSum += (nl - old) * s.caps[a]
+					s.lenCapSum += float64((nl - old) * s.caps[a])
 				}
 				if s.recordPaths {
 					s.recordPiece(j, path, u)
 				}
 				s.routed[j] += u
-				s.volLen += u * float64(len(path))
+				s.volLen += float64(u * float64(len(path)))
 				s.vol += u
 				remaining -= u
 			}
 		}
 	}
-	if s.perSrc != nil {
+	if s.shared == nil {
 		// Dual normalizer from the phase-end trees: each source's newest
 		// tree was built (or repaired) under lengths ≤ the end-of-phase
 		// lengths, so Σ demand·dist is a valid α — and the freshest one
 		// available without extra Dijkstras, which keeps the primal-dual
 		// certificate as tight as possible now that prebuilt trees carry
 		// phase-start (smaller) distances.
-		for _, src := range s.srcs {
-			t := s.perSrc[src]
-			for _, j := range s.bySrc[src] {
-				s.alpha += s.flows[j].Demand * t.scratch.Dist(s.flows[j].Dst)
+		for i := range s.srcs {
+			sc := &s.srcs[i]
+			for _, j := range sc.flows {
+				s.alpha += float64(s.flows[j].Demand * sc.tree.scratch.Dist(s.flows[j].Dst))
 			}
 		}
 	}
@@ -1024,14 +1043,8 @@ func (s *state) result() *Result {
 	}
 	// Demand-weighted shortest path length (hops).
 	var dsum, dtot float64
-	distCache := make(map[int][]int)
-	for _, f := range s.flows {
-		dist, ok := distCache[f.Src]
-		if !ok {
-			dist = s.g.BFS(f.Src)
-			distCache[f.Src] = dist
-		}
-		dsum += float64(dist[f.Dst]) * f.Demand
+	for j, f := range s.flows {
+		dsum += float64(float64(s.hops[j]) * f.Demand)
 		dtot += f.Demand
 	}
 	if dtot > 0 {

@@ -489,10 +489,11 @@ func (e *Engine) oneRun(cctx context.Context, p Point, i int, keep bool, pw *poi
 		if w.CertFallback {
 			e.warmFallbacks.Add(1)
 		}
-		if e.Cache != nil && w.Witness != nil && p.Topo.Spec() != "" {
+		if e.Cache != nil && w.Witness != nil && p.Topo.Spec() != "" && canParent(p) {
 			// Publish the run's witness as an ordinary cache entry so this
 			// point's future children (in this process or any replica) can
-			// warm-start from it.
+			// warm-start from it. A point that is nobody's parent publishes
+			// nothing: no child would ever load the entry.
 			e.Cache.Put(WitnessKey(p.Key(), i), w.Witness, "")
 		}
 	}
@@ -562,7 +563,9 @@ func summarize(vals []float64) Stat {
 	st.Mean = sum / float64(len(vals))
 	var ss float64
 	for _, v := range vals {
-		ss += (v - st.Mean) * (v - st.Mean)
+		// The conversion rounds the square, so no CPU fuses it into a
+		// multiply-add: Std has the same bits on every architecture.
+		ss += float64((v - st.Mean) * (v - st.Mean))
 	}
 	st.Std = math.Sqrt(ss / float64(len(vals)))
 	return st

@@ -103,6 +103,21 @@ func parentPoint(p Point) (Point, parentKind, bool) {
 	return Point{}, 0, false
 }
 
+// canParent reports whether parentPoint can return p for some child, that
+// is, whether a child may ever read p's witnesses: a point whose evaluator
+// is a delta base case (failures at frac=0), or one whose evaluator is no
+// delta at all and whose topology is delta-shaped (an expansion step). A
+// failure rung with frac > 0 and a plain point are nobody's parent, so
+// the engine publishes no witness for them.
+func canParent(p Point) bool {
+	if de, ok := p.Eval.(DeltaEvaluator); ok {
+		_, hasParent := de.ParentEvaluator()
+		return !hasParent
+	}
+	_, ok := p.Topo.(DeltaTopology)
+	return ok
+}
+
 // WitnessKey is the cache key of run i's dual witness for the point with
 // the given result key. Witness entries are ordinary content-addressed
 // entries — same hashing, same tiers, same TBRS byte-exactness — so a

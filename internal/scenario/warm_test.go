@@ -273,3 +273,61 @@ func TestParentPoint(t *testing.T) {
 		t.Fatal("plain point must have no parent")
 	}
 }
+
+// TestCanParent crosses both delta kinds: over plain, expansion-base and
+// expansion-step topologies and plain, failures-base and failures-rung
+// evaluators, every point parentPoint derives must satisfy canParent, and
+// a failures rung with frac > 0 or a plain point must not.
+func TestCanParent(t *testing.T) {
+	rrg, err := ParseTopology("rrg:n=20,deg=6,sps=2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	topos := []Topology{rrg,
+		&Expand{N: 20, Deg: 6, SPS: 2, Steps: 0, Cap: 1},
+		&Expand{N: 20, Deg: 6, SPS: 2, Steps: 2, Cap: 1}}
+	evals := []Evaluator{MCF{}, Failures{Frac: 0, Inner: MCF{}}, Failures{Frac: 0.1, Inner: MCF{}}}
+	parents := 0
+	for _, topo := range topos {
+		for _, ev := range evals {
+			p := Point{Topo: topo, Traffic: Permutation{}, Eval: ev, Seed: 1, Runs: 2, Epsilon: 0.12}
+			if pp, _, ok := parentPoint(p); ok {
+				parents++
+				if !canParent(pp) {
+					t.Errorf("parent %s of %s fails canParent", pp.Key(), p.Key())
+				}
+			}
+			if f, ok := ev.(Failures); ok && f.Frac > 0 && canParent(p) {
+				t.Errorf("failure rung %s passes canParent", p.Key())
+			}
+		}
+	}
+	if parents != 5 {
+		t.Fatalf("%d of the 9 crossed points have a parent, want 5", parents)
+	}
+	if canParent(Point{Topo: rrg, Traffic: Permutation{}, Eval: MCF{}}) {
+		t.Fatal("a plain point passes canParent")
+	}
+}
+
+// TestWarmEnginePublishesParentWitnessesOnly: a warm engine solving a
+// failure rung publishes the witnesses of the frac=0 parent it
+// materializes, which the rung reads, and none for the rung itself, which
+// no point would ever read.
+func TestWarmEnginePublishesParentWitnessesOnly(t *testing.T) {
+	rung := warmTestPoints(t)[0]
+	pp, _ := ParentPoint(rung)
+	e := &Engine{Parallel: 1, Cache: NewCache(), WarmStart: true}
+	if _, err := e.MeasureRuns([]Point{rung}); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for i := 0; i < rung.Runs; i++ {
+		if _, ok := e.Cache.Get(ctx, WitnessKey(pp.Key(), i)); !ok {
+			t.Errorf("run %d: parent witness not published", i)
+		}
+		if _, ok := e.Cache.Get(ctx, WitnessKey(rung.Key(), i)); ok {
+			t.Errorf("run %d: the rung published a witness no child can read", i)
+		}
+	}
+}
