@@ -14,7 +14,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/mcf"
 	"repro/internal/packet"
-	"repro/internal/routing"
 	"repro/internal/rrg"
 	"repro/internal/topo"
 	"repro/internal/traffic"
@@ -166,32 +165,4 @@ func BenchmarkVL2VsRewiredThroughput(b *testing.B) {
 			}
 		})
 	}
-}
-
-// Ablation: optimal flow routing vs static ECMP vs Valiant load balancing
-// on the same instance — the routing-quality gap that §8.2's MPTCP result
-// closes dynamically.
-func BenchmarkRoutingModels(b *testing.B) {
-	g, flows := benchsuite.SolverInstance(b, 40, 10, 5)
-	b.Run("optimal", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := mcf.Solve(g, flows, mcf.Options{Epsilon: 0.1}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("ecmp", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := routing.ECMP(g, flows); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("vlb", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := routing.VLB(g, flows); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }

@@ -214,18 +214,17 @@
 // primal-dual ε-optimality gap against a dual bound recomputed with an
 // independent Dijkstra from the exported length witness (mcf.Result.
 // DualLens). Solve with mcf.Options.RecordPaths to export the path
-// decomposition the structural checks need, or pass -verify to
-// cmd/flowsolve for the one-shot report. flowcheck.VerifyRouting applies
-// the same discipline to the static ECMP/VLB baselines of
-// internal/routing (per-node conservation, load sanity, bottleneck-ratio
-// throughput). flowcheck.VerifyPacket certifies the packet simulator's
+// decomposition the structural checks need. A warm-start engine certifies
+// every warm solve before it serves the answer, and re-runs cold any solve
+// that fails. flowcheck.VerifyPacket certifies the packet simulator's
 // measurement window from its event-level audit (packet.Audit): exact
-// per-node packet conservation — injected + arrived = delivered +
-// next-hop attempts, in integers — per-arc line-rate sanity, and
-// goodput/delivered consistency; the scenario engine's packet evaluator
-// runs it on every simulation. The property tests in
-// internal/mcf certify randomized instances on every run, and the golden
-// tests in internal/experiments pin representative figure outputs
-// byte-for-byte (regenerate intentional drift with `go test
+// per-node packet conservation — injected + arrived = delivered + next-hop
+// attempts, in integers — per-arc line-rate sanity, and goodput/delivered
+// consistency; the scenario engine's packet evaluator runs it on every
+// simulation. The property tests in internal/mcf (`go test -run
+// TestFlowcheckCertifies ./internal/mcf`) certify cold solves of random
+// RRG, fat-tree, all-to-all and heavy-demand instances on every run, and
+// the golden tests in internal/experiments pin representative figure
+// outputs byte-for-byte (regenerate intentional drift with `go test
 // ./internal/experiments -run TestGolden -update` and review the diff).
 package repro

@@ -3,14 +3,10 @@
 //	T = C · U · (1/⟨D⟩) · (1/AS)
 //
 // (total capacity × utilization × inverse shortest path length × inverse
-// stretch) and the per-link-class utilization breakdown used to locate
-// bottlenecks ("we averaged link utilization for each link type").
+// stretch) and the per-metric normalization Fig. 9 plots.
 package analysis
 
 import (
-	"fmt"
-	"sort"
-
 	"repro/internal/graph"
 	"repro/internal/mcf"
 )
@@ -43,61 +39,6 @@ func (d Decomposition) Identity(f float64) float64 {
 		return 0
 	}
 	return d.Capacity * d.Utilization / (d.SPL * d.Stretch * f)
-}
-
-// ClassPair identifies a link class by the (smaller, larger) classes of
-// its endpoints.
-type ClassPair struct{ A, B int }
-
-func (p ClassPair) String() string { return fmt.Sprintf("%d-%d", p.A, p.B) }
-
-// ClassUtilization reports average link utilization per link class — e.g.
-// links inside the large-switch cluster vs. links crossing clusters. The
-// average is capacity-weighted (total flow over total capacity per class).
-func ClassUtilization(g *graph.Graph, res *mcf.Result) map[ClassPair]float64 {
-	flow := make(map[ClassPair]float64)
-	capacity := make(map[ClassPair]float64)
-	for a := 0; a < g.NumArcs(); a++ {
-		arc := g.Arc(a)
-		ca, cb := g.Class(int(arc.From)), g.Class(int(arc.To))
-		if ca > cb {
-			ca, cb = cb, ca
-		}
-		p := ClassPair{ca, cb}
-		flow[p] += res.ArcFlow[a]
-		capacity[p] += arc.Cap
-	}
-	out := make(map[ClassPair]float64, len(flow))
-	for p, c := range capacity {
-		if c > 0 {
-			out[p] = flow[p] / c
-		}
-	}
-	return out
-}
-
-// ClassPairs returns the class pairs present in g, sorted.
-func ClassPairs(g *graph.Graph) []ClassPair {
-	seen := make(map[ClassPair]bool)
-	for a := 0; a < g.NumArcs(); a += 2 {
-		arc := g.Arc(a)
-		ca, cb := g.Class(int(arc.From)), g.Class(int(arc.To))
-		if ca > cb {
-			ca, cb = cb, ca
-		}
-		seen[ClassPair{ca, cb}] = true
-	}
-	out := make([]ClassPair, 0, len(seen))
-	for p := range seen {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].A != out[j].A {
-			return out[i].A < out[j].A
-		}
-		return out[i].B < out[j].B
-	})
-	return out
 }
 
 // NormalizedSeries rescales each metric series so its value at the index

@@ -20,7 +20,6 @@ func solved(t *testing.T) (*graph.Graph, *mcf.Result, *traffic.Matrix) {
 	}
 	for u := 0; u < g.N(); u++ {
 		g.SetServers(u, 3)
-		g.SetClass(u, u%2) // two artificial classes
 	}
 	h := traffic.HostsOf(g)
 	tm := traffic.Permutation(rng, h)
@@ -49,59 +48,6 @@ func TestIdentityDegenerate(t *testing.T) {
 	var d Decomposition
 	if d.Identity(0) != 0 || d.Identity(10) != 0 {
 		t.Fatal("degenerate identity should be 0")
-	}
-}
-
-func TestClassUtilization(t *testing.T) {
-	g, res, _ := solved(t)
-	cu := ClassUtilization(g, res)
-	if len(cu) == 0 {
-		t.Fatal("no class pairs")
-	}
-	for p, u := range cu {
-		if u < 0 || u > 1+1e-9 {
-			t.Fatalf("class %v utilization %v", p, u)
-		}
-	}
-	// Aggregate consistency: capacity-weighted average of class
-	// utilizations equals overall utilization.
-	var flow, capTotal float64
-	for a := 0; a < g.NumArcs(); a++ {
-		flow += res.ArcFlow[a]
-		capTotal += g.Arc(a).Cap
-	}
-	var byClass float64
-	for p, u := range cu {
-		var classCap float64
-		for a := 0; a < g.NumArcs(); a++ {
-			arc := g.Arc(a)
-			ca, cb := g.Class(int(arc.From)), g.Class(int(arc.To))
-			if ca > cb {
-				ca, cb = cb, ca
-			}
-			if (ClassPair{ca, cb}) == p {
-				classCap += arc.Cap
-			}
-		}
-		byClass += u * classCap
-	}
-	if math.Abs(byClass-flow) > 1e-6*flow {
-		t.Fatalf("class flows %v != total flow %v", byClass, flow)
-	}
-}
-
-func TestClassPairsSorted(t *testing.T) {
-	g, _, _ := solved(t)
-	ps := ClassPairs(g)
-	for i := 1; i < len(ps); i++ {
-		if ps[i-1].A > ps[i].A || (ps[i-1].A == ps[i].A && ps[i-1].B >= ps[i].B) {
-			t.Fatalf("pairs unsorted: %v", ps)
-		}
-	}
-	for _, p := range ps {
-		if p.A > p.B {
-			t.Fatalf("pair %v not canonical", p)
-		}
 	}
 }
 
@@ -136,11 +82,5 @@ func TestNormalizeZeroSafe(t *testing.T) {
 				t.Fatal("NaN/Inf leaked from Normalize")
 			}
 		}
-	}
-}
-
-func TestClassPairString(t *testing.T) {
-	if (ClassPair{0, 2}).String() != "0-2" {
-		t.Fatal("ClassPair formatting")
 	}
 }

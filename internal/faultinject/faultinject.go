@@ -274,7 +274,8 @@ func (b *Backend) SaveLinked(key string, vals []float64, parentKey string) error
 //
 // "error" splits evenly between connection resets and 5xx responses —
 // the catch-all "20% of remote calls fail somehow" knob of the chaos
-// smoke. Unknown keys are errors, matching the scenario grammar's rule
+// smoke. Unknown keys, probabilities outside [0, 1] (NaN included) and
+// negative latencies are errors, matching the scenario grammar's rule
 // that a typo must never silently weaken a test.
 func ParseSpec(spec string) (Config, error) {
 	var cfg Config
@@ -295,8 +296,8 @@ func ParseSpec(spec string) (Config, error) {
 			cfg.Seed = n
 		case "latency":
 			d, err := time.ParseDuration(v)
-			if err != nil {
-				return cfg, fmt.Errorf("faultinject: bad latency %q: %v", v, err)
+			if err != nil || d < 0 {
+				return cfg, fmt.Errorf("faultinject: bad latency %q (want a non-negative duration)", v)
 			}
 			cfg.Latency = d
 			if cfg.LatencyProb == 0 {
@@ -304,7 +305,8 @@ func ParseSpec(spec string) (Config, error) {
 			}
 		default:
 			p, err := strconv.ParseFloat(v, 64)
-			if err != nil || p < 0 || p > 1 {
+			// Written so that NaN, which never fires, is out of range too.
+			if err != nil || !(p >= 0 && p <= 1) {
 				return cfg, fmt.Errorf("faultinject: bad probability %s=%q", k, v)
 			}
 			switch k {

@@ -177,11 +177,45 @@ func TestParseSpec(t *testing.T) {
 	if c, err := ParseSpec(""); err != nil || c != (Config{}) {
 		t.Fatalf("empty spec: %+v %v", c, err)
 	}
-	for _, bad := range []string{"bogus=1", "error=2", "seed=x", "latency=fast", "error"} {
+	for _, bad := range badSpecs {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Fatalf("spec %q accepted", bad)
 		}
 	}
+}
+
+// badSpecs are fault specs ParseSpec must reject; the fuzz target seeds
+// its corpus with them too.
+var badSpecs = []string{
+	"bogus=1", "error=2", "seed=x", "latency=fast", "error",
+	"corrupt=NaN", "error=nan", "latency=-5ms", // would inject nothing
+}
+
+// FuzzFaultSpec: no spec panics ParseSpec, and an accepted Config has
+// every probability in [0, 1] and a non-negative latency.
+func FuzzFaultSpec(f *testing.F) {
+	f.Add("seed=7,error=0.2,corrupt=0.05,latency=5ms,latencyprob=0.5")
+	f.Add("seed=11,error=0.2,corrupt=0.05")
+	f.Add("reset=1,http500=0,timeout=0.01,truncate=0.02")
+	f.Add("")
+	for _, s := range badSpecs {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		cfg, err := ParseSpec(spec)
+		if err != nil {
+			return
+		}
+		probs := []float64{cfg.TimeoutProb, cfg.ResetProb, cfg.HTTP500Prob, cfg.TruncateProb, cfg.CorruptProb, cfg.LatencyProb}
+		for _, p := range probs {
+			if !(p >= 0 && p <= 1) {
+				t.Fatalf("spec %q: probability %v outside [0, 1] in %+v", spec, p, cfg)
+			}
+		}
+		if cfg.Latency < 0 {
+			t.Fatalf("spec %q: negative latency %v", spec, cfg.Latency)
+		}
+	})
 }
 
 // TestErrorRateEmpirical: with error=0.5 over many draws, roughly half

@@ -26,11 +26,6 @@
 // The first four checks need Result.Paths, i.e. a solve with
 // Options.RecordPaths set; without it they are reported as skipped.
 //
-// VerifyRouting applies the same discipline to the static routing
-// baselines of internal/routing (ECMP and VLB): per-node conservation of
-// the reported arc loads against the commodity volumes, load sanity, and
-// the reported throughput re-derived from the bottleneck ratio.
-//
 // VerifyPacket certifies the packet simulator's measurement-window output
 // (packet.Audit): exact per-node packet conservation, per-arc line-rate
 // sanity, and goodput/delivered consistency.
@@ -49,7 +44,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/mcf"
 	"repro/internal/packet"
-	"repro/internal/routing"
 	"repro/internal/traffic"
 )
 
@@ -112,7 +106,7 @@ func (r *Report) Err() error {
 	return fmt.Errorf("flowcheck: failed checks: %s", strings.Join(failed, ", "))
 }
 
-// String renders the report for humans (the flowsolve -verify output).
+// String renders the report for humans (test failure messages print it).
 func (r *Report) String() string {
 	var b strings.Builder
 	verdict := "PASS"
@@ -173,115 +167,6 @@ func Verify(g *graph.Graph, flows []traffic.Flow, res *mcf.Result, opt Options) 
 	capacityCheck(g, res, tol, r)
 	demandCheck(flows, res, vol, tol, r)
 	optimalityCheck(g, flows, res, gapTol, r)
-	return r, nil
-}
-
-// VerifyRouting certifies a static multipath routing result (ECMP or VLB;
-// see internal/routing) against its instance from first principles:
-//
-//   - load: every reported arc load is finite and non-negative.
-//   - conservation: the per-node net of ArcLoad equals the commodity
-//     volumes sourced/sunk at that node, at face-value demands (λ = 1).
-//     ECMP splits each commodity across its shortest paths and VLB across
-//     two-segment detours, but in both schemes every intermediate node —
-//     including VLB's bounce nodes — must pass exactly what it receives.
-//   - throughput: the reported λ is re-derived as the minimum cap/load
-//     ratio over loaded arcs, and the reported bottleneck arc attains it.
-//
-// Violations are reported as failed checks, matching Verify's contract.
-func VerifyRouting(g *graph.Graph, flows []traffic.Flow, res *routing.ECMPResult, opt Options) (*Report, error) {
-	if res == nil {
-		return nil, fmt.Errorf("flowcheck: nil routing result")
-	}
-	if len(res.ArcLoad) != g.NumArcs() {
-		return nil, fmt.Errorf("flowcheck: ArcLoad has %d arcs, graph has %d", len(res.ArcLoad), g.NumArcs())
-	}
-	tol := opt.Tolerance
-	if tol <= 0 {
-		tol = 1e-6
-	}
-	r := &Report{Throughput: res.Throughput}
-	if len(flows) == 0 {
-		r.Checks = append(r.Checks, Check{Name: "instance", Pass: true,
-			Detail: "no commodities; infinite throughput is trivially optimal"})
-		return r, nil
-	}
-
-	// Load sanity.
-	for a, l := range res.ArcLoad {
-		if l < 0 || math.IsNaN(l) || math.IsInf(l, 0) {
-			r.Checks = append(r.Checks, Check{Name: "load",
-				Detail: fmt.Sprintf("arc %d carries invalid load %v", a, l)})
-			return r, nil
-		}
-	}
-	r.Checks = append(r.Checks, Check{Name: "load", Pass: true,
-		Detail: fmt.Sprintf("%d arc loads finite and non-negative", len(res.ArcLoad))})
-
-	// Per-node conservation at λ = 1.
-	net := make([]float64, g.N())
-	var scale float64 = 1
-	for a := 0; a < g.NumArcs(); a++ {
-		arc := g.Arc(a)
-		net[arc.From] += res.ArcLoad[a]
-		net[arc.To] -= res.ArcLoad[a]
-		if res.ArcLoad[a] > scale {
-			scale = res.ArcLoad[a]
-		}
-	}
-	for _, f := range flows {
-		net[f.Src] -= f.Demand
-		net[f.Dst] += f.Demand
-	}
-	worst, worstNode := 0.0, -1
-	for v, b := range net {
-		if d := math.Abs(b); d > worst {
-			worst, worstNode = d, v
-		}
-	}
-	if worst > tol*scale*float64(g.N()) {
-		r.Checks = append(r.Checks, Check{Name: "conservation",
-			Detail: fmt.Sprintf("node %d imbalanced by %.3g", worstNode, worst)})
-	} else {
-		r.Checks = append(r.Checks, Check{Name: "conservation", Pass: true,
-			Detail: fmt.Sprintf("max node imbalance %.2g", worst)})
-	}
-
-	// Throughput from the bottleneck ratio.
-	ratio, bottleneck := math.Inf(1), -1
-	for a := 0; a < g.NumArcs(); a++ {
-		if res.ArcLoad[a] == 0 {
-			continue
-		}
-		if q := g.Arc(a).Cap / res.ArcLoad[a]; q < ratio {
-			ratio, bottleneck = q, a
-		}
-	}
-	switch {
-	case bottleneck < 0:
-		if math.IsInf(res.Throughput, 1) {
-			r.Checks = append(r.Checks, Check{Name: "throughput", Pass: true,
-				Detail: "no loaded arcs; infinite throughput is consistent"})
-		} else {
-			r.Checks = append(r.Checks, Check{Name: "throughput",
-				Detail: fmt.Sprintf("no loaded arcs but finite throughput %v reported", res.Throughput)})
-		}
-	case math.Abs(res.Throughput-ratio) > tol*ratio:
-		r.Checks = append(r.Checks, Check{Name: "throughput",
-			Detail: fmt.Sprintf("reported λ=%.6g, recomputed bottleneck ratio %.6g (arc %d)",
-				res.Throughput, ratio, bottleneck)})
-	case res.Bottleneck < 0 || res.Bottleneck >= g.NumArcs() ||
-		res.ArcLoad[res.Bottleneck] == 0 ||
-		math.Abs(g.Arc(res.Bottleneck).Cap/res.ArcLoad[res.Bottleneck]-ratio) > tol*ratio:
-		// Ties are legitimate — any arc attaining the minimum ratio may be
-		// reported — but the named arc must actually attain it.
-		r.Checks = append(r.Checks, Check{Name: "throughput",
-			Detail: fmt.Sprintf("reported bottleneck arc %d does not attain the minimum ratio %.6g (arc %d does)",
-				res.Bottleneck, ratio, bottleneck)})
-	default:
-		r.Checks = append(r.Checks, Check{Name: "throughput", Pass: true,
-			Detail: fmt.Sprintf("λ=%.6g matches bottleneck arc %d", res.Throughput, res.Bottleneck)})
-	}
 	return r, nil
 }
 

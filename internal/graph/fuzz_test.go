@@ -1,69 +1,11 @@
 package graph
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 )
-
-// FuzzGraphRoundTrip: any JSON the parser accepts must re-export to a form
-// that parses again and re-exports identically (export → parse → re-export
-// is a fixed point after one round).
-func FuzzGraphRoundTrip(f *testing.F) {
-	// Seed with real exports.
-	seedGraphs := []*Graph{New(0), New(1)}
-	g := New(4)
-	g.AddLink(0, 1, 1)
-	g.AddLink(1, 2, 2.5)
-	g.AddLink(2, 3, 0.125)
-	g.AddLink(0, 3, 7)
-	g.SetServers(1, 3)
-	g.SetClass(2, 1)
-	seedGraphs = append(seedGraphs, g)
-	rng := rand.New(rand.NewSource(8))
-	h := New(12)
-	for i := 1; i < 12; i++ {
-		h.AddLink(rng.Intn(i), i, 1+rng.Float64())
-	}
-	seedGraphs = append(seedGraphs, h)
-	for _, sg := range seedGraphs {
-		data, err := json.Marshal(sg)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(data)
-	}
-	f.Add([]byte(`{"n":2,"links":[{"u":0,"v":1,"cap":1}]}`))
-	f.Add([]byte(`{"n":3,"servers":[1,2,3],"class":[0,1,2],"links":[]}`))
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var g1 Graph
-		if err := json.Unmarshal(data, &g1); err != nil {
-			return // invalid input is fine; it just must not crash
-		}
-		if err := g1.Validate(); err != nil {
-			t.Fatalf("parser accepted an invalid graph: %v", err)
-		}
-		out1, err := json.Marshal(&g1)
-		if err != nil {
-			t.Fatalf("re-export failed: %v", err)
-		}
-		var g2 Graph
-		if err := json.Unmarshal(out1, &g2); err != nil {
-			t.Fatalf("re-parse of own export failed: %v\nexport: %s", err, out1)
-		}
-		out2, err := json.Marshal(&g2)
-		if err != nil {
-			t.Fatalf("second export failed: %v", err)
-		}
-		if !bytes.Equal(out1, out2) {
-			t.Fatalf("export not a fixed point:\nfirst:  %s\nsecond: %s", out1, out2)
-		}
-	})
-}
 
 // FuzzBucketMatchesHeap: on a derived random graph with random lengths,
 // the bucket-queue traversal must be bit-identical to the heap Dijkstra —

@@ -1,9 +1,7 @@
 package graph
 
 import (
-	"encoding/json"
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -278,50 +276,6 @@ func TestDegreeSequenceAndRegular(t *testing.T) {
 	g.AddLink(0, 2, 1)
 	if _, ok := g.IsRegular(); ok {
 		t.Fatal("should not be regular")
-	}
-}
-
-func TestJSONRoundTrip(t *testing.T) {
-	g := ring(4)
-	g.SetServers(2, 5)
-	g.SetClass(3, 1)
-	data, err := json.Marshal(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back Graph
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.N() != 4 || back.NumLinks() != 4 || back.Servers(2) != 5 || back.Class(3) != 1 {
-		t.Fatal("round trip lost data")
-	}
-	if err := back.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestJSONRejectsBadLinks(t *testing.T) {
-	var g Graph
-	for _, blob := range []string{
-		`{"n":2,"links":[{"u":0,"v":0,"cap":1}]}`,
-		`{"n":2,"links":[{"u":0,"v":5,"cap":1}]}`,
-		`{"n":2,"links":[{"u":0,"v":1,"cap":-1}]}`,
-	} {
-		if err := json.Unmarshal([]byte(blob), &g); err == nil {
-			t.Fatalf("accepted bad blob %s", blob)
-		}
-	}
-}
-
-func TestDOT(t *testing.T) {
-	g := New(2)
-	g.AddLink(0, 1, 3)
-	dot := g.DOT("test")
-	for _, want := range []string{"graph \"test\"", "n0 -- n1", "label=\"3\""} {
-		if !strings.Contains(dot, want) {
-			t.Fatalf("DOT missing %q:\n%s", want, dot)
-		}
 	}
 }
 

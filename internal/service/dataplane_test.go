@@ -243,28 +243,59 @@ func readAll(t *testing.T, resp *http.Response) []byte {
 
 func itoa(n int) string { return strconv.Itoa(n) }
 
+// etagCases are If-None-Match headers and whether each matches the tag
+// `"abc.j1"`; the fuzz target seeds its corpus with them too.
+var etagCases = []struct {
+	header string
+	want   bool
+}{
+	{`"abc.j1"`, true},
+	{`*`, true},
+	{` * `, true},
+	{`W/"abc.j1"`, true},
+	{`"x", "abc.j1"`, true},
+	{`"x","abc.j1", "y"`, true},
+	{`"abc.j2"`, false},
+	{`abc.j1`, false},
+	{``, false},
+	{`"x", "y"`, false},
+}
+
 func TestEtagMatch(t *testing.T) {
-	etag := `"abc.j1"`
-	cases := []struct {
-		header string
-		want   bool
-	}{
-		{etag, true},
-		{`*`, true},
-		{` * `, true},
-		{`W/` + etag, true},
-		{`"x", ` + etag, true},
-		{`"x",` + etag + `, "y"`, true},
-		{`"abc.j2"`, false},
-		{`abc.j1`, false},
-		{``, false},
-		{`"x", "y"`, false},
-	}
-	for _, c := range cases {
-		if got := etagMatch(c.header, etag); got != c.want {
+	for _, c := range etagCases {
+		if got := etagMatch(c.header, `"abc.j1"`); got != c.want {
 			t.Errorf("etagMatch(%q) = %v, want %v", c.header, got, c.want)
 		}
 	}
+}
+
+// FuzzETagMatch: no If-None-Match header panics etagMatch. A well-formed
+// strong tag t (a quoted run of RFC 7232 etagc bytes) matches t, W/t and
+// `"x", t`; and a header other than `*` matches t only if it contains t,
+// so a 304 never answers a tag the client did not send.
+func FuzzETagMatch(f *testing.F) {
+	for _, c := range etagCases {
+		f.Add(c.header, "abc.j1")
+	}
+	f.Add(`W/"x", W/"abc.j1"`, "abc.j1")
+	f.Add(`"x", W/"a,b"`, "a,b")
+	f.Fuzz(func(t *testing.T, header, opaque string) {
+		tag := []byte{'"'}
+		for i := 0; i < len(opaque); i++ {
+			if c := opaque[i]; c == 0x21 || c >= 0x23 && c != 0x7f {
+				tag = append(tag, c)
+			}
+		}
+		etag := string(append(tag, '"'))
+		for _, h := range []string{etag, "W/" + etag, `"x", ` + etag} {
+			if !etagMatch(h, etag) {
+				t.Fatalf("etagMatch(%q, %q) = false", h, etag)
+			}
+		}
+		if etagMatch(header, etag) && strings.TrimSpace(header) != "*" && !strings.Contains(header, etag) {
+			t.Fatalf("etagMatch(%q, %q) = true, but the header does not contain the tag", header, etag)
+		}
+	})
 }
 
 // TestWarmEvalAllocs pins the dataplane's per-request allocation budget:

@@ -84,20 +84,6 @@ func Torus2D(a, b int) (*graph.Graph, error) {
 	return g, nil
 }
 
-// Complete builds the complete graph K_n with unit capacities.
-func Complete(n int) (*graph.Graph, error) {
-	if n < 2 {
-		return nil, fmt.Errorf("topo: complete graph needs n >= 2")
-	}
-	g := graph.New(n)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			g.AddLink(i, j, 1)
-		}
-	}
-	return g, nil
-}
-
 // Jellyfish builds the Jellyfish topology: an RRG(N, k, r) with k-r servers
 // on each of the N switches (Singla et al., NSDI 2012). It is the
 // homogeneous design the paper proves near-optimal.

@@ -204,20 +204,6 @@ func TestTorus2D(t *testing.T) {
 	}
 }
 
-func TestComplete(t *testing.T) {
-	g, err := Complete(7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumLinks() != 21 {
-		t.Fatalf("K7 links %d", g.NumLinks())
-	}
-	aspl, _ := g.ASPL()
-	if aspl != 1 {
-		t.Fatalf("K7 ASPL %v", aspl)
-	}
-}
-
 func TestJellyfish(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	g, err := Jellyfish(rng, 20, 8, 5)

@@ -24,19 +24,25 @@ func TestTraceparentRoundTrip(t *testing.T) {
 	}
 }
 
+// malformedTraceparents are headers ParseTraceparent must reject; the
+// fuzz target seeds its corpus with them too.
+var malformedTraceparents = []string{
+	"",
+	"00-short",
+	"ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",              // reserved version
+	"00-00000000000000000000000000000000-00f067aa0ba902b7-01",              // zero trace id
+	"00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01",              // zero span id
+	"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-extra",        // trailing data on v00
+	"00-ZZf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",              // non-hex
+	"00x4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",              // bad separator
+	"004bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-0123456789abc", // shifted layout
+	"zz-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",              // non-hex version
+	"fF-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",              // reserved version, mixed case
+	"00-4BF92F3577B34DA6A3CE929D0E0E4736-00F067AA0BA902B7-01",              // upper-case ids
+}
+
 func TestTraceparentRejectsMalformed(t *testing.T) {
-	bad := []string{
-		"",
-		"00-short",
-		"ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",              // reserved version
-		"00-00000000000000000000000000000000-00f067aa0ba902b7-01",              // zero trace id
-		"00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01",              // zero span id
-		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-extra",        // trailing data on v00
-		"00-ZZf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",              // non-hex
-		"00x4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",              // bad separator
-		"004bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-0123456789abc", // shifted layout
-	}
-	for _, h := range bad {
+	for _, h := range malformedTraceparents {
 		if _, _, _, ok := ParseTraceparent(h); ok {
 			t.Errorf("ParseTraceparent(%q) accepted malformed input", h)
 		}
@@ -46,6 +52,37 @@ func TestTraceparentRejectsMalformed(t *testing.T) {
 	if _, _, sampled, ok := ParseTraceparent(h); !ok || !sampled {
 		t.Errorf("ParseTraceparent(%q) = ok=%v sampled=%v, want prefix-parse success", h, ok, sampled)
 	}
+}
+
+// FuzzParseTraceparent: no header panics ParseTraceparent. An accepted
+// header carries two non-zero ids, and FormatTraceparent of its fields
+// parses back to the same ids and sampled flag. An accepted 55-byte
+// version-00 header with flags 00 or 01 is exactly the bytes
+// FormatTraceparent renders for it, so a joined trace carries the id the
+// caller sent.
+func FuzzParseTraceparent(f *testing.F) {
+	f.Add("00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01")
+	f.Add("00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-00")
+	f.Add("cc-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-whatever")
+	for _, h := range malformedTraceparents {
+		f.Add(h)
+	}
+	f.Fuzz(func(t *testing.T, h string) {
+		tid, sid, sampled, ok := ParseTraceparent(h)
+		if !ok {
+			return
+		}
+		if tid.IsZero() || sid.IsZero() {
+			t.Fatalf("%q: accepted a zero id", h)
+		}
+		out := FormatTraceparent(tid, sid, sampled)
+		if tid2, sid2, sampled2, ok2 := ParseTraceparent(out); !ok2 || tid2 != tid || sid2 != sid || sampled2 != sampled {
+			t.Fatalf("%q: re-formatted %q parses to %v %v %v %v", h, out, tid2, sid2, sampled2, ok2)
+		}
+		if len(h) == traceparentLen && strings.HasPrefix(h, "00-") && (strings.HasSuffix(h, "-00") || strings.HasSuffix(h, "-01")) && out != h {
+			t.Fatalf("%q re-formats to %q", h, out)
+		}
+	})
 }
 
 func TestSamplingGate(t *testing.T) {

@@ -4,7 +4,10 @@ import "encoding/hex"
 
 // W3C trace-context `traceparent` header handling. Only version 00 is
 // emitted; any version is accepted as long as the field layout holds
-// (per spec, future versions must keep the 00-layout prefix).
+// (per spec, future versions must keep the 00-layout prefix). Every field
+// must be lowercase hex (the grammar's HEXDIGLC): FormatTraceparent writes
+// ids in lowercase, so a header with upper-case ids would join a trace
+// whose id reads differently from the header.
 //
 //	traceparent: 00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01
 //	             ^^ ^^^^^^^^^^^^^^^^ trace-id ^^^^^^ ^^ span-id ^^^^^^ flags
@@ -44,6 +47,9 @@ func ParseTraceparent(h string) (tid TraceID, sid SpanID, sampled, ok bool) {
 	if h[2] != '-' || h[35] != '-' || h[52] != '-' {
 		return TraceID{}, SpanID{}, false, false
 	}
+	if !lowerHex(h[:2]) || !lowerHex(h[3:35]) || !lowerHex(h[36:52]) || !lowerHex(h[53:55]) {
+		return TraceID{}, SpanID{}, false, false
+	}
 	if _, err := hex.Decode(tid[:], []byte(h[3:35])); err != nil {
 		return TraceID{}, SpanID{}, false, false
 	}
@@ -58,4 +64,14 @@ func ParseTraceparent(h string) (tid TraceID, sid SpanID, sampled, ok bool) {
 		return TraceID{}, SpanID{}, false, false
 	}
 	return tid, sid, flags[0]&1 == 1, true
+}
+
+// lowerHex reports whether s is all lowercase hex digits.
+func lowerHex(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
 }
