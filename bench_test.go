@@ -54,7 +54,6 @@ func BenchmarkFig13(b *testing.B)  { benchsuite.Figure("13")(b) }
 func BenchmarkSolverScale(b *testing.B)        { benchsuite.Run(b, "SolverScale") }
 func BenchmarkSolverEpsilon(b *testing.B)      { benchsuite.Run(b, "SolverEpsilon") }
 func BenchmarkSolverRepair(b *testing.B)       { benchsuite.Run(b, "SolverRepair") }
-func BenchmarkSolverPhasePar(b *testing.B)     { benchsuite.Run(b, "SolverPhasePar") }
 func BenchmarkSolverWarmStart(b *testing.B)    { benchsuite.Run(b, "SolverWarmStart") }
 func BenchmarkScenarioCache(b *testing.B)      { benchsuite.Run(b, "ScenarioCache") }
 func BenchmarkStoreColdWarm(b *testing.B)      { benchsuite.Run(b, "StoreColdWarm") }

@@ -11,8 +11,8 @@
 // Every benchmark body lives once, in internal/benchsuite: `go test
 // -bench` runs the suite from the root bench_test.go, and benchjson runs
 // the entries snapshotNames lists, under the same names. The snapshot
-// covers the flow solver (scale, epsilon, repair-vs-rebuild, and
-// phase-parallel worker-scaling ablations),
+// covers the flow solver (scale, epsilon, and repair-vs-rebuild
+// ablations),
 // the incremental-evaluation path (SolverWarmStart/{ladder,expand}: the
 // same delta-shaped points solved cold vs warm-started from the parent's
 // stored witness; the ladder's ≥3× cold/warm speedup is enforced by the
@@ -87,7 +87,6 @@ var snapshotNames = []string{
 	"RemoteStore/clean", "RemoteStore/faulty",
 	"SolverWarmStart/ladder/cold", "SolverWarmStart/ladder/warm",
 	"SolverWarmStart/expand/cold", "SolverWarmStart/expand/warm",
-	"SolverPhasePar/workers=1", "SolverPhasePar/workers=2", "SolverPhasePar/workers=4",
 	"GraphTree/dual/rrg/heap", "GraphTree/dual/rrg/bucket",
 	"BisectionBandwidth",
 	"Fig2a", "Fig9a",
@@ -217,8 +216,9 @@ func checkWritable(dir string) error {
 
 // compare prints per-entry deltas against a baseline snapshot and enforces
 // the -gate regression limits. Snapshots taken at different GOMAXPROCS
-// are not compared at all: the solver's prebuild fans out once per
-// worker, so its allocs/op (and its ns/op) move with the CPU count.
+// are not compared at all: the engine-level entries map their points and
+// runs across the default GOMAXPROCS bound, so their ns/op (and
+// allocs/op) move with the CPU count.
 func compare(base, snap *Snapshot, gates string) error {
 	if base.GOMAXPROCS != snap.GOMAXPROCS {
 		return fmt.Errorf("baseline recorded at GOMAXPROCS=%d but this run at GOMAXPROCS=%d: rerun with GOMAXPROCS=%d to compare",

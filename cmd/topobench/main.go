@@ -61,9 +61,10 @@
 //	topobench -scenario "topo=plrrg:n=40,avg=8,kmax=16,sfrac=0.4 traffic=hotspot:frac=0.3 eval=mcf sweep=traffic.frac:0.1,0.3,0.5"
 //	topobench -scenario "topo=vl2:da=8,di=8 traffic=none eval=bisection sweep=da:4..12:2"
 //
-// Grid points and runs are evaluated concurrently on -workers workers
-// (0, the default, means GOMAXPROCS; -workers 1 is serial). Every worker
-// count emits byte-identical TSV for the same seed.
+// -workers bounds the total in-flight work at every level at once — grid
+// points, their runs, and the trials inside them (0, the default, means
+// GOMAXPROCS; -workers 1 is serial everywhere). Every worker count emits
+// byte-identical TSV for the same seed.
 //
 // Output is TSV, one block per curve, matching the series of the paper's
 // figure (see DESIGN.md §4 for the per-figure index).
@@ -107,7 +108,7 @@ func main() {
 		seed     = flag.Int64("seed", 1, "base RNG seed")
 		eps      = flag.Float64("eps", 0, "flow solver epsilon (default 0.08, or 0.12 with -quick)")
 		quick    = flag.Bool("quick", false, "reduced grids and run counts")
-		workers  = flag.Int("workers", 0, "workers evaluating grid points and runs (0 = GOMAXPROCS, 1 = serial; output is byte-identical at every count)")
+		workers  = flag.Int("workers", 0, "bound on total in-flight work across grid points, runs and trials (0 = GOMAXPROCS, 1 = serial everywhere; output is byte-identical at every count)")
 		out      = flag.String("o", "", "output file (or directory with -all); default stdout")
 		cacheDir = flag.String("cache-dir", "", "keep the solve cache in a persistent result store in this directory")
 		jsonOut  = flag.Bool("json", false, "with -scenario: emit the service's canonical JSON response instead of TSV")
@@ -139,7 +140,7 @@ func main() {
 		return
 	}
 
-	// Bound TOTAL in-flight work (across nested grid/run/simulation
+	// Bound TOTAL in-flight work (across nested grid/run/trial
 	// parallelism) to the requested worker count, not just each level.
 	runner.SetMaxInFlight(*workers)
 	// Share one solve cache across everything this invocation runs, so
@@ -157,12 +158,11 @@ func main() {
 		}
 		cache.SetBackend(st)
 	}
-	opts := experiments.Options{Runs: *runs, Seed: *seed, Epsilon: *eps, Quick: *quick, Parallel: *workers,
-		Cache: cache}
+	opts := experiments.Options{Runs: *runs, Seed: *seed, Epsilon: *eps, Quick: *quick, Cache: cache}
 
 	switch {
 	case *scen != "":
-		if err := runScenario(*scen, *runs, *seed, *eps, *workers, cache, *out, *jsonOut, *warm); err != nil {
+		if err := runScenario(*scen, *runs, *seed, *eps, cache, *out, *jsonOut, *warm); err != nil {
 			fatal(err)
 		}
 	case *all:
@@ -191,8 +191,8 @@ func main() {
 
 // runScenario parses and executes one -scenario grid. Flag values apply as
 // defaults; runs/seed/eps inside the grid line win.
-func runScenario(line string, runs int, seed int64, eps float64, par int, cache *scenario.Cache, outPath string, jsonOut, warm bool) error {
-	eng := &scenario.Engine{Parallel: par, Cache: cache, SkipInfeasible: true, WarmStart: warm}
+func runScenario(line string, runs int, seed int64, eps float64, cache *scenario.Cache, outPath string, jsonOut, warm bool) error {
+	eng := &scenario.Engine{Cache: cache, SkipInfeasible: true, WarmStart: warm}
 	start := time.Now()
 	w := os.Stdout
 	if outPath != "" {

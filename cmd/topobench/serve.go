@@ -107,7 +107,7 @@ func runServe(args []string) {
 		// points are read back from it.
 		cache.SetBackend(remote)
 	}
-	eng := &scenario.Engine{Parallel: *workers, Cache: cache, SkipInfeasible: true, WarmStart: *warmStart}
+	eng := &scenario.Engine{Cache: cache, SkipInfeasible: true, WarmStart: *warmStart}
 	var tracer *trace.Tracer
 	if *sample > 0 || *traceSlow > 0 {
 		tracer = trace.New(trace.Options{Sample: *sample, Slow: *traceSlow, Buffer: *traceBuf})

@@ -17,7 +17,7 @@
 // throughput/bisection/packet/ASPL/cut metrics. A scenario is addressed
 // by spec strings ("rrg:n=400,deg=10" × "permutation" × "mcf"), swept
 // declaratively (scenario.Grid, `topobench -scenario "topo=... sweep=
-// deg:4..16"`), executed on the internal/runner pool with the
+// deg:4..16"`), executed concurrently by internal/runner with the
 // byte-identical serial/parallel guarantee, and memoized in a
 // content-addressed solve cache keyed on (topology spec, traffic spec,
 // evaluator spec, ε, seed, runs) — instances shared across figures,
@@ -152,27 +152,27 @@
 // with incremental Kernighan–Lin swap gains (O(1) per candidate pair)
 // rather than recomputing the full cut capacity per pair.
 //
-// Phase-parallel tree builds. Tree construction is the parallel part of
-// the solver: at each phase start, mcf.Solve finds every source whose
-// tree the phase is about to refresh anyway (the same (1+ε) staleness
-// test the routing loop applies) and refreshes them all concurrently
-// against the frozen phase-start length function — one persistent scratch
-// per source, worker count bounded by Options.Workers and the process-wide
-// runner semaphore. Routing then proceeds serially against those trees, so
-// the solve's output is byte-identical regardless of worker count (the
-// golden figures stay byte-for-byte across machines); only wall-clock
-// changes. Each rebuild also picks its traversal adaptively: when the
-// phase's length spread max/min is small — the early/mid-solve regime,
-// where Garg–Könemann lengths are still near-uniform — a monotone
-// bucket-queue Dijkstra (graph.DijkstraScratch.RunBucketed, bucket width
-// from graph.LengthRange) replaces the heap's O(log n) sifts with O(1)
-// bucket appends; when the spread is wide, or bucket runs keep paying
-// window-overflow rebases (a deterministic kill switch mirroring the
-// repair one), builds revert to the heap. The dual normalizer α is
-// accumulated from the phase-end trees — still built under lengths ≤ the
-// end-of-phase lengths, hence still a valid dual bound, but fresher than
-// the per-piece accumulation it replaced, which tightens the primal-dual
-// certificate and cuts phase counts ~20% on the benchmark workloads.
+// Phase-start tree prebuild. A solve runs on the calling goroutine. At
+// each phase start, mcf.Solve finds every source whose tree the phase is
+// about to refresh anyway (the same (1+ε) staleness test the routing loop
+// applies) and refreshes them all up front against the frozen phase-start
+// length function — one persistent scratch per source, with the pass's
+// counters and kill switches reduced in source order after it. Routing
+// then proceeds against those trees. (A concurrent pass measured no faster
+// on two cores and cost more CPU per solve; ROADMAP.md records the
+// ablation.) Each rebuild also
+// picks its traversal adaptively: when the phase's length spread max/min
+// is small — the early/mid-solve regime, where Garg–Könemann lengths are
+// still near-uniform — a monotone bucket-queue Dijkstra
+// (graph.DijkstraScratch.RunBucketed, bucket width from graph.LengthRange)
+// replaces the heap's O(log n) sifts with O(1) bucket appends; when the
+// spread is wide, or bucket runs keep paying window-overflow rebases (a
+// deterministic kill switch mirroring the repair one), builds revert to
+// the heap. The dual normalizer α is accumulated from the phase-end trees
+// — still built under lengths ≤ the end-of-phase lengths, hence still a
+// valid dual bound, but fresher than the per-piece accumulation it
+// replaced, which tightens the primal-dual certificate and cuts phase
+// counts ~20% on the benchmark workloads.
 //
 // Dynamic tree repair. Stale shortest-path trees need not be rebuilt:
 // because Garg–Könemann lengths only grow, graph.DijkstraScratch.Repair
@@ -190,20 +190,19 @@
 // bucket queue and the phase-start prebuild have no caller-facing
 // switches; ROADMAP.md records the ablation that keeps each of them.
 //
-// Experiment layer. internal/runner provides the worker pool that the
-// scenario engine maps its points, their runs, and the packet simulations
-// and bisection trials inside them onto. Every task seeds its RNG deterministically from
-// (Options.Seed, point index) and results are reduced in grid order, so
-// parallel output is byte-identical to serial output; topobench runs on
-// GOMAXPROCS workers by default (-workers 1 is serial). Nested pools share
-// one process-wide weighted semaphore, so total in-flight work stays
-// bounded by runner.SetMaxInFlight (GOMAXPROCS by default) no matter how
-// grids, runs, and simulations nest. cmd/benchjson runs the hot-path
-// entries of internal/benchsuite — the same bodies, under the same names,
-// as `go test -bench` — and snapshots them to BENCH_<date>.json so perf is
-// tracked from change to change. In CI it compares them to the committed
-// baseline, recorded at the same GOMAXPROCS, failing on hot-path
-// regressions.
+// Experiment layer. internal/runner's Map is what the scenario engine maps
+// its points, their runs, and the bisection trials inside them onto. Every
+// task seeds its RNG deterministically from (Options.Seed, point index)
+// and results are reduced in grid order, so parallel output is
+// byte-identical to serial output. One process-wide weighted semaphore is
+// the only concurrency bound: total in-flight work stays within
+// runner.SetMaxInFlight (GOMAXPROCS by default) no matter how grids, runs,
+// and trials nest, and topobench's -workers sets it (-workers 1 is serial
+// everywhere). cmd/benchjson runs the hot-path entries of
+// internal/benchsuite — the same bodies, under the same names, as `go test
+// -bench` — and snapshots them to BENCH_<date>.json so perf is tracked
+// from change to change. In CI it compares them to the committed baseline,
+// recorded at the same GOMAXPROCS, failing on hot-path regressions.
 //
 // # Verifying results
 //

@@ -27,7 +27,6 @@ import (
 	"repro/internal/mcf"
 	"repro/internal/remotestore"
 	"repro/internal/rrg"
-	"repro/internal/runner"
 	"repro/internal/scenario"
 	"repro/internal/service"
 	"repro/internal/store"
@@ -43,12 +42,12 @@ type Bench struct {
 // Suite lists the shared benchmark bodies, in the order `go test -bench`
 // runs the entries under one prefix. Names are unique.
 var Suite = []Bench{
-	{"SolverScale/n=20", solve(20, 0.1, 0)},
-	{"SolverScale/n=40", solve(40, 0.1, 0)},
-	{"SolverScale/n=80", solve(80, 0.1, 0)},
-	{"SolverEpsilon/eps=0.2", solve(40, 0.2, 0)},
-	{"SolverEpsilon/eps=0.1", solve(40, 0.1, 0)},
-	{"SolverEpsilon/eps=0.05", solve(40, 0.05, 0)},
+	{"SolverScale/n=20", solve(20, 0.1)},
+	{"SolverScale/n=40", solve(40, 0.1)},
+	{"SolverScale/n=80", solve(80, 0.1)},
+	{"SolverEpsilon/eps=0.2", solve(40, 0.2)},
+	{"SolverEpsilon/eps=0.1", solve(40, 0.1)},
+	{"SolverEpsilon/eps=0.05", solve(40, 0.05)},
 	{"SolverRepair/n=80/repair", repair(80, 10, true)},
 	{"SolverRepair/n=80/rebuild", repair(80, 10, false)},
 	{"SolverRepair/n=400/repair", repair(400, 6, true)},
@@ -63,9 +62,6 @@ var Suite = []Bench{
 	{"SolverWarmStart/ladder/warm", warmStart(ladderPoints, true)},
 	{"SolverWarmStart/expand/cold", warmStart(expandPoints, false)},
 	{"SolverWarmStart/expand/warm", warmStart(expandPoints, true)},
-	{"SolverPhasePar/workers=1", solve(80, 0.1, 1)},
-	{"SolverPhasePar/workers=2", solve(80, 0.1, 2)},
-	{"SolverPhasePar/workers=4", solve(80, 0.1, 4)},
 	{"GraphTree/uniform/heap", uniformTree(false)},
 	{"GraphTree/uniform/bucket", uniformTree(true)},
 	{"GraphTree/dual/rrg/heap", dualTrees("rrg:n=20,deg=6,sps=3", false)},
@@ -141,23 +137,14 @@ func SolverInstance(tb testing.TB, n, r, sps int) (*graph.Graph, []traffic.Flow)
 
 // solve times mcf.Solve on SolverInstance(n, 10, 5). SolverScale is the
 // Fig. 2 regime (size at fixed degree); SolverEpsilon prices tighter ε
-// (the paper's results are ratios, so ε ≈ 0.1 suffices). SolverPhasePar
-// (workers > 0) measures the phase-start tree prebuild's scaling: the
-// output is byte-identical across worker counts
-// (TestSolverDeterministicAcrossWorkers), and the process-wide semaphore
-// is widened to the worker count so the measurement reflects the
-// requested parallelism rather than the machine's default cap.
-func solve(n int, eps float64, workers int) func(*testing.B) {
+// (the paper's results are ratios, so ε ≈ 0.1 suffices).
+func solve(n int, eps float64) func(*testing.B) {
 	return func(b *testing.B) {
-		if workers > 0 {
-			runner.SetMaxInFlight(workers)
-			defer runner.SetMaxInFlight(0)
-		}
 		g, flows := SolverInstance(b, n, 10, 5)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := mcf.Solve(g, flows, mcf.Options{Epsilon: eps, Workers: workers}); err != nil {
+			if _, err := mcf.Solve(g, flows, mcf.Options{Epsilon: eps}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -335,11 +322,11 @@ func scenarioCache(warm bool) func(*testing.B) {
 		b.ReportAllocs()
 		if !warm {
 			for i := 0; i < b.N; i++ {
-				run(&scenario.Engine{Parallel: 1})
+				run(&scenario.Engine{})
 			}
 			return
 		}
-		e := &scenario.Engine{Parallel: 1, Cache: scenario.NewCache()}
+		e := &scenario.Engine{Cache: scenario.NewCache()}
 		run(e)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -362,7 +349,7 @@ func storeColdWarm(warm bool) func(*testing.B) {
 			}
 			cache := scenario.NewCache()
 			cache.SetBackend(st)
-			if _, _, err := grid.Run(&scenario.Engine{Parallel: 1, Cache: cache}); err != nil {
+			if _, _, err := grid.Run(&scenario.Engine{Cache: cache}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -446,7 +433,7 @@ func expandPoints(tb testing.TB) []scenario.Point {
 func primeWitnesses(tb testing.TB, pts []scenario.Point) map[string][]float64 {
 	tb.Helper()
 	prime := scenario.NewCache()
-	eng := &scenario.Engine{Parallel: 1, Cache: prime, WarmStart: true}
+	eng := &scenario.Engine{Cache: prime, WarmStart: true}
 	wit := map[string][]float64{}
 	for _, p := range pts {
 		pp, ok := scenario.ParentPoint(p)
@@ -482,7 +469,7 @@ func warmStart(points func(testing.TB) []scenario.Point, warm bool) func(*testin
 		b.ReportAllocs()
 		if !warm {
 			for i := 0; i < b.N; i++ {
-				eng := &scenario.Engine{Parallel: 1}
+				eng := &scenario.Engine{}
 				if _, err := eng.MeasureRuns(pts); err != nil {
 					b.Fatal(err)
 				}
@@ -501,7 +488,7 @@ func warmStart(points func(testing.TB) []scenario.Point, warm bool) func(*testin
 			for k, v := range wit {
 				cache.Put(k, v, "")
 			}
-			eng := &scenario.Engine{Parallel: 1, Cache: cache, WarmStart: true}
+			eng := &scenario.Engine{Cache: cache, WarmStart: true}
 			if _, err := eng.MeasureRuns(pts); err != nil {
 				b.Fatal(err)
 			}
@@ -634,7 +621,7 @@ func (w *nullRW) reset() {
 // write — and allocs/op is the budget the CI gate pins.
 func serveEvalWarm(b *testing.B) {
 	cache := scenario.NewCache()
-	eng := &scenario.Engine{Parallel: 1, Cache: cache, SkipInfeasible: true}
+	eng := &scenario.Engine{Cache: cache, SkipInfeasible: true}
 	h := service.New(service.Config{Engine: eng, Cache: cache, MaxJobs: 4}).Handler()
 	payload, err := json.Marshal(service.EvalRequest{Grid: ServeGrid(1)})
 	if err != nil {

@@ -4,29 +4,28 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
+
+	"repro/internal/runner"
 )
 
-// TestParallelMatchesSerial asserts the runner-pool contract: for the same
+// TestParallelMatchesSerial asserts the runner contract: for the same
 // seed, a parallel regeneration of a figure is byte-identical to a serial
 // one. Fig. 2a exercises the homogeneous grid runner (flattened
 // curve × size engine points), Fig. 9a the decomposition sweep (Detailed
-// results reduced per point).
+// results reduced per point). The subtests set the process-wide worker
+// bound, so they run one at a time.
 func TestParallelMatchesSerial(t *testing.T) {
-	base := Options{Quick: true, Runs: 2, Seed: 3}
+	defer runner.SetMaxInFlight(0)
+	opts := Options{Quick: true, Runs: 2, Seed: 3}
 	for _, id := range []string{"2a", "9a"} {
-		id := id
 		t.Run("fig"+id, func(t *testing.T) {
-			t.Parallel()
-			serialOpts := base
-			serialOpts.Parallel = 1
-			parallelOpts := base
-			parallelOpts.Parallel = 4
-
-			serial, err := Registry[id](serialOpts)
+			runner.SetMaxInFlight(1)
+			serial, err := Registry[id](opts)
 			if err != nil {
 				t.Fatalf("serial fig %s: %v", id, err)
 			}
-			parallel, err := Registry[id](parallelOpts)
+			runner.SetMaxInFlight(4)
+			parallel, err := Registry[id](opts)
 			if err != nil {
 				t.Fatalf("parallel fig %s: %v", id, err)
 			}
@@ -47,19 +46,17 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestParallelDefaultMatchesExplicitWorkers guards the Parallel=0
-// (GOMAXPROCS) default path against order dependence.
+// TestParallelDefaultMatchesExplicitWorkers guards the default
+// (GOMAXPROCS) worker bound against order dependence.
 func TestParallelDefaultMatchesExplicitWorkers(t *testing.T) {
-	base := Options{Quick: true, Runs: 2, Seed: 11}
-	def := base
-	def.Parallel = 0
-	eight := base
-	eight.Parallel = 8
-	a, err := Fig1b(def)
+	defer runner.SetMaxInFlight(0)
+	opts := Options{Quick: true, Runs: 2, Seed: 11}
+	a, err := Fig1b(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Fig1b(eight)
+	runner.SetMaxInFlight(8)
+	b, err := Fig1b(opts)
 	if err != nil {
 		t.Fatal(err)
 	}

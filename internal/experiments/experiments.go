@@ -27,12 +27,6 @@ type Options struct {
 	Epsilon float64
 	// Quick reduces grids and runs for fast regeneration (benchmarks).
 	Quick bool
-	// Parallel is the worker count used for independent work at every
-	// level — figure grid points, evaluation runs, and packet simulations.
-	// 0 means GOMAXPROCS; 1 forces fully serial execution. Because every
-	// task derives its RNG deterministically from (Seed, point index),
-	// parallel and serial runs produce byte-identical figures.
-	Parallel int
 	// Cache is the content-addressed solve cache the figure's scenario
 	// points are memoized in. nil gives every figure invocation a private
 	// cache: instances shared within one figure (e.g. a sizing search

@@ -2,21 +2,16 @@ package experiments
 
 import (
 	"repro/internal/hetero"
-	"repro/internal/runner"
 	"repro/internal/scenario"
 )
 
-// pool returns the worker pool used for grid-point evaluation, honoring
-// Options.Parallel (0 = GOMAXPROCS, 1 = serial).
-func (o Options) pool() *runner.Pool { return runner.New(o.Parallel) }
-
-// engine returns the scenario engine every figure runner executes on: the
-// runner pool honoring Options.Parallel and the figure's solve cache (see
-// Options.Cache — points sharing instances never re-solve). Infeasible
-// builds are errors here, exactly as the pre-engine runners treated them;
-// sweeps that legitimately skip unrealizable grid points use sweepEngine.
+// engine returns the scenario engine every figure runner executes on, over
+// the figure's solve cache (see Options.Cache — points sharing instances
+// never re-solve). Infeasible builds are errors here, exactly as the
+// pre-engine runners treated them; sweeps that legitimately skip
+// unrealizable grid points use sweepEngine.
 func (o Options) engine() *scenario.Engine {
-	return &scenario.Engine{Parallel: o.Parallel, Cache: o.Cache}
+	return &scenario.Engine{Cache: o.Cache}
 }
 
 // sweepEngine is engine with infeasible-point skipping, for the hetero

@@ -74,7 +74,7 @@ func Fig12a(o Options) (*Figure, error) {
 			grid = append(grid, point{di, da})
 		}
 	}
-	ratios, err := runner.Map(o.pool(), len(grid), func(i int) (float64, error) {
+	ratios, err := runner.Map(len(grid), func(i int) (float64, error) {
 		p := grid[i]
 		ratio, err := rewiredOverVL2(o, scenario.Permutation{}, p.da, p.di, int64(12100+p.da*100+p.di))
 		if err != nil {
@@ -152,7 +152,7 @@ func Fig12b(o Options) (*Figure, error) {
 		y, std float64
 		ok     bool
 	}
-	vals, err := runner.Map(o.pool(), len(grid), func(i int) (meas, error) {
+	vals, err := runner.Map(len(grid), func(i int) (meas, error) {
 		p := grid[i]
 		cfg := topo.VL2Config{DA: p.da, DI: di}
 		// Size the topology at its permutation-full-throughput point. The
@@ -230,7 +230,7 @@ func Fig12c(o Options) (*Figure, error) {
 			grid = append(grid, point{ci, da})
 		}
 	}
-	ratios, err := runner.Map(o.pool(), len(grid), func(i int) (float64, error) {
+	ratios, err := runner.Map(len(grid), func(i int) (float64, error) {
 		p := grid[i]
 		c := cases[p.ci]
 		ratio, err := rewiredOverVL2(o, c.tr, p.da, di, int64(12300+p.ci*997+p.da))

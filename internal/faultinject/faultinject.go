@@ -274,14 +274,18 @@ func (b *Backend) SaveLinked(key string, vals []float64, parentKey string) error
 //
 // "error" splits evenly between connection resets and 5xx responses —
 // the catch-all "20% of remote calls fail somehow" knob of the chaos
-// smoke. Unknown keys, probabilities outside [0, 1] (NaN included) and
-// negative latencies are errors, matching the scenario grammar's rule
-// that a typo must never silently weaken a test.
+// smoke. "latency" alone delays every call; with "latencyprob" (in either
+// order) it delays that share of calls, and "latencyprob" alone delays by
+// Config's 2ms default. latency=0 injects no delay at all. Unknown keys,
+// probabilities outside [0, 1] (NaN included) and negative latencies are
+// errors, matching the scenario grammar's rule that a typo must never
+// silently weaken a test.
 func ParseSpec(spec string) (Config, error) {
 	var cfg Config
 	if strings.TrimSpace(spec) == "" {
 		return cfg, nil
 	}
+	latencySet, probSet := false, false
 	for _, kv := range strings.Split(spec, ",") {
 		k, v, ok := strings.Cut(strings.TrimSpace(kv), "=")
 		if !ok {
@@ -299,10 +303,7 @@ func ParseSpec(spec string) (Config, error) {
 			if err != nil || d < 0 {
 				return cfg, fmt.Errorf("faultinject: bad latency %q (want a non-negative duration)", v)
 			}
-			cfg.Latency = d
-			if cfg.LatencyProb == 0 {
-				cfg.LatencyProb = 1
-			}
+			cfg.Latency, latencySet = d, true
 		default:
 			p, err := strconv.ParseFloat(v, 64)
 			// Written so that NaN, which never fires, is out of range too.
@@ -326,11 +327,19 @@ func ParseSpec(spec string) (Config, error) {
 			case "corrupt":
 				cfg.CorruptProb = p
 			case "latencyprob":
-				cfg.LatencyProb = p
+				cfg.LatencyProb, probSet = p, true
 			default:
 				return cfg, fmt.Errorf("faultinject: unknown spec key %q", k)
 			}
 		}
+	}
+	switch {
+	case latencySet && cfg.Latency == 0:
+		// A zero Config.Latency means the 2ms default, so no delay is
+		// expressed as no delayed calls.
+		cfg.LatencyProb = 0
+	case latencySet && !probSet:
+		cfg.LatencyProb = 1
 	}
 	return cfg, nil
 }

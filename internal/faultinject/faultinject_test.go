@@ -184,6 +184,47 @@ func TestParseSpec(t *testing.T) {
 	}
 }
 
+// TestParseSpecLatency: latency and latencyprob combine as ParseSpec
+// documents, in either key order — an explicit latencyprob is never
+// overwritten, latency=0 delays nothing, latency alone delays every call
+// and latencyprob alone delays by the 2ms default. Each case counts the
+// delays of 100 seeded draws.
+func TestParseSpecLatency(t *testing.T) {
+	for _, c := range []struct {
+		spec   string
+		lo, hi int           // delayed calls out of 100
+		delay  time.Duration // the delay of each delayed call
+	}{
+		{"latency=0", 0, 0, 0},
+		{"latencyprob=0,latency=5ms", 0, 0, 0},
+		{"latency=5ms,latencyprob=0", 0, 0, 0},
+		{"latencyprob=0.5,latency=0", 0, 0, 0},
+		{"latency=5ms", 100, 100, 5 * time.Millisecond},
+		{"latencyprob=0.5", 35, 65, 2 * time.Millisecond},
+		{"latency=5ms,latencyprob=0.5", 35, 65, 5 * time.Millisecond},
+	} {
+		t.Run(c.spec, func(t *testing.T) {
+			cfg, err := ParseSpec("seed=3," + c.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			in := newInjector(cfg)
+			delayed := 0
+			for i := 0; i < 100; i++ {
+				if _, d, _ := in.draw(); d > 0 {
+					delayed++
+					if d != c.delay {
+						t.Fatalf("call %d delayed %v, want %v", i, d, c.delay)
+					}
+				}
+			}
+			if delayed < c.lo || delayed > c.hi {
+				t.Fatalf("%d of 100 calls delayed, want %d..%d", delayed, c.lo, c.hi)
+			}
+		})
+	}
+}
+
 // badSpecs are fault specs ParseSpec must reject; the fuzz target seeds
 // its corpus with them too.
 var badSpecs = []string{

@@ -149,21 +149,15 @@ func (nw *Network) MinCut(s, t int) (value float64, sourceSide []bool) {
 // over sampled balanced bipartitions of the capacity crossing the cut (one
 // direction). Exact bisection is NP-hard; we refine deterministic balanced
 // splits with Kernighan–Lin style local search. Trials are independent and
-// run concurrently (bounded by GOMAXPROCS); the min-reduction is
-// order-insensitive, so the result is deterministic given the trial seeds.
+// run concurrently under the process-wide runner bound; the min-reduction
+// is order-insensitive, so the result is deterministic given the trial
+// seeds.
 func BisectionBandwidth(g *graph.Graph, trials int) float64 {
-	return BisectionBandwidthWorkers(g, trials, 0)
-}
-
-// BisectionBandwidthWorkers is BisectionBandwidth with an explicit worker
-// bound: 0 means GOMAXPROCS, 1 forces serial execution. Callers already
-// running inside a parallel grid should pass their own worker budget.
-func BisectionBandwidthWorkers(g *graph.Graph, trials, workers int) float64 {
 	n := g.N()
 	if n < 2 || trials <= 0 {
 		return 0
 	}
-	cuts, _ := runner.Map(runner.New(workers), trials, func(t int) (float64, error) {
+	cuts, _ := runner.Map(trials, func(t int) (float64, error) {
 		inS := make([]bool, n)
 		for i := 0; i < n; i++ {
 			inS[i] = (i+t)%2 == 0

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/rrg"
+	"repro/internal/runner"
 )
 
 // refineBalancedReference is the seed's O(n²·m) implementation, kept as a
@@ -63,18 +64,21 @@ func TestRefineBalancedMatchesReference(t *testing.T) {
 }
 
 // TestBisectionWorkersInvariant: the trial reduction is a min, so the
-// estimate must not depend on the worker count.
+// estimate must not depend on the process-wide worker bound.
 func TestBisectionWorkersInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g, err := rrg.Regular(rng, 40, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial := BisectionBandwidthWorkers(g, 4, 1)
-	parallel := BisectionBandwidthWorkers(g, 4, 8)
-	def := BisectionBandwidth(g, 4)
-	if serial != parallel || serial != def {
-		t.Fatalf("worker-count dependence: serial %v, parallel %v, default %v", serial, parallel, def)
+	defer runner.SetMaxInFlight(0)
+	var got []float64
+	for _, w := range []int{1, 8, 0} {
+		runner.SetMaxInFlight(w)
+		got = append(got, BisectionBandwidth(g, 4))
+	}
+	if got[0] != got[1] || got[0] != got[2] {
+		t.Fatalf("worker-count dependence: serial %v, 8 workers %v, default %v", got[0], got[1], got[2])
 	}
 }
 

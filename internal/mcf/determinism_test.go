@@ -1,10 +1,9 @@
-// Determinism of the phase-parallel solver: the phase-start tree prebuild
-// fans out across workers, but every tree is computed against the frozen
-// phase-start length function with per-source scratch state and all shared
-// counters are reduced serially in source order — so the solve's output
-// must be byte-identical for ANY worker count. This is the contract that
-// lets the golden figure tests stay byte-for-byte across machines with
-// different core counts.
+// Determinism of the solver: a solve runs on the calling goroutine, every
+// tree the phase-start prebuild refreshes is computed against the frozen
+// phase-start length function, and all shared counters are reduced in
+// source order after the pass — so solving the same instance twice must
+// give byte-identical output. This is the contract that lets the golden
+// figure tests stay byte-for-byte across runs and machines.
 package mcf_test
 
 import (
@@ -12,13 +11,11 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/mcf"
 	"repro/internal/rrg"
-	"repro/internal/runner"
 	"repro/internal/topo"
 	"repro/internal/traffic"
 )
@@ -63,53 +60,40 @@ func determinismInstances(t *testing.T) map[string]instance {
 	return out
 }
 
-// TestSolverDeterministicAcrossWorkers: solving the same instance with 1,
-// 2, and GOMAXPROCS prebuild workers must produce identical Results down
-// to the last bit — flows, paths, counters, and the dual witness alike.
-// The fixtures must also engage the adaptive paths the determinism
-// contract covers: the prebuild and the bucket queue on every fixture,
-// incremental repair on the two RRG fixtures.
-func TestSolverDeterministicAcrossWorkers(t *testing.T) {
-	// Open the process-wide semaphore so multi-worker runs actually fan
-	// out even on small CI boxes (the default cap is GOMAXPROCS).
-	runner.SetMaxInFlight(8)
-	defer runner.SetMaxInFlight(0)
-
-	workerCounts := []int{1, 2, runtime.GOMAXPROCS(0), 5}
+// TestSolverDeterministic: solving the same instance twice must produce
+// identical Results down to the last bit — flows, paths, counters, and the
+// dual witness alike. The fixtures must also engage the adaptive paths the
+// determinism contract covers: the prebuild and the bucket queue on every
+// fixture, incremental repair on the two RRG fixtures.
+func TestSolverDeterministic(t *testing.T) {
 	needRepairs := map[string]bool{"rrg-permutation": true, "rrg-heavy": true}
 	for name, inst := range determinismInstances(t) {
-		var ref *mcf.Result
-		for _, w := range workerCounts {
-			res, err := mcf.Solve(inst.g, inst.flows, mcf.Options{
-				Epsilon: inst.eps, RecordPaths: true, Workers: w,
-			})
+		var res [2]*mcf.Result
+		for i := range res {
+			r, err := mcf.Solve(inst.g, inst.flows, mcf.Options{Epsilon: inst.eps, RecordPaths: true})
 			if err != nil {
-				t.Fatalf("%s workers=%d: %v", name, w, err)
+				t.Fatalf("%s solve %d: %v", name, i, err)
 			}
 			// Timing is wall clock — the one Result field that is
 			// non-deterministic by contract. Everything else must match.
-			res.Timing = mcf.SolveTiming{}
-			if ref == nil {
-				ref = res
-				if res.TreePrebuilds == 0 {
-					t.Fatalf("%s: prebuild never engaged; the determinism test is vacuous", name)
-				}
-				if res.BucketBuilds == 0 {
-					t.Fatalf("%s: bucket-queue traversal never engaged", name)
-				}
-				if needRepairs[name] && res.TreeRepairs == 0 {
-					t.Fatalf("%s: incremental repair never engaged", name)
-				}
-				continue
-			}
-			if got, want := math.Float64bits(res.Throughput), math.Float64bits(ref.Throughput); got != want {
-				t.Fatalf("%s workers=%d: throughput %v differs from workers=%d reference %v",
-					name, w, res.Throughput, workerCounts[0], ref.Throughput)
-			}
-			if !reflect.DeepEqual(res, ref) {
-				t.Fatalf("%s workers=%d: result diverges from workers=%d reference:\n%s",
-					name, w, workerCounts[0], diffResults(ref, res))
-			}
+			r.Timing = mcf.SolveTiming{}
+			res[i] = r
+		}
+		ref := res[0]
+		if ref.TreePrebuilds == 0 {
+			t.Fatalf("%s: prebuild never engaged; the determinism test is vacuous", name)
+		}
+		if ref.BucketBuilds == 0 {
+			t.Fatalf("%s: bucket-queue traversal never engaged", name)
+		}
+		if needRepairs[name] && ref.TreeRepairs == 0 {
+			t.Fatalf("%s: incremental repair never engaged", name)
+		}
+		if got, want := math.Float64bits(res[1].Throughput), math.Float64bits(ref.Throughput); got != want {
+			t.Fatalf("%s: second solve's throughput %v differs from the first's %v", name, res[1].Throughput, ref.Throughput)
+		}
+		if !reflect.DeepEqual(res[1], ref) {
+			t.Fatalf("%s: second solve diverges from the first:\n%s", name, diffResults(ref, res[1]))
 		}
 	}
 }

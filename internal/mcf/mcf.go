@@ -21,11 +21,11 @@ import (
 	"time"
 
 	"repro/internal/graph"
-	"repro/internal/runner"
 	"repro/internal/traffic"
 )
 
-// Options configures the solver.
+// Options configures the solver. A solve runs on the calling goroutine;
+// callers parallelize across solves, never within one.
 type Options struct {
 	// Epsilon is the approximation parameter; smaller is more accurate and
 	// slower. Values in [0.02, 0.2] are sensible; 0 means DefaultEpsilon,
@@ -37,17 +37,6 @@ type Options struct {
 	// and demand proportionality from first principles. Off by default: the
 	// decomposition can hold one entry per routed piece.
 	RecordPaths bool
-	// Workers bounds the concurrency of the phase-start tree prebuild
-	// (0 means GOMAXPROCS, 1 forces the serial path). Worker count NEVER
-	// changes the solve's output: all trees a phase prebuilds are computed
-	// against the frozen phase-start length function with per-source
-	// scratch state, and all shared counters are reduced serially in
-	// source order afterwards — TestSolverDeterministicAcrossWorkers
-	// enforces byte-identical results for 1, 2, and GOMAXPROCS workers.
-	// Actual parallelism is additionally bounded by the process-wide
-	// runner semaphore (runner.SetMaxInFlight), so nested solves cannot
-	// multiply goroutines.
-	Workers int
 	// Cancel, when non-nil, aborts the solve at the next phase boundary
 	// once the channel is closed (typically a context's Done channel):
 	// Solve then returns ErrCanceled and whatever partial work was done is
@@ -112,8 +101,9 @@ type Result struct {
 	TreeBuilds  int
 	TreeRepairs int
 	// TreePrebuilds counts the tree refreshes (builds or repairs) executed
-	// by the concurrent phase-start prebuild pass rather than serially
-	// inside the routing loop — the parallelizable share of the tree work.
+	// by the phase-start prebuild pass rather than inside the routing loop
+	// — the share of the tree work done against the frozen phase-start
+	// lengths.
 	TreePrebuilds int
 	// BucketBuilds counts the tree constructions served by the monotone
 	// bucket-queue traversal; the remaining TreeBuilds used the 4-ary
@@ -150,17 +140,16 @@ type Result struct {
 }
 
 // SolveTiming is the wall-clock breakdown of one solve: where the time
-// went between the concurrent phase-start tree prebuild pass and the
-// serial routing loop. It feeds the tracing layer's solver-phase spans
-// (internal/trace via the scenario evaluators); nothing in the solver
-// reads it back.
+// went between the phase-start tree prebuild pass and the routing loop.
+// It feeds the tracing layer's solver-phase spans (internal/trace via the
+// scenario evaluators); nothing in the solver reads it back.
 type SolveTiming struct {
 	// PrebuildNanos is the time spent in prebuildTrees across all
-	// phases — the parallelizable share of the tree work.
+	// phases.
 	PrebuildNanos int64
-	// RouteNanos is the time spent in the serial per-phase routing
-	// loops (including the in-loop refreshes of trees the phase's own
-	// routing staled).
+	// RouteNanos is the time spent in the per-phase routing loops
+	// (including the in-loop refreshes of trees the phase's own routing
+	// staled).
 	RouteNanos int64
 	// SolveNanos is the whole solve's wall clock, from state
 	// construction through result extraction.
@@ -314,17 +303,17 @@ type state struct {
 
 	// Wall-clock phase telemetry for Result.Timing: startedAt stamps
 	// state construction; prebuildNanos/routeNanos split each phase
-	// between the concurrent prebuild pass and the serial routing loop.
+	// between the prebuild pass and the routing loop.
 	startedAt                 time.Time
 	prebuildNanos, routeNanos int64
 
-	// Phase-start concurrent prebuild (see prebuildTrees): pool bounds the
-	// workers, staleSrcs is the reusable list of the positions in srcs of
-	// the sources whose trees the phase refreshes up front, and prebuilds
-	// counts those refreshes.
-	pool      *runner.Pool
-	staleSrcs []int
-	prebuilds int
+	// Phase-start prebuild (see prebuildTrees): staleSrcs and staleStats
+	// are the reusable per-phase lists of the positions in srcs of the
+	// sources whose trees the phase refreshes up front and of those
+	// refreshes' outcomes; prebuilds counts the refreshes.
+	staleSrcs  []int
+	staleStats []prebuildStats
+	prebuilds  int
 
 	// Per-phase traversal choice (see choosePhaseTraversal): phaseDelta is
 	// the bucket width derived from the phase-start length function,
@@ -399,7 +388,6 @@ func newState(g *graph.Graph, flows []traffic.Flow, eps float64, opt Options) *s
 		flow:        make([]float64, m),
 		flows:       flows,
 		routed:      make([]float64, len(flows)),
-		pool:        runner.New(opt.Workers),
 		recordPaths: opt.RecordPaths,
 		bestBound:   math.Inf(1),
 		startedAt:   time.Now(),
@@ -570,8 +558,8 @@ func (s *state) choosePhaseTraversal() {
 
 // runTree executes one shortest-path tree construction for sc with the
 // phase's traversal choice, reporting whether the bucket path ran and how
-// many overflow rebases it needed. It writes only t's scratch, so it is
-// safe to run concurrently for distinct trees while s.lens is frozen.
+// many overflow rebases it needed. It writes only t's scratch and
+// mutates no solve state.
 func (s *state) runTree(t *srcTree, sc *source) (bucket, bailed bool, rebases int) {
 	targets := sc.targets
 	if t.full {
@@ -690,8 +678,8 @@ func (s *state) refreshTree(t *srcTree, sc *source) {
 // built, or some requested root path is missing or has outgrown (1+ε) of
 // its at-build length under the phase-start lengths. This is exactly the
 // test the routing loop applies before each piece, so the prebuild
-// refreshes only trees whose first piece of the phase would have forced a
-// serial refresh anyway.
+// refreshes only trees whose first piece of the phase would have forced an
+// in-loop refresh anyway.
 func (s *state) phaseStale(t *srcTree, sc *source) bool {
 	if !t.built {
 		return true
@@ -716,8 +704,9 @@ func (s *state) phaseStale(t *srcTree, sc *source) bool {
 	return false
 }
 
-// prebuildStats is one prebuild task's outcome, returned instead of
-// mutating shared counters so the reduce stays serial and deterministic.
+// prebuildStats is one prebuild refresh's outcome, recorded instead of
+// mutating shared counters so every refresh of the pass sees the same
+// phase-start switches and the reduce runs after the pass.
 type prebuildStats struct {
 	repairTried bool
 	repaired    bool
@@ -727,10 +716,10 @@ type prebuildStats struct {
 }
 
 // prebuildOne brings one stale tree current against the frozen phase-start
-// length function. It is the concurrent mirror of refreshTree: same repair
-// attempt, budget, and rebuild fallback — but every shared input (lens,
-// grownAt, growSeq, the phase's traversal choice, the adaptive switches)
-// is read-only here, and it writes only sc's tree.
+// length function. It mirrors refreshTree — same repair attempt, budget,
+// and rebuild fallback — but every shared input (lens, grownAt, growSeq,
+// the phase's traversal choice, the adaptive switches) is read-only here,
+// and it writes only sc's tree.
 func (s *state) prebuildOne(sc *source) prebuildStats {
 	t := sc.tree
 	var st prebuildStats
@@ -754,19 +743,16 @@ func (s *state) prebuildOne(sc *source) prebuildStats {
 	return st
 }
 
-// prebuildTrees is the phase-start parallel pass: under the frozen
-// phase-start length function it finds every source whose tree the phase
-// is about to refresh anyway (phaseStale) and refreshes them all
-// concurrently, one persistent scratch per source, bounded by the solve's
-// pool and the process-wide runner semaphore. Routing then proceeds
-// serially against those trees, so the solve's output is byte-identical
-// regardless of worker count; only wall-clock changes. The (1+ε) staleness
-// check in the routing loop still guards every piece, so trees that go
-// stale again mid-phase (from this phase's own routing) are refreshed
-// serially exactly as before.
+// prebuildTrees is the phase-start pass: under the frozen phase-start
+// length function it finds every source whose tree the phase is about to
+// refresh anyway (phaseStale) and refreshes them all up front, one
+// persistent scratch per source, before routing proceeds against those
+// trees. The (1+ε) staleness check in the routing loop still guards every
+// piece, so trees that go stale again mid-phase (from this phase's own
+// routing) are refreshed inside the loop exactly as before.
 func (s *state) prebuildTrees() {
 	if s.shared != nil {
-		return // shared-tree fallback: one slot, nothing to parallelize
+		return // shared-tree fallback: one slot, nothing persists to refresh
 	}
 	stale := s.staleSrcs[:0]
 	for i := range s.srcs {
@@ -775,8 +761,8 @@ func (s *state) prebuildTrees() {
 			continue
 		}
 		// The phase-start staleness of a previously-built tree counts
-		// toward the heat detector exactly as the first serial refresh of
-		// the phase used to.
+		// toward the heat detector exactly as the phase's first in-loop
+		// refresh would.
 		if t.built {
 			t.phaseOf, t.refreshes = s.phases, 1
 		}
@@ -786,11 +772,13 @@ func (s *state) prebuildTrees() {
 	if len(stale) == 0 {
 		return
 	}
-	stats, _ := runner.Map(s.pool, len(stale), func(k int) (prebuildStats, error) {
-		return s.prebuildOne(&s.srcs[stale[k]]), nil
-	})
-	// Serial reduce in source order: counters and kill switches see the
-	// same sequence no matter how the tasks were scheduled.
+	stats := s.staleStats[:0]
+	for _, i := range stale {
+		stats = append(stats, s.prebuildOne(&s.srcs[i]))
+	}
+	s.staleStats = stats
+	// Reduce in source order after the pass, so every refresh of the pass
+	// saw the phase-start counters and switches.
 	for _, st := range stats {
 		if st.repairTried {
 			s.repairTries++

@@ -1,25 +1,26 @@
-// Package runner is the worker-pool substrate of the experiment layer.
+// Package runner is the concurrency substrate of the experiment layer.
 //
 // Every figure of the evaluation is a grid of independent measurements:
 // (topology family × parameter × run) points that share no state beyond
-// read-only options. Map evaluates such a grid concurrently, bounded by
-// GOMAXPROCS by default, and returns results indexed exactly as the grid
-// was enumerated. Callers keep all randomness inside each task, seeded
-// deterministically from (base seed, point index), and reduce the returned
-// slice serially in index order — so parallel output is byte-identical to
-// a serial run of the same grid.
+// read-only options. Map evaluates such a grid concurrently and returns
+// results indexed exactly as the grid was enumerated. Callers keep all
+// randomness inside each task, seeded deterministically from (base seed,
+// point index), and reduce the returned slice serially in index order — so
+// parallel output is byte-identical to a serial run of the same grid.
 //
 // Maps nest freely: the scenario engine maps a grid's points, each point
-// its runs, and a run may call packet simulations and bisection trials,
-// each mapping onto a pool of its own. A process-wide weighted semaphore bounds the TOTAL in-flight work
-// across all nesting levels to SetMaxInFlight (default GOMAXPROCS): the
-// calling goroutine of every Map always works inline — it already owns a
-// concurrency slot, inherited from whatever spawned it — and extra worker
-// goroutines each need a token from the shared semaphore, acquired
+// its runs, and a run may map bisection trials. One process-wide weighted
+// semaphore is the only concurrency bound: it caps the TOTAL in-flight
+// work across all nesting levels at SetMaxInFlight (default GOMAXPROCS).
+// The calling goroutine of every Map always works inline — it already owns
+// a concurrency slot, inherited from whatever spawned it — and each helper
+// goroutine needs a token from the shared semaphore, acquired
 // non-blockingly. When the semaphore is saturated by outer levels, inner
 // Maps simply degrade toward serial execution instead of multiplying
-// goroutines (workers² and worse before this bound existed). Results are
-// unaffected: scheduling never changes task outputs or their order.
+// goroutines. SetMaxInFlight(1) admits no helper at all, so every Map,
+// nested or not, runs inline in index order: the serial reference mode.
+// Results are unaffected: scheduling never changes task outputs or their
+// order.
 package runner
 
 import (
@@ -28,23 +29,26 @@ import (
 	"sync/atomic"
 )
 
-// inflight implements the shared weighted semaphore: extra (non-caller)
-// worker tokens outstanding, and the cap on them. The cap is the max
-// in-flight bound minus one, the caller's own slot.
+// inflight implements the shared weighted semaphore: helper (non-caller)
+// tokens outstanding, and the cap on them. The cap is the max in-flight
+// bound minus one, the caller's own slot.
 var (
 	inflightExtra atomic.Int64
 	inflightCap   atomic.Int64
 )
 
-func init() { inflightCap.Store(int64(runtime.GOMAXPROCS(0)) - 1) }
+func init() { SetMaxInFlight(0) }
 
 // SetMaxInFlight bounds the total concurrently-running tasks across every
 // Map in the process, including nested ones, to n (n <= 0 restores the
-// GOMAXPROCS default). Top-level callers running tasks inline count
-// against the bound by construction; helper goroutines are limited to
-// n − 1.
+// GOMAXPROCS default; 1 runs every Map serially). Top-level callers
+// running tasks inline count against the bound by construction; helper
+// goroutines are limited to n − 1.
 func SetMaxInFlight(n int) {
-	inflightCap.Store(int64(Workers(n)) - 1)
+	if n <= 0 {
+		n = runtime.GOMAXPROCS(0)
+	}
+	inflightCap.Store(int64(n) - 1)
 }
 
 // tryAcquire takes one helper token if the semaphore has room.
@@ -62,54 +66,20 @@ func tryAcquire() bool {
 
 func release() { inflightExtra.Add(-1) }
 
-// Workers normalizes a worker-count option: n <= 0 means GOMAXPROCS.
-func Workers(n int) int {
-	if n <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return n
-}
-
-// Pool bounds the concurrency of grid evaluations. The zero value is not
-// usable; call New. A Pool holds no goroutines between calls — each Map
-// spins up at most Workers goroutines and joins them before returning.
-type Pool struct {
-	workers int
-}
-
-// New returns a pool running at most workers tasks concurrently;
-// workers <= 0 means GOMAXPROCS. New(1) yields a pool that runs tasks
-// inline on the calling goroutine, which is the serial reference mode.
-func New(workers int) *Pool {
-	return &Pool{workers: Workers(workers)}
-}
-
-// Serial reports whether the pool runs tasks inline without goroutines.
-func (p *Pool) Serial() bool { return p.workers <= 1 }
-
-// Map evaluates fn(0), …, fn(n-1) on the pool and returns the results in
-// index order. fn must be safe for concurrent invocation with distinct
-// indices (it is called inline when the pool is serial).
+// Map evaluates fn(0), …, fn(n-1) and returns the results in index order.
+// The caller works through the indices inline, joined by as many helper
+// goroutines as the process-wide semaphore admits (at most n − 1). fn must
+// be safe for concurrent invocation with distinct indices.
 //
 // Error semantics match a serial loop: if any tasks fail, Map returns the
 // error of the lowest failing index. Tasks with indices above the lowest
 // known failure may be skipped, but every index below it is evaluated, so
 // the returned error is deterministic.
-func Map[T any](p *Pool, n int, fn func(i int) (T, error)) ([]T, error) {
+func Map[T any](n int, fn func(i int) (T, error)) ([]T, error) {
 	if n <= 0 {
 		return nil, nil
 	}
 	out := make([]T, n)
-	if p.Serial() || n == 1 {
-		for i := 0; i < n; i++ {
-			v, err := fn(i)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
-		}
-		return out, nil
-	}
 	var (
 		next     atomic.Int64
 		mu       sync.Mutex
@@ -141,14 +111,7 @@ func Map[T any](p *Pool, n int, fn func(i int) (T, error)) ([]T, error) {
 			out[i] = v
 		}
 	}
-	// The caller participates inline (it already holds a concurrency slot);
-	// extra workers spawn only while shared semaphore tokens are available,
-	// so nested Maps cannot multiply goroutines past the process bound.
-	extra := p.workers - 1
-	if extra > n-1 {
-		extra = n - 1
-	}
-	for w := 0; w < extra && tryAcquire(); w++ {
+	for w := 0; w < n-1 && tryAcquire(); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -48,7 +48,7 @@ func claimedEngine(t *testing.T) (*Engine, *store.Store, *store.Tiered) {
 	})
 	cache := NewCache()
 	cache.SetBackend(tiered)
-	return &Engine{Parallel: 1, Cache: cache, SkipInfeasible: true}, disk, tiered
+	return &Engine{Cache: cache, SkipInfeasible: true}, disk, tiered
 }
 
 // TestAbandonedSolveReleasesClaim pins the claim-leak fix: a solve that
@@ -88,7 +88,7 @@ func TestCanceledSolveReleasesClaim(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, err := eng.MeasureRunsCtx(ctx, pts)
+		_, err := eng.MeasureRunsProgress(ctx, pts, nil)
 		errc <- err
 	}()
 	<-entered // the solve holds the claim and is parked in the evaluator
@@ -144,7 +144,7 @@ func TestMeasureRunsProgress(t *testing.T) {
 	}
 	var mu sync.Mutex
 	var ticks [][2]int
-	eng := &Engine{Parallel: 1}
+	eng := &Engine{}
 	_, err = eng.MeasureRunsProgress(context.Background(), pts, func(done, total int) {
 		mu.Lock()
 		ticks = append(ticks, [2]int{done, total})

@@ -7,10 +7,10 @@ import (
 	"testing"
 )
 
-// TestMeasureRunsCtxCanceled: a canceled context surfaces as the
+// TestMeasureRunsProgressCanceled: a canceled context surfaces as the
 // context's own error (errors.Is-able), and no partial values leak into
 // the cache — re-evaluating after cancellation yields the full result.
-func TestMeasureRunsCtxCanceled(t *testing.T) {
+func TestMeasureRunsProgressCanceled(t *testing.T) {
 	topo, err := ParseTopology("rrg:n=10,deg=3,sps=1")
 	if err != nil {
 		t.Fatal(err)
@@ -22,10 +22,10 @@ func TestMeasureRunsCtxCanceled(t *testing.T) {
 	pts := []Point{{Topo: topo, Eval: eval, Seed: 1, Runs: 2}}
 
 	cache := NewCache()
-	eng := &Engine{Parallel: 1, Cache: cache}
+	eng := &Engine{Cache: cache}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := eng.MeasureRunsCtx(ctx, pts); !errors.Is(err, context.Canceled) {
+	if _, err := eng.MeasureRunsProgress(ctx, pts, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err: %v, want context.Canceled", err)
 	}
 	if cache.Stats().Entries != 0 {
@@ -33,11 +33,11 @@ func TestMeasureRunsCtxCanceled(t *testing.T) {
 	}
 
 	// The same engine recovers fully once the pressure is off.
-	vals, err := eng.MeasureRunsCtx(context.Background(), pts)
+	vals, err := eng.MeasureRunsProgress(context.Background(), pts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean, err := (&Engine{Parallel: 1}).MeasureRuns(pts)
+	clean, err := (&Engine{}).MeasureRuns(pts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,15 +79,13 @@ type Stat struct {
 	OK                  bool
 }
 
-// Engine executes scenario points on the shared runner substrate. The
-// zero value runs at GOMAXPROCS without a cache.
+// Engine executes scenario points on the shared runner substrate: points
+// and their runs map concurrently, bounded in total by the process-wide
+// runner.SetMaxInFlight (1 runs everything serially). Output is
+// byte-identical at every bound — every run's RNG derives from (Seed,
+// SeedFactor, run index) and reductions are serial in index order. The
+// zero value runs without a cache.
 type Engine struct {
-	// Parallel bounds worker goroutines at every level (points and runs);
-	// 0 means GOMAXPROCS, 1 forces fully serial execution. Output is
-	// byte-identical for any value — every run's RNG derives from
-	// (Seed, SeedFactor, run index) and reductions are serial in index
-	// order.
-	Parallel int
 	// Cache, when non-nil, memoizes per-point run values by content
 	// address, so sweeps and figures sharing instances never re-solve.
 	Cache *Cache
@@ -148,8 +146,6 @@ func (e *Engine) WarmStats() WarmStats {
 	}
 }
 
-func (e *Engine) pool() *runner.Pool { return runner.New(e.Parallel) }
-
 // infeasible classifies build errors that mark a sweep point as
 // unrealizable rather than broken.
 func infeasible(err error) bool {
@@ -157,8 +153,8 @@ func infeasible(err error) bool {
 }
 
 // Measure evaluates every point and summarizes its runs. Points run
-// concurrently on the engine's pool, runs concurrently within each point,
-// all bounded by the process-wide runner semaphore.
+// concurrently, runs concurrently within each point, all bounded by the
+// process-wide runner semaphore.
 func (e *Engine) Measure(pts []Point) ([]Stat, error) {
 	vals, err := e.MeasureRuns(pts)
 	if err != nil {
@@ -175,18 +171,7 @@ func (e *Engine) Measure(pts []Point) ([]Stat, error) {
 // run order. A nil slice marks a point skipped as infeasible. The returned
 // slices may be served from the cache and must be treated as read-only.
 func (e *Engine) MeasureRuns(pts []Point) ([][]float64, error) {
-	return e.MeasureRunsCtx(context.Background(), pts)
-}
-
-// MeasureRunsCtx is MeasureRuns under a context: once ctx is done, no new
-// point or run starts, in-flight flow solves abort at their next phase
-// boundary (mcf.Options.Cancel), and the context's error is returned.
-// Cancellation never reaches the cache — an aborted run stores nothing —
-// so a canceled grid re-evaluates cleanly. The evaluation service threads
-// each request's context here so a dropped client stops burning solver
-// time instead of holding a queue slot to completion.
-func (e *Engine) MeasureRunsCtx(ctx context.Context, pts []Point) ([][]float64, error) {
-	return e.MeasureRunsProgress(ctx, pts, nil)
+	return e.MeasureRunsProgress(context.Background(), pts, nil)
 }
 
 // ProgressFunc observes grid progress: done points completed out of total.
@@ -195,18 +180,27 @@ func (e *Engine) MeasureRunsCtx(ctx context.Context, pts []Point) ([][]float64, 
 // a slow callback stalls point completion.
 type ProgressFunc func(done, total int)
 
-// MeasureRunsProgress is MeasureRunsCtx with a per-point progress
-// callback: progress(0, n) fires before evaluation starts, then
+// MeasureRunsProgress is MeasureRuns under a context, with an optional
+// per-point progress callback.
+//
+// Once ctx is done, no new point or run starts, in-flight flow solves
+// abort at their next phase boundary (mcf.Options.Cancel), and the
+// context's error is returned. Cancellation never reaches the cache — an
+// aborted run stores nothing — so a canceled grid re-evaluates cleanly.
+// The evaluation service threads each request's context here so a
+// dropped client stops burning solver time instead of holding a queue
+// slot to completion.
+//
+// A non-nil progress fires progress(0, n) before evaluation starts, then
 // progress(k, n) after each point completes (cache hits and infeasible
 // skips count — every point resolves exactly once). The async job API
-// threads its progress persistence through here. A nil progress is
-// MeasureRunsCtx exactly.
+// threads its progress persistence through here.
 func (e *Engine) MeasureRunsProgress(ctx context.Context, pts []Point, progress ProgressFunc) ([][]float64, error) {
 	var completed atomic.Int64
 	if progress != nil {
 		progress(0, len(pts))
 	}
-	vals, err := runner.Map(e.pool(), len(pts), func(i int) ([]float64, error) {
+	vals, err := runner.Map(len(pts), func(i int) ([]float64, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -256,7 +250,7 @@ func (e *Engine) runPoint(ctx context.Context, p Point) ([]float64, error) {
 	if pw != nil {
 		defer pw.unpin()
 	}
-	vals, err := runner.Map(e.pool(), p.runs(), func(i int) (float64, error) {
+	vals, err := runner.Map(p.runs(), func(i int) (float64, error) {
 		if err := ctx.Err(); err != nil {
 			return 0, err
 		}
@@ -410,12 +404,12 @@ func (e *Engine) materializeParent(ctx context.Context, pp Point, parentKey stri
 // (requires the evaluator to implement DetailedEvaluator). Details hold
 // graphs and flow results, so they are never cached.
 func (e *Engine) MeasureDetailed(pts []Point) ([][]Detail, error) {
-	return runner.Map(e.pool(), len(pts), func(i int) ([]Detail, error) {
+	return runner.Map(len(pts), func(i int) ([]Detail, error) {
 		p := pts[i]
 		if _, ok := p.Eval.(DetailedEvaluator); !ok {
 			return nil, fmt.Errorf("scenario: evaluator %s has no detailed mode", p.Eval.Spec())
 		}
-		dets, err := runner.Map(e.pool(), p.runs(), func(run int) (Detail, error) {
+		dets, err := runner.Map(p.runs(), func(run int) (Detail, error) {
 			_, d, err := e.oneRun(context.Background(), p, run, true, nil)
 			return d, err
 		})

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/hetero"
+	"repro/internal/runner"
 	"repro/internal/store"
 )
 
@@ -61,17 +62,20 @@ func storeBacked(t *testing.T, dir string) *Cache {
 }
 
 // TestScenarioDeterministicAcrossWorkers is the engine's mirror of the
-// solver determinism contract: the same grid measured at 1, 2, GOMAXPROCS,
-// and 5 workers — and with no cache, the in-memory cache, or the
-// store-backed tiered cache — must produce reflect.DeepEqual results.
+// solver determinism contract: the same grid measured under a process-wide
+// worker bound of 1, 2, GOMAXPROCS, and 5 — and with no cache, the
+// in-memory cache, or the store-backed tiered cache — must produce
+// reflect.DeepEqual results.
 // Every run's RNG derives from (seed, run) and reductions are serial in
 // index order, so scheduling cannot leak in; the cache tiers only ever
 // return what a cold solve would.
 func TestScenarioDeterministicAcrossWorkers(t *testing.T) {
 	pts := testPoints()
 	storeDir := t.TempDir()
+	defer runner.SetMaxInFlight(0)
 	var ref [][]float64
 	for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0), 5} {
+		runner.SetMaxInFlight(workers)
 		for _, mode := range []string{"nocache", "memory", "store"} {
 			var cache *Cache
 			switch mode {
@@ -82,7 +86,7 @@ func TestScenarioDeterministicAcrossWorkers(t *testing.T) {
 				// answer from entries persisted by earlier ones.
 				cache = storeBacked(t, storeDir)
 			}
-			e := &Engine{Parallel: workers, Cache: cache, SkipInfeasible: true}
+			e := &Engine{Cache: cache, SkipInfeasible: true}
 			vals, err := e.MeasureRuns(pts)
 			if err != nil {
 				t.Fatalf("workers=%d cache=%s: %v", workers, mode, err)
@@ -128,7 +132,7 @@ func checkFixtureValues(t *testing.T, vals [][]float64) {
 // passes, lo−1 when lo already fails, and otherwise the largest passing
 // size, probing only sizes in [lo, hi].
 func TestMaxAtFull(t *testing.T) {
-	e := &Engine{Parallel: 1, Cache: NewCache()}
+	e := &Engine{Cache: NewCache()}
 	point := func(size int) Point {
 		if size < 2 || size > 9 {
 			t.Fatalf("probed size %d outside [2, 9]", size)
@@ -165,7 +169,7 @@ func TestMaxAtFull(t *testing.T) {
 // with the builder's error still inspectable through the wrapping.
 func TestMeasureRunsBuildError(t *testing.T) {
 	boom := errors.New("boom")
-	e := &Engine{Parallel: 1}
+	e := &Engine{}
 	_, err := e.MeasureRuns([]Point{{Topo: failingTopo{boom}, Traffic: Permutation{}, Eval: MCF{}, Runs: 2}})
 	if !errors.Is(err, boom) {
 		t.Fatalf("build error lost: %v", err)
@@ -178,11 +182,10 @@ func (failingTopo) Spec() string { return "" }
 
 func (f failingTopo) Build(*rand.Rand) (*graph.Graph, error) { return nil, f.err }
 
-// measurePoint measures one point on an uncached engine with the given
-// number of workers.
-func measurePoint(t *testing.T, workers int, p Point) []float64 {
+// measurePoint measures one point on an uncached engine.
+func measurePoint(t *testing.T, p Point) []float64 {
 	t.Helper()
-	vals, err := (&Engine{Parallel: workers}).MeasureRuns([]Point{p})
+	vals, err := (&Engine{}).MeasureRuns([]Point{p})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +195,7 @@ func measurePoint(t *testing.T, workers int, p Point) []float64 {
 // TestMeasureRunsStat: a point's runs summarize to ordered statistics
 // over every run, with a positive mean.
 func TestMeasureRunsStat(t *testing.T) {
-	st := Summarize(measurePoint(t, 1, Point{Topo: &RRG{N: 16, Deg: 6, SPS: 3}, Traffic: Permutation{}, Eval: MCF{},
+	st := Summarize(measurePoint(t, Point{Topo: &RRG{N: 16, Deg: 6, SPS: 3}, Traffic: Permutation{}, Eval: MCF{},
 		Seed: 3, Runs: 4, Epsilon: 0.1}))
 	if st.Runs != 4 || !(st.Min <= st.Mean && st.Mean <= st.Max) || st.Std < 0 {
 		t.Fatalf("malformed stat %+v", st)
@@ -207,7 +210,11 @@ func TestMeasureRunsStat(t *testing.T) {
 func TestRunsDeterministicAcrossParallelism(t *testing.T) {
 	p := Point{Topo: &RRG{N: 12, Deg: 4, SPS: 2}, Traffic: Permutation{}, Eval: MCF{},
 		Seed: 5, Runs: 4, Epsilon: 0.12}
-	if seq, par := measurePoint(t, 1, p), measurePoint(t, 4, p); !reflect.DeepEqual(seq, par) {
+	defer runner.SetMaxInFlight(0)
+	runner.SetMaxInFlight(1)
+	seq := measurePoint(t, p)
+	runner.SetMaxInFlight(4)
+	if par := measurePoint(t, p); !reflect.DeepEqual(seq, par) {
 		t.Fatalf("parallelism changed results: %v vs %v", seq, par)
 	}
 }
@@ -216,7 +223,7 @@ func TestRunsDeterministicAcrossParallelism(t *testing.T) {
 // traffic each load a connected RRG to a positive throughput.
 func TestTrafficKindsMeasurePositive(t *testing.T) {
 	for _, tr := range []Traffic{Permutation{}, AllToAll{}, Chunky{Frac: 0.5}} {
-		runs := measurePoint(t, 1, Point{Topo: &RRG{N: 10, Deg: 4, SPS: 2}, Traffic: tr, Eval: MCF{},
+		runs := measurePoint(t, Point{Topo: &RRG{N: 10, Deg: 4, SPS: 2}, Traffic: tr, Eval: MCF{},
 			Seed: 7, Runs: 2, Epsilon: 0.15})
 		for run, v := range runs {
 			if v <= 0 {
@@ -229,7 +236,7 @@ func TestTrafficKindsMeasurePositive(t *testing.T) {
 // TestDisconnectedPointIsZero: when no path joins the two clusters, every
 // commodity is unreachable and mcf measures exactly 0 instead of failing.
 func TestDisconnectedPointIsZero(t *testing.T) {
-	for run, v := range measurePoint(t, 1, testPoints()[disconnectedPoint]) {
+	for run, v := range measurePoint(t, testPoints()[disconnectedPoint]) {
 		if v != 0 {
 			t.Errorf("run %d measured %v, want 0", run, v)
 		}
@@ -244,14 +251,14 @@ func TestStoreWarmRestartEqualsColdSolve(t *testing.T) {
 	pts := testPoints()[:2]
 	dir := t.TempDir()
 
-	cold := &Engine{Parallel: 1, SkipInfeasible: true}
+	cold := &Engine{SkipInfeasible: true}
 	coldVals, err := cold.MeasureRuns(pts)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	first := storeBacked(t, dir)
-	firstVals, err := (&Engine{Parallel: 1, Cache: first, SkipInfeasible: true}).MeasureRuns(pts)
+	firstVals, err := (&Engine{Cache: first, SkipInfeasible: true}).MeasureRuns(pts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +267,7 @@ func TestStoreWarmRestartEqualsColdSolve(t *testing.T) {
 	}
 
 	second := storeBacked(t, dir) // restart: empty memory, warm disk
-	secondVals, err := (&Engine{Parallel: 1, Cache: second, SkipInfeasible: true}).MeasureRuns(pts)
+	secondVals, err := (&Engine{Cache: second, SkipInfeasible: true}).MeasureRuns(pts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +284,7 @@ func TestStoreWarmRestartEqualsColdSolve(t *testing.T) {
 	// store again, never by an in-memory copy, and mutating a returned
 	// slice must not poison the store.
 	secondVals[0][0] = -1
-	thirdVals, err := (&Engine{Parallel: 1, Cache: second, SkipInfeasible: true}).MeasureRuns(pts)
+	thirdVals, err := (&Engine{Cache: second, SkipInfeasible: true}).MeasureRuns(pts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,14 +301,14 @@ func TestStoreWarmRestartEqualsColdSolve(t *testing.T) {
 // the second measurement actually hits, and a differing spec misses.
 func TestCacheHitEqualsColdSolve(t *testing.T) {
 	pts := testPoints()[:2]
-	cold := &Engine{Parallel: 1, SkipInfeasible: true}
+	cold := &Engine{SkipInfeasible: true}
 	coldVals, err := cold.MeasureRuns(pts)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	cache := NewCache()
-	warm := &Engine{Parallel: 1, Cache: cache, SkipInfeasible: true}
+	warm := &Engine{Cache: cache, SkipInfeasible: true}
 	first, err := warm.MeasureRuns(pts)
 	if err != nil {
 		t.Fatal(err)
@@ -355,7 +362,7 @@ func TestMemoryTierEvicts(t *testing.T) {
 	a, b := pts[:1], pts[4:5] // two runs each
 	budget := int64(memEntryOverhead + 8*2)
 	cache := newCache(budget)
-	eng := &Engine{Parallel: 1, Cache: cache}
+	eng := &Engine{Cache: cache}
 	measure := func(p []Point) [][]float64 {
 		t.Helper()
 		vals, err := eng.MeasureRuns(p)
@@ -386,7 +393,7 @@ func TestMemoryTierEvicts(t *testing.T) {
 // value, and detailed runs carry usable graphs and results.
 func TestDetailedMatchesScalar(t *testing.T) {
 	pts := testPoints()[:1]
-	e := &Engine{Parallel: 1}
+	e := &Engine{}
 	vals, err := e.MeasureRuns(pts)
 	if err != nil {
 		t.Fatal(err)
@@ -412,7 +419,7 @@ func TestDetailedMatchesScalar(t *testing.T) {
 // not in the registry) must evaluate but never populate the cache.
 func TestAdHocTopologyBypassesCache(t *testing.T) {
 	cache := NewCache()
-	e := &Engine{Parallel: 1, Cache: cache}
+	e := &Engine{Cache: cache}
 	pt := Point{Topo: adHoc{}, Traffic: Permutation{}, Eval: MCF{}, Seed: 3, Runs: 1, Epsilon: 0.15}
 	if _, err := e.MeasureRuns([]Point{pt}); err != nil {
 		t.Fatal(err)

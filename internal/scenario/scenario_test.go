@@ -190,7 +190,7 @@ func TestFailuresEvaluator(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := &Engine{Parallel: 1}
+		e := &Engine{}
 		vals, err := e.MeasureRuns([]Point{{
 			Topo: topo, Traffic: Permutation{}, Eval: ev,
 			Seed: 4, Runs: 2, Epsilon: 0.12,
@@ -240,7 +240,7 @@ func TestExpandTopology(t *testing.T) {
 		t.Fatal("expanded graph disconnected")
 	}
 	// An expanded point runs end-to-end through the engine.
-	e := &Engine{Parallel: 1}
+	e := &Engine{}
 	vals, err := e.MeasureRuns([]Point{{
 		Topo: topo, Traffic: Permutation{}, Eval: MCF{}, Seed: 2, Runs: 1, Epsilon: 0.12,
 	}})

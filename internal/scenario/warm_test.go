@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/runner"
 	"repro/internal/store"
 )
 
@@ -50,11 +51,11 @@ func warmBand(t *testing.T, what string, warm, cold, eps float64) {
 // class of the cold solve of the same point.
 func TestWarmStartCertifiedWithinClass(t *testing.T) {
 	pts := warmTestPoints(t)
-	coldVals, err := (&Engine{Parallel: 1}).MeasureRuns(pts)
+	coldVals, err := (&Engine{}).MeasureRuns(pts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := &Engine{Parallel: 1, Cache: NewCache(), WarmStart: true}
+	e := &Engine{Cache: NewCache(), WarmStart: true}
 	warmVals, err := e.MeasureRuns(pts)
 	if err != nil {
 		t.Fatal(err)
@@ -77,16 +78,19 @@ func TestWarmStartCertifiedWithinClass(t *testing.T) {
 }
 
 // TestWarmStartDeterministicAcrossWorkers extends the engine determinism
-// contract to warm starts: the same delta-shaped grid, warm-started at 1,
-// 2, GOMAXPROCS, and 5 workers, produces reflect.DeepEqual values. The
+// contract to warm starts: the same delta-shaped grid, warm-started under
+// a process-wide worker bound of 1, 2, GOMAXPROCS, and 5, produces
+// reflect.DeepEqual values. The
 // witness is a pure function of the parent point, the mapping is a pure
 // function of witness and graphs, and the warm solve is deterministic in
 // its seed — so scheduling cannot leak in.
 func TestWarmStartDeterministicAcrossWorkers(t *testing.T) {
 	pts := warmTestPoints(t)
+	defer runner.SetMaxInFlight(0)
 	var ref [][]float64
 	for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0), 5} {
-		e := &Engine{Parallel: workers, Cache: NewCache(), WarmStart: true}
+		runner.SetMaxInFlight(workers)
+		e := &Engine{Cache: NewCache(), WarmStart: true}
 		vals, err := e.MeasureRuns(pts)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -152,7 +156,7 @@ func TestWarmStartParentSourceIrrelevant(t *testing.T) {
 	}
 
 	// Memory: a fresh warm engine materializes the parents itself.
-	mem := &Engine{Parallel: 1, Cache: NewCache(), WarmStart: true}
+	mem := &Engine{Cache: NewCache(), WarmStart: true}
 	memVals, err := mem.MeasureRuns(pts)
 	if err != nil {
 		t.Fatal(err)
@@ -165,11 +169,11 @@ func TestWarmStartParentSourceIrrelevant(t *testing.T) {
 	// parents; process B, a fresh handle on the same dir, solves the
 	// children from the stored witnesses.
 	dir := t.TempDir()
-	a := &Engine{Parallel: 1, Cache: storeBacked(t, dir), WarmStart: true}
+	a := &Engine{Cache: storeBacked(t, dir), WarmStart: true}
 	if _, err := a.MeasureRuns(parents); err != nil {
 		t.Fatal(err)
 	}
-	b := &Engine{Parallel: 1, Cache: storeBacked(t, dir), WarmStart: true}
+	b := &Engine{Cache: storeBacked(t, dir), WarmStart: true}
 	diskVals, err := b.MeasureRuns(pts)
 	if err != nil {
 		t.Fatal(err)
@@ -183,12 +187,12 @@ func TestWarmStartParentSourceIrrelevant(t *testing.T) {
 	peer := newMemBackend()
 	ca := NewCache()
 	ca.SetBackend(peer)
-	if _, err := (&Engine{Parallel: 1, Cache: ca, WarmStart: true}).MeasureRuns(parents); err != nil {
+	if _, err := (&Engine{Cache: ca, WarmStart: true}).MeasureRuns(parents); err != nil {
 		t.Fatal(err)
 	}
 	cb := NewCache()
 	cb.SetBackend(peer)
-	peerEng := &Engine{Parallel: 1, Cache: cb, WarmStart: true}
+	peerEng := &Engine{Cache: cb, WarmStart: true}
 	peerVals, err := peerEng.MeasureRuns(pts)
 	if err != nil {
 		t.Fatal(err)
@@ -215,7 +219,7 @@ func TestWarmStartParentLinkDurable(t *testing.T) {
 	}
 	c := NewCache()
 	c.SetBackend(st)
-	e := &Engine{Parallel: 1, Cache: c, WarmStart: true}
+	e := &Engine{Cache: c, WarmStart: true}
 	if _, err := e.MeasureRuns(pts); err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +321,7 @@ func TestCanParent(t *testing.T) {
 func TestWarmEnginePublishesParentWitnessesOnly(t *testing.T) {
 	rung := warmTestPoints(t)[0]
 	pp, _ := ParentPoint(rung)
-	e := &Engine{Parallel: 1, Cache: NewCache(), WarmStart: true}
+	e := &Engine{Cache: NewCache(), WarmStart: true}
 	if _, err := e.MeasureRuns([]Point{rung}); err != nil {
 		t.Fatal(err)
 	}

@@ -49,7 +49,7 @@ func (evalBody) Close() error { return nil }
 func newWarmBench(b testing.TB, grid string) (http.Handler, *http.Request, *evalBody, *nullRW) {
 	b.Helper()
 	cache := scenario.NewCache()
-	eng := &scenario.Engine{Parallel: 1, Cache: cache, SkipInfeasible: true}
+	eng := &scenario.Engine{Cache: cache, SkipInfeasible: true}
 	srv := New(Config{Engine: eng, Cache: cache, MaxJobs: 4})
 	h := srv.Handler()
 	payload, err := json.Marshal(EvalRequest{Grid: grid})

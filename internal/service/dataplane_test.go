@@ -29,7 +29,7 @@ func newDataplaneServer(t *testing.T, dir string, respBytes int64) (*Server, *ht
 		}
 		cache.SetBackend(st)
 	}
-	eng := &scenario.Engine{Parallel: 1, Cache: cache, SkipInfeasible: true}
+	eng := &scenario.Engine{Cache: cache, SkipInfeasible: true}
 	srv := New(Config{Engine: eng, Cache: cache, Store: st, MaxJobs: 4, RespCacheMaxBytes: respBytes})
 	hs := httptest.NewServer(srv.Handler())
 	t.Cleanup(hs.Close)

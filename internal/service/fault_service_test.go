@@ -153,7 +153,7 @@ func TestPutAndRawGet(t *testing.T) {
 // aborted through the context chain and reported as a gateway timeout.
 func TestRequestTimeoutAnswers504(t *testing.T) {
 	cache := scenario.NewCache()
-	eng := &scenario.Engine{Parallel: 1, Cache: cache, SkipInfeasible: true}
+	eng := &scenario.Engine{Cache: cache, SkipInfeasible: true}
 	srv := New(Config{Engine: eng, Cache: cache, MaxJobs: 2, RequestTimeout: 60 * time.Millisecond})
 	hs := httptest.NewServer(srv.Handler())
 	t.Cleanup(hs.Close)
@@ -229,7 +229,7 @@ func TestHealthzDegradedAndWedged(t *testing.T) {
 	remote := remotestore.New(remotestore.Options{BaseURL: deadURL, Attempts: 1, Timeout: 200 * time.Millisecond})
 
 	cache := scenario.NewCache()
-	eng := &scenario.Engine{Parallel: 1, Cache: cache, SkipInfeasible: true}
+	eng := &scenario.Engine{Cache: cache, SkipInfeasible: true}
 	srv := New(Config{Engine: eng, Cache: cache, MaxJobs: 1, Remote: remote, WedgeAfter: 60 * time.Millisecond})
 	hs := httptest.NewServer(srv.Handler())
 	t.Cleanup(hs.Close)
@@ -293,7 +293,7 @@ func referenceBytes(t *testing.T) map[string][]byte {
 	t.Helper()
 	ref := map[string][]byte{}
 	for _, grid := range chaosGrids {
-		resp, err := EvalGrid(context.Background(), &scenario.Engine{Parallel: 1, SkipInfeasible: true}, grid, Defaults{}, nil)
+		resp, err := EvalGrid(context.Background(), &scenario.Engine{SkipInfeasible: true}, grid, Defaults{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -345,7 +345,7 @@ func TestChaosFleetByteIdentical(t *testing.T) {
 	tiered := store.NewTiered(diskB, remote, store.TieredOptions{})
 	cacheB := scenario.NewCache()
 	cacheB.SetBackend(tiered)
-	engB := &scenario.Engine{Parallel: 2, Cache: cacheB, SkipInfeasible: true}
+	engB := &scenario.Engine{Cache: cacheB, SkipInfeasible: true}
 	srvB := New(Config{Engine: engB, Cache: cacheB, Store: diskB, MaxJobs: 8, Remote: remote, Tiered: tiered})
 	hsB := httptest.NewServer(srvB.Handler())
 	t.Cleanup(hsB.Close)
@@ -402,7 +402,7 @@ func TestExactlyOnceColdSolveSharedPool(t *testing.T) {
 		})
 		cache := scenario.NewCache()
 		cache.SetBackend(tiered)
-		eng := &scenario.Engine{Parallel: 2, Cache: cache, SkipInfeasible: true}
+		eng := &scenario.Engine{Cache: cache, SkipInfeasible: true}
 		srv := New(Config{Engine: eng, Cache: cache, Store: st, MaxJobs: 4, Tiered: tiered})
 		hs := httptest.NewServer(srv.Handler())
 		t.Cleanup(hs.Close)

@@ -341,7 +341,7 @@ func TestJobUnknownAndCorrupt(t *testing.T) {
 // the async path gets backpressure too, just at a much higher ceiling.
 func TestJobTableBound(t *testing.T) {
 	cache := scenario.NewCache()
-	eng := &scenario.Engine{Parallel: 1, Cache: cache, SkipInfeasible: true}
+	eng := &scenario.Engine{Cache: cache, SkipInfeasible: true}
 	srv := New(Config{Engine: eng, Cache: cache, MaxJobs: 2, MaxQueuedJobs: 1})
 	hs := httptest.NewServer(srv.Handler())
 	t.Cleanup(hs.Close)

@@ -155,7 +155,7 @@ func newWiredServer(t *testing.T) *httptest.Server {
 	tiered := store.NewTiered(st, remote, store.TieredOptions{LeaseTTL: 10 * time.Second})
 	cache := scenario.NewCache()
 	cache.SetBackend(tiered)
-	eng := &scenario.Engine{Parallel: 2, Cache: cache, SkipInfeasible: true, WarmStart: true}
+	eng := &scenario.Engine{Cache: cache, SkipInfeasible: true, WarmStart: true}
 	srv := New(Config{Engine: eng, Cache: cache, Store: st, MaxJobs: 4,
 		Remote: remote, Tiered: tiered, Tracer: trace.New(trace.Options{Sample: 1})})
 	hs := httptest.NewServer(srv.Handler())

@@ -34,7 +34,7 @@ func newTestServer(t *testing.T, dir string, maxJobs int) (*Server, *httptest.Se
 		}
 		cache.SetBackend(st)
 	}
-	eng := &scenario.Engine{Parallel: 1, Cache: cache, SkipInfeasible: true}
+	eng := &scenario.Engine{Cache: cache, SkipInfeasible: true}
 	srv := New(Config{Engine: eng, Cache: cache, Store: st, MaxJobs: maxJobs})
 	hs := httptest.NewServer(srv.Handler())
 	t.Cleanup(hs.Close)
@@ -104,7 +104,7 @@ func TestEvalMatchesEngineAndPersists(t *testing.T) {
 		t.Fatalf("cold eval: %d %s", status, cold)
 	}
 	// Direct engine evaluation, cold, no cache: the reference bytes.
-	ref, err := EvalGrid(context.Background(), &scenario.Engine{Parallel: 1, SkipInfeasible: true}, testGrid, Defaults{}, nil)
+	ref, err := EvalGrid(context.Background(), &scenario.Engine{SkipInfeasible: true}, testGrid, Defaults{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,7 @@ func newTracedServer(t *testing.T, dir string) (*trace.Tracer, *store.Store, *ht
 		}
 		cache.SetBackend(st)
 	}
-	eng := &scenario.Engine{Parallel: 2, Cache: cache, SkipInfeasible: true}
+	eng := &scenario.Engine{Cache: cache, SkipInfeasible: true}
 	srv := New(Config{Engine: eng, Cache: cache, Store: st, MaxJobs: 4, Tracer: tr})
 	hs := httptest.NewServer(srv.Handler())
 	t.Cleanup(hs.Close)
@@ -198,7 +198,7 @@ func TestTracePeerJoinsCallerTrace(t *testing.T) {
 	tiered := store.NewTiered(diskA, remote, store.TieredOptions{})
 	cacheA := scenario.NewCache()
 	cacheA.SetBackend(tiered)
-	engA := &scenario.Engine{Parallel: 2, Cache: cacheA, SkipInfeasible: true}
+	engA := &scenario.Engine{Cache: cacheA, SkipInfeasible: true}
 	srvA := New(Config{Engine: engA, Cache: cacheA, Store: diskA, MaxJobs: 4,
 		Remote: remote, Tiered: tiered, Tracer: trA})
 	hsA := httptest.NewServer(srvA.Handler())
@@ -242,7 +242,7 @@ func TestSlowRequestCaptured(t *testing.T) {
 	tr := trace.New(trace.Options{Slow: time.Nanosecond})
 	var logBuf bytes.Buffer
 	cache := scenario.NewCache()
-	eng := &scenario.Engine{Parallel: 1, Cache: cache, SkipInfeasible: true}
+	eng := &scenario.Engine{Cache: cache, SkipInfeasible: true}
 	srv := New(Config{Engine: eng, Cache: cache, MaxJobs: 4, Tracer: tr,
 		Logger: slog.New(slog.NewTextHandler(&logBuf, nil))})
 	hs := httptest.NewServer(srv.Handler())
@@ -302,7 +302,7 @@ func TestWarmEvalAllocsTraced(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	cache := scenario.NewCache()
-	eng := &scenario.Engine{Parallel: 1, Cache: cache, SkipInfeasible: true}
+	eng := &scenario.Engine{Cache: cache, SkipInfeasible: true}
 	srv := New(Config{Engine: eng, Cache: cache, MaxJobs: 4,
 		Tracer: trace.New(trace.Options{Sample: 0.001, Slow: 250 * time.Millisecond})})
 	h := srv.Handler()
