@@ -203,10 +203,11 @@ func runScenario(line string, runs int, seed int64, eps float64, cache *scenario
 		defer f.Close()
 		w = f
 	}
+	def := service.Defaults{Runs: runs, Seed: seed, Epsilon: eps}
 	if jsonOut {
 		// The service's evaluation path and canonical encoding: the emitted
 		// bytes equal a `topobench serve` response for the same grid.
-		resp, err := service.EvalGrid(context.Background(), eng, line, service.Defaults{Runs: runs, Seed: seed, Epsilon: eps}, nil)
+		resp, err := service.EvalGrid(context.Background(), eng, line, def, nil)
 		if err != nil {
 			return err
 		}
@@ -222,21 +223,7 @@ func runScenario(line string, runs int, seed int64, eps float64, cache *scenario
 		if err != nil {
 			return err
 		}
-		if grid.Runs == 0 {
-			grid.Runs = runs
-		}
-		if grid.Seed == 0 {
-			grid.Seed = seed
-		}
-		if grid.Seed == 0 {
-			// Match service.EvalGrid's normalization exactly: a zero seed
-			// (even an explicit -seed 0) runs as 1, so the TSV and -json
-			// paths address the same cache entries and draw the same streams.
-			grid.Seed = 1
-		}
-		if grid.Epsilon == 0 {
-			grid.Epsilon = eps
-		}
+		def.Apply(&grid)
 		if err := grid.WriteTSV(eng, w); err != nil {
 			return err
 		}

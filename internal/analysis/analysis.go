@@ -60,8 +60,6 @@ func Normalize(x []float64, ds []Decomposition) NormalizedSeries {
 		if d.Throughput > ds[peak].Throughput {
 			peak = i
 		}
-		_ = i
-		_ = d
 	}
 	div := func(v, ref float64) float64 {
 		if ref == 0 {

@@ -6,9 +6,8 @@
 //   - The Cerf–Cowan–Mullin–Stanton lower bound d* on the average shortest
 //     path length of any r-regular graph, which combined with Theorem 1
 //     yields T ≤ N·r/(d*·f).
-//   - The heterogeneous two-cluster upper bound of §6.2 (Eq. 1), its drop
-//     threshold (Eq. 2), and the C̄* threshold used in Fig. 11.
-//   - The Moore bound for the related degree-diameter problem.
+//   - The heterogeneous two-cluster upper bound of §6.2 (Eq. 1) and the C̄*
+//     threshold used in Fig. 11.
 package bounds
 
 import (
@@ -71,16 +70,6 @@ func ThroughputUpperBound(n, r, f int) float64 {
 	return float64(n) * float64(r) / (dstar * float64(f))
 }
 
-// ThroughputBoundWithASPL returns the raw Theorem 1 bound C/(⟨D⟩·f) for a
-// network of total capacity totalCap (counting both directions of every
-// link), observed or bounded ASPL aspl, and f unit-demand flows.
-func ThroughputBoundWithASPL(totalCap, aspl float64, f int) float64 {
-	if f == 0 || aspl == 0 {
-		return math.Inf(1)
-	}
-	return totalCap / (aspl * float64(f))
-}
-
 // TwoClusterBound is the §6.2 heterogeneous upper bound (Eq. 1):
 //
 //	T ≤ min{ C/(⟨D⟩·(n1+n2)),  C̄·(n1+n2)/(2·n1·n2) }
@@ -102,13 +91,6 @@ func TwoClusterBound(totalCap, crossCap, aspl float64, n1, n2 int) float64 {
 	return math.Min(pathBound, cutBound)
 }
 
-// DropThreshold returns the Eq. 2 threshold for equal-size clusters: the
-// upper bound begins to fall once the cross-cluster capacity C̄ drops below
-// C/(2·⟨D⟩).
-func DropThreshold(totalCap, aspl float64) float64 {
-	return totalCap / (2 * aspl)
-}
-
 // CrossCapThreshold returns C̄* = T*·2·n1·n2/(n1+n2): given (an estimate of)
 // the peak throughput T*, throughput must be below T* whenever the
 // cross-cluster capacity is below C̄*. This is the marked point on each
@@ -118,46 +100,4 @@ func CrossCapThreshold(tstar float64, n1, n2 int) float64 {
 		return 0
 	}
 	return tstar * 2 * float64(n1) * float64(n2) / float64(n1+n2)
-}
-
-// MooreBound returns the Moore bound: the maximum number of nodes of any
-// graph with maximum degree d and diameter k,
-//
-//	1 + d·Σ_{i=0}^{k-1}(d-1)^i.
-//
-// It is the degree-diameter analogue of the ASPL bound and is included for
-// the paper's §1 discussion of the degree-diameter problem.
-func MooreBound(d, k int) float64 {
-	if d < 1 || k < 0 {
-		panic(fmt.Sprintf("bounds: invalid MooreBound(%d, %d)", d, k))
-	}
-	if k == 0 {
-		return 1
-	}
-	if d == 1 {
-		return 2
-	}
-	if d == 2 {
-		return float64(2*k + 1)
-	}
-	sum := 1.0
-	term := float64(d)
-	for i := 0; i < k; i++ {
-		sum += term
-		term *= float64(d - 1)
-	}
-	return sum
-}
-
-// DiameterLowerBound returns the smallest diameter any graph with n nodes
-// and maximum degree d can have (the Moore-bound inversion).
-func DiameterLowerBound(n, d int) int {
-	if n <= 1 {
-		return 0
-	}
-	for k := 1; ; k++ {
-		if MooreBound(d, k) >= float64(n) {
-			return k
-		}
-	}
 }

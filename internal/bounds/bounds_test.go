@@ -135,15 +135,6 @@ func TestThroughputUpperBound(t *testing.T) {
 	}
 }
 
-func TestThroughputBoundWithASPL(t *testing.T) {
-	if got := ThroughputBoundWithASPL(100, 2, 10); got != 5 {
-		t.Fatalf("got %v, want 5", got)
-	}
-	if !math.IsInf(ThroughputBoundWithASPL(100, 0, 10), 1) {
-		t.Fatal("zero ASPL should be +Inf")
-	}
-}
-
 func TestTwoClusterBound(t *testing.T) {
 	// Path bound: C/(aspl·f) = 400/(2·100) = 2.
 	// Cut bound: C̄(n1+n2)/(2n1n2) = 40·100/(2·50·50) = 0.8.
@@ -163,65 +154,12 @@ func TestTwoClusterBound(t *testing.T) {
 	}
 }
 
-func TestDropThresholdAndCrossCapThreshold(t *testing.T) {
-	if got := DropThreshold(400, 2); got != 100 {
-		t.Fatalf("drop threshold %v, want 100", got)
-	}
+func TestCrossCapThreshold(t *testing.T) {
 	// C̄* = T*·2n1n2/(n1+n2).
 	if got := CrossCapThreshold(0.5, 50, 50); got != 25 {
 		t.Fatalf("C̄* = %v, want 25", got)
 	}
 	if got := CrossCapThreshold(0.5, 0, 0); got != 0 {
 		t.Fatal("empty clusters should give 0")
-	}
-}
-
-func TestMooreBound(t *testing.T) {
-	cases := []struct {
-		d, k int
-		want float64
-	}{
-		{3, 1, 4},  // K4
-		{3, 2, 10}, // Petersen graph meets it
-		{4, 2, 17}, // paper's Fig. 3 first step
-		{2, 3, 7},  // cycle C7
-		{1, 1, 2},  // single edge
-		{5, 0, 1},  // k=0
-	}
-	for _, c := range cases {
-		if got := MooreBound(c.d, c.k); got != c.want {
-			t.Errorf("MooreBound(%d,%d) = %v, want %v", c.d, c.k, got, c.want)
-		}
-	}
-}
-
-func TestDiameterLowerBound(t *testing.T) {
-	if got := DiameterLowerBound(10, 3); got != 2 {
-		t.Fatalf("Petersen-size bound %d, want 2", got)
-	}
-	if got := DiameterLowerBound(11, 3); got != 3 {
-		t.Fatalf("11 nodes degree 3: %d, want 3", got)
-	}
-	if got := DiameterLowerBound(1, 3); got != 0 {
-		t.Fatal("single node diameter 0")
-	}
-}
-
-// Cross-check: the diameter of generated RRGs never beats the Moore-bound
-// inversion.
-func TestDiameterBoundHolds(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	for _, c := range []struct{ n, r int }{{20, 3}, {50, 4}, {100, 5}} {
-		g, err := rrg.Regular(rng, c.n, c.r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		diam, ok := g.Diameter()
-		if !ok {
-			continue
-		}
-		if lb := DiameterLowerBound(c.n, c.r); diam < lb {
-			t.Fatalf("RRG(%d,%d) diameter %d beats bound %d", c.n, c.r, diam, lb)
-		}
 	}
 }

@@ -175,7 +175,6 @@ func TestVerifyEmptyInstance(t *testing.T) {
 func TestVerifyPathsWithoutArcFlow(t *testing.T) {
 	g, flows, res := solved(t)
 	res.ArcFlow = nil
-	res.ArcUtil = nil
 	rep, err := Verify(g, flows, res, Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -6,7 +6,7 @@ import (
 )
 
 // WithoutLinks returns a copy of g with the given link IDs removed.
-// Server counts and classes are preserved. Link IDs refer to g; the copy
+// Server counts are preserved. Link IDs refer to g; the copy
 // renumbers its links.
 func (g *Graph) WithoutLinks(ids []int) (*Graph, error) {
 	drop := make(map[int]bool, len(ids))
@@ -18,7 +18,6 @@ func (g *Graph) WithoutLinks(ids []int) (*Graph, error) {
 	}
 	ng := New(g.n)
 	copy(ng.servers, g.servers)
-	copy(ng.class, g.class)
 	for id := 0; id < g.NumLinks(); id++ {
 		if drop[id] {
 			continue

@@ -32,7 +32,6 @@ type Arc struct {
 type Graph struct {
 	n       int
 	servers []int     // servers attached to each node
-	class   []int     // optional node class (e.g. ToR / Agg / Core), default 0
 	arcs    []Arc     // directed arcs; arc a's reverse is a ^ 1
 	adj     [][]int32 // arc indices leaving each node
 
@@ -86,7 +85,6 @@ func New(n int) *Graph {
 	return &Graph{
 		n:       n,
 		servers: make([]int, n),
-		class:   make([]int, n),
 		adj:     make([][]int32, n),
 	}
 }
@@ -96,7 +94,6 @@ func (g *Graph) Clone() *Graph {
 	c := &Graph{
 		n:       g.n,
 		servers: append([]int(nil), g.servers...),
-		class:   append([]int(nil), g.class...),
 		arcs:    append([]Arc(nil), g.arcs...),
 		adj:     make([][]int32, g.n),
 	}
@@ -144,23 +141,6 @@ func (g *Graph) AddLink(u, v int, capacity float64) int {
 	return id
 }
 
-// HasLink reports whether at least one link joins u and v.
-func (g *Graph) HasLink(u, v int) bool {
-	if u < 0 || u >= g.n || v < 0 || v >= g.n {
-		return false
-	}
-	// Scan the smaller adjacency list.
-	if len(g.adj[u]) > len(g.adj[v]) {
-		u, v = v, u
-	}
-	for _, a := range g.adj[u] {
-		if int(g.arcs[a].To) == v {
-			return true
-		}
-	}
-	return false
-}
-
 // OutArcs returns the arc indices leaving node u. The returned slice is
 // owned by the graph and must not be modified.
 func (g *Graph) OutArcs(u int) []int32 { return g.adj[u] }
@@ -202,12 +182,6 @@ func (g *Graph) TotalServers() int {
 	}
 	return t
 }
-
-// SetClass tags node u with an integer class (e.g. 0=ToR, 1=Agg, 2=Core).
-func (g *Graph) SetClass(u, c int) { g.class[u] = c }
-
-// Class returns the class tag of node u.
-func (g *Graph) Class(u int) int { return g.class[u] }
 
 // TotalCapacity returns the sum of arc capacities — the paper's C, which
 // counts each direction of each link separately.
@@ -251,15 +225,6 @@ func (g *Graph) CrossCapacity(inS []bool) float64 {
 	return c
 }
 
-// DegreeSequence returns the degree of every node.
-func (g *Graph) DegreeSequence() []int {
-	d := make([]int, g.n)
-	for i := range d {
-		d[i] = len(g.adj[i])
-	}
-	return d
-}
-
 // IsRegular reports whether all nodes have degree r.
 func (g *Graph) IsRegular() (r int, ok bool) {
 	if g.n == 0 {
@@ -275,8 +240,8 @@ func (g *Graph) IsRegular() (r int, ok bool) {
 }
 
 // Validate checks internal invariants and returns an error describing the
-// first violation found, or nil. It is used by tests and by constructors of
-// randomized topologies.
+// first violation found, or nil. No builder calls it; the tests of the
+// topology builders assert with it.
 func (g *Graph) Validate() error {
 	if len(g.arcs)%2 != 0 {
 		return fmt.Errorf("graph: odd arc count %d", len(g.arcs))

@@ -130,9 +130,8 @@ func (p Path) Len() int { return len(p) }
 // to dst (all of minimal hop count), walking the BFS shortest-path DAG in
 // deterministic (arc-index) order. It returns nil if dst is unreachable.
 //
-// Multipath routing in the packet simulator and path seeding in the flow
-// solver both use this: the paper's MPTCP evaluation (§8.2) uses "as many
-// as 8 subflows over the shortest paths".
+// The packet simulator's multipath routing uses this: the paper's MPTCP
+// evaluation (§8.2) uses "as many as 8 subflows over the shortest paths".
 func (g *Graph) ShortestPathDAGPaths(src, dst, k int) []Path {
 	if k <= 0 {
 		return nil

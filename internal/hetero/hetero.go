@@ -15,12 +15,6 @@ import (
 	"repro/internal/rrg"
 )
 
-// Node classes in graphs built by this package.
-const (
-	ClassLarge = 0
-	ClassSmall = 1
-)
-
 // Config describes a two-switch-type network experiment point.
 type Config struct {
 	NumLarge, NumSmall     int // switch counts per type
@@ -55,8 +49,7 @@ type Config struct {
 }
 
 // Build constructs a network per cfg. Nodes 0..NumLarge-1 are the large
-// switches (ClassLarge); the rest are small (ClassSmall). Low-speed links
-// have capacity 1.
+// switches; the rest are small. Low-speed links have capacity 1.
 func Build(rng *rand.Rand, cfg Config) (*graph.Graph, error) {
 	if cfg.NumLarge <= 0 || cfg.NumSmall < 0 || cfg.PortsLarge <= 0 || cfg.PortsSmall < 0 {
 		return nil, fmt.Errorf("hetero: invalid switch pool %+v", cfg)
@@ -119,11 +112,9 @@ func Build(rng *rand.Rand, cfg Config) (*graph.Graph, error) {
 		return nil, err
 	}
 	for i := 0; i < cfg.NumLarge; i++ {
-		g.SetClass(i, ClassLarge)
 		g.SetServers(i, perLarge[i])
 	}
 	for i := 0; i < cfg.NumSmall; i++ {
-		g.SetClass(cfg.NumLarge+i, ClassSmall)
 		g.SetServers(cfg.NumLarge+i, perSmall[i])
 	}
 
@@ -224,7 +215,6 @@ func argmax(xs []int) int {
 		if x > xs[m] {
 			m = i
 		}
-		_ = x
 	}
 	return m
 }

@@ -1,8 +1,10 @@
 // Package maxflow implements exact single-commodity maximum flow (Dinic's
-// algorithm) on the repository's graphs. The paper's throughput model is
-// multi-commodity (package mcf); exact max-flow serves as the substrate for
-// cut-based checks: bisection bandwidth, min-cut certificates, and
-// cross-validation of the approximate multi-commodity solver.
+// algorithm) on the repository's graphs, and the balanced-cut estimate of
+// bisection bandwidth behind the `bisection` evaluator. The paper's
+// throughput model is multi-commodity (package mcf); MaxFlow and MinCut are
+// the exact reference that mcf's tests compare the approximate solver
+// against. BisectionBandwidth computes no flow: it refines balanced cuts,
+// Kernighan–Lin style.
 package maxflow
 
 import (
@@ -36,15 +38,6 @@ func NewNetwork(g *graph.Graph) *Network {
 		c := g.LinkCapacity(id)
 		nw.addEdge(u, v, c)
 		nw.addEdge(v, u, c)
-	}
-	return nw
-}
-
-// NewNetworkFromArcs builds a network with explicit directed arcs.
-func NewNetworkFromArcs(n int, arcs []graph.Arc) *Network {
-	nw := &Network{n: n, adj: make([][]arc, n)}
-	for _, a := range arcs {
-		nw.addEdge(int(a.From), int(a.To), a.Cap)
 	}
 	return nw
 }

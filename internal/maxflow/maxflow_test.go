@@ -85,20 +85,6 @@ func TestMinCutMatchesFlow(t *testing.T) {
 	}
 }
 
-func TestDirectedArcsNetwork(t *testing.T) {
-	nw := NewNetworkFromArcs(3, []graph.Arc{
-		{From: 0, To: 1, Cap: 4},
-		{From: 1, To: 2, Cap: 3},
-	})
-	if got := nw.MaxFlow(0, 2); got != 3 {
-		t.Fatalf("directed flow %v, want 3", got)
-	}
-	// No reverse capacity was added.
-	if got := nw.MaxFlow(2, 0); got != 0 {
-		t.Fatalf("reverse flow %v, want 0", got)
-	}
-}
-
 func TestDisconnected(t *testing.T) {
 	g := graph.New(4)
 	g.AddLink(0, 1, 1)

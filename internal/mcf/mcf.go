@@ -82,17 +82,13 @@ type Result struct {
 	// ArcFlow is the certified-feasible per-arc flow (indexed like
 	// graph arc indices), after congestion scaling.
 	ArcFlow []float64
-	// ArcUtil is ArcFlow[a]/cap(a) per arc, in [0, 1].
-	ArcUtil []float64
 	// Utilization is total flow volume over total capacity — the paper's U.
 	Utilization float64
-	// FlowPathLen is the average hop length of routed flow, weighted by
-	// flow volume.
-	FlowPathLen float64
 	// DemandSPL is the demand-weighted average shortest path length
 	// between commodity endpoints.
 	DemandSPL float64
-	// Stretch is FlowPathLen/DemandSPL — the paper's AS (≥ 1).
+	// Stretch is the volume-weighted average hop length of routed flow
+	// over DemandSPL — the paper's AS (≥ 1).
 	Stretch float64
 	// Phases is the number of completed Garg–Könemann phases.
 	Phases int
@@ -980,7 +976,6 @@ func (s *state) result() *Result {
 	}
 	res := &Result{
 		ArcFlow:       make([]float64, s.m),
-		ArcUtil:       make([]float64, s.m),
 		Phases:        s.phases,
 		TreeBuilds:    s.builds,
 		TreeRepairs:   s.repairs,
@@ -1021,13 +1016,13 @@ func (s *state) result() *Result {
 	var totalFlow, totalCap float64
 	for a := 0; a < s.m; a++ {
 		res.ArcFlow[a] = s.flow[a] / chi
-		res.ArcUtil[a] = res.ArcFlow[a] / s.caps[a]
 		totalFlow += res.ArcFlow[a]
 		totalCap += s.caps[a]
 	}
 	res.Utilization = totalFlow / totalCap
+	var flowPathLen float64
 	if s.vol > 0 {
-		res.FlowPathLen = s.volLen / s.vol
+		flowPathLen = s.volLen / s.vol
 	}
 	// Demand-weighted shortest path length (hops).
 	var dsum, dtot float64
@@ -1039,7 +1034,7 @@ func (s *state) result() *Result {
 		res.DemandSPL = dsum / dtot
 	}
 	if res.DemandSPL > 0 {
-		res.Stretch = res.FlowPathLen / res.DemandSPL
+		res.Stretch = flowPathLen / res.DemandSPL
 	}
 	return res
 }

@@ -137,11 +137,8 @@ func TestFeasibilityInvariants(t *testing.T) {
 		t.Fatalf("non-positive throughput %v", res.Throughput)
 	}
 	for a, f := range res.ArcFlow {
-		if f > g.Arc(a).Cap+1e-9 {
-			t.Fatalf("arc %d overloaded: flow %v > cap %v", a, f, g.Arc(a).Cap)
-		}
-		if res.ArcUtil[a] < -1e-12 || res.ArcUtil[a] > 1+1e-9 {
-			t.Fatalf("arc %d utilization %v out of [0,1]", a, res.ArcUtil[a])
+		if f < -1e-12 || f > g.Arc(a).Cap+1e-9 {
+			t.Fatalf("arc %d flow %v out of [0, cap %v]", a, f, g.Arc(a).Cap)
 		}
 	}
 	if res.Stretch < 1-1e-9 {

@@ -64,7 +64,6 @@ func tryExpand(rng *rand.Rand, g *graph.Graph, netDegree int, linkCap float64) (
 	ng := graph.New(n + 1)
 	for u := 0; u < n; u++ {
 		ng.SetServers(u, g.Servers(u))
-		ng.SetClass(u, g.Class(u))
 	}
 	for id := 0; id < g.NumLinks(); id++ {
 		if chosen[id] {

@@ -178,9 +178,6 @@ func TwoCluster(rng *rand.Rand, spec TwoClusterSpec) (*graph.Graph, error) {
 		for _, p := range withinB {
 			g.AddLink(int(p[0]), int(p[1]), spec.LinkCap)
 		}
-		for i := na; i < n; i++ {
-			g.SetClass(i, 1)
-		}
 		if x == 0 {
 			// With no cross links the graph cannot be connected (unless one
 			// side is empty); accept the two-component result so callers can

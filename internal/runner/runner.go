@@ -21,10 +21,17 @@
 // nested or not, runs inline in index order: the serial reference mode.
 // Results are unaffected: scheduling never changes task outputs or their
 // order.
+//
+// A task's panic is a failure at its index like an error, on whichever
+// goroutine the task ran: Map recovers it there and, once every helper
+// has returned, re-raises it in its own caller as a *Panic, so a recover
+// around the outermost Map catches a panic from any task at any depth.
 package runner
 
 import (
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -71,21 +78,23 @@ func release() { inflightExtra.Add(-1) }
 // goroutines as the process-wide semaphore admits (at most n − 1). fn must
 // be safe for concurrent invocation with distinct indices.
 //
-// Error semantics match a serial loop: if any tasks fail, Map returns the
-// error of the lowest failing index. Tasks with indices above the lowest
-// known failure may be skipped, but every index below it is evaluated, so
-// the returned error is deterministic.
+// Error semantics match a serial loop: if any tasks fail, by error or by
+// panic, the lowest failing index decides. Map returns its error, or
+// re-raises its panic in the caller as a *Panic. Tasks with indices above
+// the lowest known failure may be skipped, but every index below it is
+// evaluated, so the outcome is deterministic.
 func Map[T any](n int, fn func(i int) (T, error)) ([]T, error) {
 	if n <= 0 {
 		return nil, nil
 	}
 	out := make([]T, n)
 	var (
-		next     atomic.Int64
-		mu       sync.Mutex
-		errIdx   = -1
-		firstErr error
-		wg       sync.WaitGroup
+		next       atomic.Int64
+		mu         sync.Mutex
+		errIdx     = -1
+		firstErr   error
+		firstPanic *Panic
+		wg         sync.WaitGroup
 	)
 	work := func() {
 		for {
@@ -99,11 +108,11 @@ func Map[T any](n int, fn func(i int) (T, error)) ([]T, error) {
 			if skip {
 				continue
 			}
-			v, err := fn(i)
-			if err != nil {
+			v, p, err := call(fn, i)
+			if err != nil || p != nil {
 				mu.Lock()
 				if errIdx < 0 || i < errIdx {
-					errIdx, firstErr = i, err
+					errIdx, firstErr, firstPanic = i, err, p
 				}
 				mu.Unlock()
 				continue
@@ -121,8 +130,40 @@ func Map[T any](n int, fn func(i int) (T, error)) ([]T, error) {
 	}
 	work()
 	wg.Wait()
+	if firstPanic != nil {
+		panic(firstPanic)
+	}
 	if errIdx >= 0 {
 		return nil, firstErr
 	}
 	return out, nil
+}
+
+// Panic is a task's panic as Map re-raises it: the value the task panicked
+// with and the stack of the goroutine it panicked on.
+type Panic struct {
+	Value any
+	Stack []byte
+}
+
+// Error carries the task's stack, so a re-raised panic that nothing
+// recovers still prints where the task panicked.
+func (p *Panic) Error() string {
+	return fmt.Sprintf("%v\n\ntask goroutine stack:\n%s", p.Value, p.Stack)
+}
+
+// call runs fn(i), turning a panic into a *Panic. A *Panic re-raised by a
+// nested Map passes through as it is, so it keeps the innermost task's
+// value and stack.
+func call[T any](fn func(i int) (T, error), i int) (v T, p *Panic, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			var ok bool
+			if p, ok = r.(*Panic); !ok {
+				p = &Panic{Value: r, Stack: debug.Stack()}
+			}
+		}
+	}()
+	v, err = fn(i)
+	return v, nil, err
 }

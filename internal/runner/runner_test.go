@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -163,5 +164,128 @@ func TestMapAfterSaturationStillCompletes(t *testing.T) {
 		if v != i {
 			t.Fatalf("got[%d] = %d", i, v)
 		}
+	}
+}
+
+// barrier releases its callers once n have arrived. A caller that waits
+// 10 s gives up and returns false: the bound never admitted the helper
+// goroutine the test needs.
+type barrier struct {
+	left atomic.Int32
+	all  chan struct{}
+}
+
+func newBarrier(n int32) *barrier {
+	b := &barrier{all: make(chan struct{})}
+	b.left.Store(n)
+	return b
+}
+
+func (b *barrier) wait() bool {
+	if b.left.Add(-1) == 0 {
+		close(b.all)
+	}
+	select {
+	case <-b.all:
+		return true
+	case <-time.After(10 * time.Second):
+		return false
+	}
+}
+
+// meetAndPanic is a task for Map(2, …): both tasks meet at b, so one of
+// them runs on a helper goroutine, and then both panic.
+func meetAndPanic(b *barrier) func(i int) (int, error) {
+	return func(i int) (int, error) {
+		if !b.wait() {
+			return 0, errors.New("barrier timed out")
+		}
+		panic(fmt.Sprintf("boom %d", i))
+	}
+}
+
+// recovered runs f and returns what it panicked with, or nil.
+func recovered(f func()) (r any) {
+	defer func() { r = recover() }()
+	f()
+	return nil
+}
+
+// TestMapRecoversHelperPanic: a panic on a helper goroutine no longer
+// kills the process. Under a bound of 2, two tasks meet at a barrier and
+// both panic; Map re-raises exactly one panic, index 0's, in its caller,
+// carrying the task's value and stack.
+func TestMapRecoversHelperPanic(t *testing.T) {
+	SetMaxInFlight(2)
+	defer SetMaxInFlight(0)
+	var err error
+	r := recovered(func() { _, err = Map(2, meetAndPanic(newBarrier(2))) })
+	p, ok := r.(*Panic)
+	if !ok {
+		t.Fatalf("recovered %v (Map error %v), want a *Panic", r, err)
+	}
+	if p.Value != "boom 0" {
+		t.Fatalf("re-raised %v, want index 0's boom 0", p.Value)
+	}
+	if !strings.Contains(string(p.Stack), "meetAndPanic") {
+		t.Fatalf("stack does not show the panicking task:\n%s", p.Stack)
+	}
+	if !strings.Contains(p.Error(), "boom 0") || !strings.Contains(p.Error(), "meetAndPanic") {
+		t.Fatalf("Error() lacks the value or the task's stack:\n%s", p.Error())
+	}
+}
+
+// TestMapLowestFailureWinsAcrossPanics: a panic is a failure at its index
+// like an error, so the lowest failing index decides between them, as in
+// a serial loop.
+func TestMapLowestFailureWinsAcrossPanics(t *testing.T) {
+	SetMaxInFlight(4)
+	defer SetMaxInFlight(0)
+	for _, tc := range []struct{ errAt, panicAt int }{{10, 30}, {30, 10}} {
+		for trial := 0; trial < 20; trial++ {
+			var err error
+			r := recovered(func() {
+				_, err = Map(50, func(i int) (int, error) {
+					switch i {
+					case tc.errAt:
+						return 0, errors.New("task error")
+					case tc.panicAt:
+						panic("task panic")
+					}
+					return i, nil
+				})
+			})
+			if tc.errAt < tc.panicAt {
+				if r != nil || err == nil || err.Error() != "task error" {
+					t.Fatalf("error at %d, panic at %d: recovered %v, error %v; want the error", tc.errAt, tc.panicAt, r, err)
+				}
+			} else if p, ok := r.(*Panic); !ok || p.Value != "task panic" {
+				t.Fatalf("error at %d, panic at %d: recovered %v, error %v; want the panic", tc.errAt, tc.panicAt, r, err)
+			}
+		}
+	}
+}
+
+// TestNestedMapHelperPanicReachesCaller: a panic on an inner Map's helper
+// reaches the outermost caller once, as the innermost task's value and
+// stack, not as a *Panic wrapped in another.
+func TestNestedMapHelperPanicReachesCaller(t *testing.T) {
+	SetMaxInFlight(2)
+	defer SetMaxInFlight(0)
+	var err error
+	r := recovered(func() {
+		_, err = Map(1, func(int) ([]int, error) {
+			return Map(2, meetAndPanic(newBarrier(2)))
+		})
+	})
+	p, ok := r.(*Panic)
+	if !ok {
+		t.Fatalf("recovered %v (Map error %v), want a *Panic", r, err)
+	}
+	if p.Value != "boom 0" {
+		t.Fatalf("re-raised %#v, want the inner task's boom 0", p.Value)
+	}
+	if !strings.Contains(string(p.Stack), "meetAndPanic") {
+		t.Fatalf("stack does not show the inner task:\n%s", p.Stack)
 	}
 }

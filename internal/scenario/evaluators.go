@@ -71,10 +71,7 @@ func (MCF) EvaluateDetailed(ctx *EvalContext) (Detail, error) {
 	if errors.Is(err, mcf.ErrUnreachable) {
 		// A disconnected instance (e.g. zero cross-cluster links) has zero
 		// concurrent throughput; report it rather than failing the sweep.
-		return Detail{G: ctx.G, Res: &mcf.Result{
-			ArcFlow: make([]float64, ctx.G.NumArcs()),
-			ArcUtil: make([]float64, ctx.G.NumArcs()),
-		}}, nil
+		return Detail{G: ctx.G, Res: &mcf.Result{ArcFlow: make([]float64, ctx.G.NumArcs())}}, nil
 	}
 	if err != nil {
 		return Detail{}, err
@@ -230,6 +227,18 @@ func parseCut(p Params) (Evaluator, error) {
 	r := p.Reader()
 	e := Cut{N1: r.Int("n1", 12)}
 	return e, r.Err()
+}
+
+// readsTraffic reports whether ev reads the run's traffic matrix, which
+// the none traffic leaves nil.
+func readsTraffic(ev Evaluator) bool {
+	switch e := ev.(type) {
+	case MCF, Packet:
+		return true
+	case Failures:
+		return readsTraffic(e.Inner)
+	}
+	return false
 }
 
 // Failures wraps any registered evaluator with the random link-failure

@@ -56,7 +56,9 @@ type GridPoint struct {
 
 // Points materializes the grid: the cartesian product of the sweep axes
 // (base specs with each axis parameter overridden), in row-major axis
-// order. A grid with no axes is a single point.
+// order. A grid with no axes is a single point. Traffic defaults to none
+// and the evaluator to mcf; a point whose evaluator reads the traffic
+// matrix (mcf, packet, or failures over either) must name a traffic.
 func (g Grid) Points() ([]GridPoint, error) {
 	if g.Topo == "" {
 		return nil, fmt.Errorf("scenario: grid needs a topo spec")
@@ -115,6 +117,9 @@ func (g Grid) Points() ([]GridPoint, error) {
 		ev, err := ParseEvaluator(evalSpec)
 		if err != nil {
 			return nil, err
+		}
+		if _, none := tr.(None); none && readsTraffic(ev) {
+			return nil, fmt.Errorf("scenario: eval=%s reads the traffic matrix, which traffic=none leaves empty; add a traffic= spec such as traffic=permutation", ev.Spec())
 		}
 		out = append(out, GridPoint{
 			Point: Point{

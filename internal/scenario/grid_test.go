@@ -8,43 +8,44 @@ import (
 
 // TestParseGridBounds pins what a grid line may ask for: ε in [0, 0.5),
 // non-negative runs, and at most MaxGridRuns point-runs — each checked
-// before any sweep value or point is materialized.
+// before any sweep value or point is materialized. Every line names a
+// traffic, so each case tests its own bound, not the traffic rule.
 func TestParseGridBounds(t *testing.T) {
 	for _, tc := range []struct {
 		line   string
 		points int // 0: the line must be rejected
 	}{
-		{"topo=rrg eps=NaN", 0},
-		{"topo=rrg eps=nan", 0},
-		{"topo=rrg eps=-1", 0},
-		{"topo=rrg eps=0.5", 0},
-		{"topo=rrg eps=0.7", 0},
-		{"topo=rrg eps=Inf", 0},
-		{"topo=rrg eps=-Inf", 0},
-		{"topo=rrg eps=1e400", 0},
-		{"topo=rrg eps=0", 1},
-		{"topo=rrg eps=0.49", 1},
-		{"topo=rrg runs=-1", 0},
-		{"topo=rrg runs=0", 1},
-		{"topo=rrg runs=4096", 1},
-		{"topo=rrg runs=4097", 0},
-		{"topo=rrg runs=1000000000", 0},
-		{"topo=rrg sweep=deg:0..2000000000", 0},
-		{"topo=rrg sweep=deg:0..9223372036854775807", 0},
-		{"topo=rrg sweep=deg:-9223372036854775808..9223372036854775807", 0},
-		{"topo=rrg sweep=deg:0..9223372036854775807:9223372036854775807", 2},
-		{"topo=rrg sweep=deg:9223372036854775806..9223372036854775807", 2},
-		{"topo=rrg runs=1 sweep=deg:0..4095", 4096},
-		{"topo=rrg runs=1 sweep=deg:0..4096", 0},
-		{"topo=rrg runs=1 sweep=deg:0..8190:2", 4096},
-		{"topo=rrg runs=2 sweep=deg:0..2047", 2048},
-		{"topo=rrg runs=2 sweep=deg:0..2048", 0},
-		{"topo=rrg runs=1 sweep=deg:0..63 sweep=sps:0..63", 4096},
-		{"topo=rrg runs=1 sweep=deg:0..63 sweep=sps:0..64", 0},
-		{"topo=rrg sweep=deg:0..99 sweep=sps:0..99 sweep=n:0..99 sweep=deg:0..99", 0},
-		{"topo=rrg runs=1" + strings.Repeat(" sweep=deg:0..4095", 6), 0}, // 4096^6 wraps int64 to 0
-		{"topo=rrg runs=1 sweep=deg:" + strings.Repeat("4,", 4095) + "4", 4096},
-		{"topo=rrg runs=1 sweep=deg:" + strings.Repeat("4,", 4096) + "4", 0},
+		{"topo=rrg traffic=permutation eps=NaN", 0},
+		{"topo=rrg traffic=permutation eps=nan", 0},
+		{"topo=rrg traffic=permutation eps=-1", 0},
+		{"topo=rrg traffic=permutation eps=0.5", 0},
+		{"topo=rrg traffic=permutation eps=0.7", 0},
+		{"topo=rrg traffic=permutation eps=Inf", 0},
+		{"topo=rrg traffic=permutation eps=-Inf", 0},
+		{"topo=rrg traffic=permutation eps=1e400", 0},
+		{"topo=rrg traffic=permutation eps=0", 1},
+		{"topo=rrg traffic=permutation eps=0.49", 1},
+		{"topo=rrg traffic=permutation runs=-1", 0},
+		{"topo=rrg traffic=permutation runs=0", 1},
+		{"topo=rrg traffic=permutation runs=4096", 1},
+		{"topo=rrg traffic=permutation runs=4097", 0},
+		{"topo=rrg traffic=permutation runs=1000000000", 0},
+		{"topo=rrg traffic=permutation sweep=deg:0..2000000000", 0},
+		{"topo=rrg traffic=permutation sweep=deg:0..9223372036854775807", 0},
+		{"topo=rrg traffic=permutation sweep=deg:-9223372036854775808..9223372036854775807", 0},
+		{"topo=rrg traffic=permutation sweep=deg:0..9223372036854775807:9223372036854775807", 2},
+		{"topo=rrg traffic=permutation sweep=deg:9223372036854775806..9223372036854775807", 2},
+		{"topo=rrg traffic=permutation runs=1 sweep=deg:0..4095", 4096},
+		{"topo=rrg traffic=permutation runs=1 sweep=deg:0..4096", 0},
+		{"topo=rrg traffic=permutation runs=1 sweep=deg:0..8190:2", 4096},
+		{"topo=rrg traffic=permutation runs=2 sweep=deg:0..2047", 2048},
+		{"topo=rrg traffic=permutation runs=2 sweep=deg:0..2048", 0},
+		{"topo=rrg traffic=permutation runs=1 sweep=deg:0..63 sweep=sps:0..63", 4096},
+		{"topo=rrg traffic=permutation runs=1 sweep=deg:0..63 sweep=sps:0..64", 0},
+		{"topo=rrg traffic=permutation sweep=deg:0..99 sweep=sps:0..99 sweep=n:0..99 sweep=deg:0..99", 0},
+		{"topo=rrg traffic=permutation runs=1" + strings.Repeat(" sweep=deg:0..4095", 6), 0}, // 4096^6 wraps int64 to 0
+		{"topo=rrg traffic=permutation runs=1 sweep=deg:" + strings.Repeat("4,", 4095) + "4", 4096},
+		{"topo=rrg traffic=permutation runs=1 sweep=deg:" + strings.Repeat("4,", 4096) + "4", 0},
 	} {
 		name := tc.line
 		if len(name) > 80 {
@@ -67,6 +68,42 @@ func TestParseGridBounds(t *testing.T) {
 		}
 		if len(gps) != tc.points {
 			t.Errorf("%s: %d points, want %d", name, len(gps), tc.points)
+		}
+	}
+}
+
+// TestPointsNeedTrafficToReadIt: a point whose evaluator reads the traffic
+// matrix is rejected when its traffic is none (the default), with an error
+// naming the evaluator, instead of evaluating against a nil matrix.
+func TestPointsNeedTrafficToReadIt(t *testing.T) {
+	const topo = "topo=rrg:n=10,deg=4,sps=1"
+	for _, tc := range []struct {
+		rest   string
+		reject string // the evaluator the error names; "" when the line is valid
+	}{
+		{"", "eval=mcf"},
+		{" traffic=none eval=packet", "eval=packet:"},
+		{" traffic=none eval=failures:eval=mcf", "eval=failures:"},
+		{" traffic=none eval=failures:eval=packet", "eval=failures:"},
+		{" traffic=none eval=failures:eval=aspl sweep=eval.eval:aspl,mcf", "eval=failures:"},
+		{" traffic=none eval=failures:eval=aspl", ""},
+		{" traffic=none eval=bisection", ""},
+		{" traffic=permutation", ""},
+	} {
+		line := topo + tc.rest
+		g, err := ParseGrid(line)
+		if err != nil {
+			t.Fatalf("%s: %v", line, err)
+		}
+		_, err = g.Points()
+		if tc.reject == "" {
+			if err != nil {
+				t.Errorf("%s: %v", line, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.reject) || !strings.Contains(err.Error(), "traffic=") {
+			t.Errorf("%s: error %v, want one naming %s and traffic=", line, err, tc.reject)
 		}
 	}
 }

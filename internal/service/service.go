@@ -99,6 +99,7 @@ import (
 	"log/slog"
 	"net/http"
 	"runtime"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"sync"
@@ -106,6 +107,7 @@ import (
 	"time"
 
 	"repro/internal/remotestore"
+	"repro/internal/runner"
 	"repro/internal/scenario"
 	"repro/internal/store"
 	"repro/internal/trace"
@@ -125,8 +127,6 @@ type Config struct {
 	// StoreMaxBytes, when > 0, prunes the store to this LRU byte budget
 	// after each evaluation.
 	StoreMaxBytes int64
-	// Defaults fill grid run controls the request line leaves unset.
-	Defaults Defaults
 	// Remote, when the cache has a remote tier, surfaces its breaker and
 	// retry counters on /metrics and drives the degraded /healthz state.
 	Remote *remotestore.Client
@@ -438,6 +438,24 @@ type Defaults struct {
 	Epsilon float64
 }
 
+// Apply fills the run controls g leaves unset. EvalGrid and the TSV path
+// of `topobench -scenario` both call it, so the two address the same
+// cache entries and draw the same streams.
+func (d Defaults) Apply(g *scenario.Grid) {
+	if g.Runs == 0 {
+		g.Runs = d.Runs
+	}
+	if g.Seed == 0 {
+		g.Seed = d.Seed
+	}
+	if g.Seed == 0 {
+		g.Seed = 1
+	}
+	if g.Epsilon == 0 {
+		g.Epsilon = d.Epsilon
+	}
+}
+
 // ErrBadRequest marks EvalGrid errors caused by the request (grammar,
 // unknown kinds) rather than by evaluation itself.
 var ErrBadRequest = errors.New("bad eval request")
@@ -459,18 +477,7 @@ func EvalGrid(ctx context.Context, eng *scenario.Engine, line string, def Defaul
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	if grid.Runs == 0 {
-		grid.Runs = def.Runs
-	}
-	if grid.Seed == 0 {
-		grid.Seed = def.Seed
-	}
-	if grid.Seed == 0 {
-		grid.Seed = 1
-	}
-	if grid.Epsilon == 0 {
-		grid.Epsilon = def.Epsilon
-	}
+	def.Apply(&grid)
 	gps, err := grid.Points()
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
@@ -758,18 +765,25 @@ func (s *Server) evalShared(ctx context.Context, key string, block bool, timeout
 }
 
 // evaluate runs one deduplicated grid evaluation and renders its bytes.
-// A panicking evaluator is reported as a 500, not a dropped connection;
-// cancellation and deadline expiry get their own statuses so callers can
-// tell an aborted solve from a broken one.
+// A panicking evaluator is reported as a 500, not a dropped connection,
+// and logged with the panicking task's stack, whichever goroutine it ran
+// on (runner.Map re-raises a helper's panic here); cancellation and
+// deadline expiry get their own statuses so callers can tell an aborted
+// solve from a broken one.
 func (s *Server) evaluate(ctx context.Context, line string, progress scenario.ProgressFunc) (status int, body []byte) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.panics.Add(1)
+			val, stack := r, debug.Stack()
+			if p, ok := r.(*runner.Panic); ok {
+				val, stack = p.Value, p.Stack
+			}
+			s.log.Error("evaluation panicked", "grid", line, "panic", fmt.Sprint(val), "stack", string(stack))
 			status = http.StatusInternalServerError
-			body = errorBody(fmt.Errorf("evaluation panicked: %v", r))
+			body = errorBody(fmt.Errorf("evaluation panicked: %v", val))
 		}
 	}()
-	resp, err := EvalGrid(ctx, s.cfg.Engine, line, s.cfg.Defaults, progress)
+	resp, err := EvalGrid(ctx, s.cfg.Engine, line, Defaults{}, progress)
 	if err != nil {
 		status := http.StatusInternalServerError
 		switch {

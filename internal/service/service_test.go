@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -11,9 +12,11 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/runner"
 	"repro/internal/scenario"
 	"repro/internal/store"
 )
@@ -240,10 +243,12 @@ func contains(xs []string, want string) bool {
 
 // TestBadRequests: malformed JSON, a body with bytes after its JSON
 // object, a body over maxEvalBody, an empty grid, a bad grammar, an ε the
-// solver cannot honor and a grid too large to materialize all answer 400
+// solver cannot honor, a grid too large to materialize and an mcf point
+// with no traffic (the shortest line the grammar accepts) all answer 400
 // with a JSON error on both /v1/eval and /v1/jobs, never 500 or 202, and
 // write nothing to the store — an unsolved NaN-ε point must never be
-// cached or persisted as a result.
+// cached or persisted as a result. Nothing panics, and the daemon stays
+// healthy.
 func TestBadRequests(t *testing.T) {
 	_, hs := newTestServer(t, t.TempDir(), 4)
 	reqBody := func(grid string) string {
@@ -260,7 +265,7 @@ func TestBadRequests(t *testing.T) {
 	for _, grid := range []string{"", "traffic=permutation", "topo=nope:n=4", "topo=rrg bogus=1",
 		testGrid + " eps=NaN", testGrid + " eps=-1", testGrid + " eps=0.7", testGrid + " eps=Inf",
 		testGrid + " sweep=deg:0..2000000000", testGrid + " sweep=deg:0..9223372036854775807",
-		testGrid + " runs=1000000000", testGrid + " runs=-1"} {
+		testGrid + " runs=1000000000", testGrid + " runs=-1", "topo=rrg:n=10,deg=4,sps=1"} {
 		bodies = append(bodies, reqBody(grid))
 	}
 	for _, route := range []string{"/v1/eval", "/v1/jobs"} {
@@ -294,6 +299,12 @@ func TestBadRequests(t *testing.T) {
 	}
 	if got := metric(t, hs.URL, "jobs_submitted_total"); got != 0 {
 		t.Fatalf("rejected requests submitted %d jobs", got)
+	}
+	if got := metric(t, hs.URL, "eval_panics_total"); got != 0 {
+		t.Fatalf("rejected requests panicked %d times", got)
+	}
+	if status, body := get(t, hs.URL+"/healthz"); status != http.StatusOK {
+		t.Fatalf("healthz after rejected requests: %d %s", status, body)
 	}
 }
 
@@ -336,12 +347,40 @@ func (panicEval) Evaluate(ctx *scenario.EvalContext) (float64, error) {
 	panic("evaluator bug")
 }
 
+// meetPanicEval is a buggy evaluator whose runs meet at a barrier of two
+// before panicking, so that under a bound of 2 one of a point's two runs
+// panics on a runner helper goroutine. Each test arms the barrier by
+// zeroing meetPanicArrived and making a fresh meetPanicAll.
+type meetPanicEval struct{}
+
+var (
+	meetPanicArrived atomic.Int32
+	meetPanicAll     chan struct{}
+)
+
+func (meetPanicEval) Spec() string { return "testmeetpanic" }
+
+func (meetPanicEval) Evaluate(ctx *scenario.EvalContext) (float64, error) {
+	if meetPanicArrived.Add(1) == 2 {
+		close(meetPanicAll)
+	}
+	select {
+	case <-meetPanicAll:
+	case <-time.After(10 * time.Second):
+		return 0, errors.New("the second run never started")
+	}
+	panic("evaluator bug on a helper")
+}
+
 func init() {
 	scenario.RegisterEvaluator("testblock", func(p scenario.Params) (scenario.Evaluator, error) {
 		return blockEval{}, p.Reader().Err()
 	})
 	scenario.RegisterEvaluator("testpanic", func(p scenario.Params) (scenario.Evaluator, error) {
 		return panicEval{}, p.Reader().Err()
+	})
+	scenario.RegisterEvaluator("testmeetpanic", func(p scenario.Params) (scenario.Evaluator, error) {
+		return meetPanicEval{}, p.Reader().Err()
 	})
 }
 
@@ -365,6 +404,31 @@ func TestPanicDoesNotWedgeService(t *testing.T) {
 	}
 	if status, body := postEval(t, hs.URL, testGridQuick); status != http.StatusOK {
 		t.Fatalf("job slot leaked after panic: %d %s", status, body)
+	}
+}
+
+// TestHelperPanicAnswers500: a run that panics on a runner helper
+// goroutine, where nothing of the service's own recovers, still answers
+// 500, counts one panic, and leaves the daemon healthy.
+func TestHelperPanicAnswers500(t *testing.T) {
+	runner.SetMaxInFlight(2)
+	defer runner.SetMaxInFlight(0)
+	meetPanicArrived.Store(0)
+	meetPanicAll = make(chan struct{})
+	_, hs := newTestServer(t, "", 1)
+	status, body := postEval(t, hs.URL, "topo=rrg:n=8,deg=3 traffic=none eval=testmeetpanic runs=2 seed=1")
+	var e struct {
+		Error string `json:"error"`
+	}
+	if err := json.Unmarshal(body, &e); status != http.StatusInternalServerError || err != nil ||
+		e.Error != "evaluation panicked: evaluator bug on a helper" {
+		t.Fatalf("status %d body %s", status, body)
+	}
+	if got := metric(t, hs.URL, "eval_panics_total"); got != 1 {
+		t.Fatalf("eval_panics_total = %d, want 1", got)
+	}
+	if status, body := get(t, hs.URL+"/healthz"); status != http.StatusOK {
+		t.Fatalf("healthz after the panic: %d %s", status, body)
 	}
 }
 

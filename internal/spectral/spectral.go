@@ -1,218 +1,14 @@
-// Package spectral provides the expander-theoretic machinery behind the
-// paper's §6.2 analysis: adjacency spectra via power iteration, the
-// expander mixing lemma check, sweep cuts, and non-uniform sparsest-cut
-// estimates for the two-cluster demand graph of Theorem 2.
+// Package spectral provides the non-uniform sparsest-cut estimate for the
+// two-cluster demand graph of Theorem 2 (§6.2), behind the `cut`
+// evaluator.
 package spectral
 
 import (
 	"math"
-	"math/rand"
 	"sort"
 
 	"repro/internal/graph"
 )
-
-// SecondEigenvalue estimates the non-principal adjacency eigenvalue of
-// largest magnitude (signed) of an r-regular graph g, via power iteration
-// with deflation against the all-ones top eigenvector. This is the λ of
-// the expander mixing lemma: for a good expander |λ| is well separated
-// from r. Note that for near-bipartite graphs the result can be negative
-// (e.g. −2 for an even cycle).
-func SecondEigenvalue(g *graph.Graph, iters int, rng *rand.Rand) float64 {
-	n := g.N()
-	if n < 2 {
-		return 0
-	}
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = rng.NormFloat64()
-	}
-	deflate(v)
-	normalize(v)
-	w := make([]float64, n)
-	var lambda float64
-	for it := 0; it < iters; it++ {
-		multiplyAdj(g, v, w)
-		deflate(w)
-		lambda = norm(w)
-		if lambda == 0 {
-			return 0
-		}
-		for i := range w {
-			w[i] /= lambda
-		}
-		v, w = w, v
-	}
-	// Rayleigh quotient for the signed eigenvalue.
-	multiplyAdj(g, v, w)
-	var rq float64
-	for i := range v {
-		rq += v[i] * w[i]
-	}
-	return rq
-}
-
-// SpectralGap returns r - λ2 for an r-regular graph (0 for non-regular).
-func SpectralGap(g *graph.Graph, iters int, rng *rand.Rand) float64 {
-	r, ok := g.IsRegular()
-	if !ok {
-		return 0
-	}
-	return float64(r) - SecondEigenvalue(g, iters, rng)
-}
-
-// multiplyAdj computes w = A·v using link multiplicity (capacity ignored).
-func multiplyAdj(g *graph.Graph, v, w []float64) {
-	for i := range w {
-		w[i] = 0
-	}
-	for a := 0; a < g.NumArcs(); a++ {
-		arc := g.Arc(a)
-		w[arc.To] += v[arc.From]
-	}
-}
-
-func deflate(v []float64) {
-	var mean float64
-	for _, x := range v {
-		mean += x
-	}
-	mean /= float64(len(v))
-	for i := range v {
-		v[i] -= mean
-	}
-}
-
-func norm(v []float64) float64 {
-	var s float64
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
-}
-
-func normalize(v []float64) {
-	n := norm(v)
-	if n == 0 {
-		return
-	}
-	for i := range v {
-		v[i] /= n
-	}
-}
-
-// MixingCheck verifies the expander mixing lemma on a vertex subset S of an
-// r-regular graph: |e(S, V\S) - r·|S|·|V\S|/n| ≤ λ·sqrt(|S|·|V\S|), where
-// λ is the second eigenvalue magnitude. Returns the deviation and the
-// lemma's allowance; deviation ≤ allowance for a true expander.
-func MixingCheck(g *graph.Graph, inS []bool, lambda float64) (deviation, allowance float64) {
-	n := g.N()
-	var sizeS int
-	for _, b := range inS {
-		if b {
-			sizeS++
-		}
-	}
-	sizeT := n - sizeS
-	var cut float64
-	for a := 0; a < g.NumArcs(); a++ {
-		arc := g.Arc(a)
-		if inS[arc.From] && !inS[arc.To] {
-			cut++ // counts each undirected cut link once (one direction)
-		}
-	}
-	r, _ := g.IsRegular()
-	expected := float64(r) * float64(sizeS) * float64(sizeT) / float64(n)
-	deviation = math.Abs(cut - expected)
-	allowance = math.Abs(lambda) * math.Sqrt(float64(sizeS)*float64(sizeT))
-	return deviation, allowance
-}
-
-// SweepCut computes an approximate sparsest (conductance) cut by sorting
-// nodes along the second eigenvector and sweeping the threshold. Returns
-// the best cut's conductance and node set.
-func SweepCut(g *graph.Graph, iters int, rng *rand.Rand) (conductance float64, inS []bool) {
-	n := g.N()
-	if n < 2 {
-		return 0, make([]bool, n)
-	}
-	v := fiedlerish(g, iters, rng)
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return v[order[a]] < v[order[b]] })
-
-	vol := make([]float64, n) // weighted degree
-	var volAll float64
-	for a := 0; a < g.NumArcs(); a++ {
-		arc := g.Arc(a)
-		vol[arc.From] += arc.Cap
-		volAll += arc.Cap
-	}
-	in := make([]bool, n)
-	best := math.Inf(1)
-	bestK := 0
-	var volS, cut float64
-	for k := 0; k < n-1; k++ {
-		u := order[k]
-		in[u] = true
-		volS += vol[u]
-		// Update the cut: arcs from u to outside increase it; arcs from u
-		// to inside remove previously-counted cut arcs.
-		for _, ai := range g.OutArcs(u) {
-			arc := g.Arc(int(ai))
-			if in[arc.To] {
-				cut -= arc.Cap
-			} else {
-				cut += arc.Cap
-			}
-		}
-		denom := math.Min(volS, volAll-volS)
-		if denom <= 0 {
-			continue
-		}
-		if phi := cut / denom; phi < best {
-			best = phi
-			bestK = k
-		}
-	}
-	inS = make([]bool, n)
-	for k := 0; k <= bestK; k++ {
-		inS[order[k]] = true
-	}
-	return best, inS
-}
-
-// fiedlerish returns an approximate second adjacency eigenvector.
-func fiedlerish(g *graph.Graph, iters int, rng *rand.Rand) []float64 {
-	n := g.N()
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = rng.NormFloat64()
-	}
-	deflate(v)
-	normalize(v)
-	w := make([]float64, n)
-	// Power-iterate on (A + cI) to favor the largest signed eigenvalue and
-	// keep the iteration stable; c = max degree.
-	var c float64
-	for i := 0; i < n; i++ {
-		if d := float64(g.Degree(i)); d > c {
-			c = d
-		}
-	}
-	for it := 0; it < iters; it++ {
-		multiplyAdj(g, v, w)
-		for i := range w {
-			w[i] += c * v[i]
-		}
-		deflate(w)
-		normalize(w)
-		v, w = w, v
-	}
-	return v
-}
 
 // SparsestCutBipartite computes the exact non-uniform sparsest cut value
 // for the two-cluster complete-bipartite demand graph K_{V1,V2} of §6.2,

@@ -28,21 +28,14 @@ func FatTree(k int) (*graph.Graph, error) {
 	for pod := 0; pod < k; pod++ {
 		for e := 0; e < half; e++ {
 			g.SetServers(edge(pod, e), half)
-			g.SetClass(edge(pod, e), ClassToR)
 			for a := 0; a < half; a++ {
 				g.AddLink(edge(pod, e), agg(pod, a), 1)
 			}
 		}
 		for a := 0; a < half; a++ {
-			g.SetClass(agg(pod, a), ClassAgg)
 			for j := 0; j < half; j++ {
 				g.AddLink(agg(pod, a), core(a, j), 1)
 			}
-		}
-	}
-	for i := 0; i < half; i++ {
-		for j := 0; j < half; j++ {
-			g.SetClass(core(i, j), ClassCore)
 		}
 	}
 	return g, nil

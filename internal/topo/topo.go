@@ -15,13 +15,6 @@ import (
 	"repro/internal/rrg"
 )
 
-// Node classes used by the VL2 generators.
-const (
-	ClassToR  = 0
-	ClassAgg  = 1
-	ClassCore = 2
-)
-
 // VL2Config parameterizes the VL2 topology of Greenberg et al. as described
 // in §7: each ToR hosts 20 1 GbE servers and has 2 10 GbE uplinks to
 // distinct aggregation switches; aggregation switches have DA 10 GbE ports,
@@ -71,7 +64,6 @@ func VL2(cfg VL2Config) (*graph.Graph, error) {
 	agg := func(i int) int { return nTor + i }
 	core := func(i int) int { return nTor + nAgg + i }
 	for t := 0; t < nTor; t++ {
-		g.SetClass(t, ClassToR)
 		g.SetServers(t, cfg.ServersPerToR)
 		a1 := (2 * t) % nAgg
 		a2 := (2*t + 1) % nAgg
@@ -80,12 +72,6 @@ func VL2(cfg VL2Config) (*graph.Graph, error) {
 		}
 		g.AddLink(t, agg(a1), cfg.UplinkCap)
 		g.AddLink(t, agg(a2), cfg.UplinkCap)
-	}
-	for i := 0; i < nAgg; i++ {
-		g.SetClass(agg(i), ClassAgg)
-	}
-	for i := 0; i < nCore; i++ {
-		g.SetClass(core(i), ClassCore)
 	}
 	for i := 0; i < nAgg; i++ {
 		for j := 0; j < nCore; j++ {
@@ -115,7 +101,6 @@ func VL2WithToRs(cfg VL2Config, tors int) (*graph.Graph, error) {
 	agg := func(i int) int { return tors + i }
 	core := func(i int) int { return tors + nAgg + i }
 	for t := 0; t < tors; t++ {
-		g.SetClass(t, ClassToR)
 		g.SetServers(t, cfg.ServersPerToR)
 		a1 := (2 * t) % nAgg
 		a2 := (2*t + 1) % nAgg
@@ -123,13 +108,9 @@ func VL2WithToRs(cfg VL2Config, tors int) (*graph.Graph, error) {
 		g.AddLink(t, agg(a2), cfg.UplinkCap)
 	}
 	for i := 0; i < nAgg; i++ {
-		g.SetClass(agg(i), ClassAgg)
 		for j := 0; j < nCore; j++ {
 			g.AddLink(agg(i), core(j), cfg.UplinkCap)
 		}
-	}
-	for j := 0; j < nCore; j++ {
-		g.SetClass(core(j), ClassCore)
 	}
 	return g, nil
 }
@@ -179,14 +160,7 @@ func RewiredVL2(rng *rand.Rand, cfg VL2Config, numToRs int) (*graph.Graph, error
 	g := graph.New(numToRs + nFabric)
 	fab := func(i int) int { return numToRs + i }
 	for t := 0; t < numToRs; t++ {
-		g.SetClass(t, ClassToR)
 		g.SetServers(t, cfg.ServersPerToR)
-	}
-	for i := 0; i < nAgg; i++ {
-		g.SetClass(fab(i), ClassAgg)
-	}
-	for i := 0; i < nCore; i++ {
-		g.SetClass(fab(nAgg+i), ClassCore)
 	}
 
 	// Expand slots into an endpoint list and deal ToRs onto it so each ToR

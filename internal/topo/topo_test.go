@@ -20,16 +20,16 @@ func TestVL2Shape(t *testing.T) {
 	}
 	// ToR degree 2; each ToR hosts 20 servers.
 	for u := 0; u < nTor; u++ {
-		if g.Degree(u) != 2 || g.Servers(u) != 20 || g.Class(u) != ClassToR {
-			t.Fatalf("ToR %d: deg=%d servers=%d class=%d", u, g.Degree(u), g.Servers(u), g.Class(u))
+		if g.Degree(u) != 2 || g.Servers(u) != 20 {
+			t.Fatalf("ToR %d: deg=%d servers=%d", u, g.Degree(u), g.Servers(u))
 		}
 	}
 	// Aggregation switches: DA ports used (DA/2 down + DI... here full
 	// bipartite to cores plus ToR uplinks).
 	for i := 0; i < nAgg; i++ {
 		u := nTor + i
-		if g.Class(u) != ClassAgg {
-			t.Fatal("agg class wrong")
+		if g.Servers(u) != 0 {
+			t.Fatalf("agg %d hosts %d servers", i, g.Servers(u))
 		}
 		if got := g.Degree(u); got != nCore+2*nTor/nAgg {
 			t.Fatalf("agg %d degree %d", i, got)
@@ -38,8 +38,8 @@ func TestVL2Shape(t *testing.T) {
 	// Cores: exactly DI ports, all to aggs.
 	for j := 0; j < nCore; j++ {
 		u := nTor + nAgg + j
-		if g.Degree(u) != cfg.DI || g.Class(u) != ClassCore {
-			t.Fatalf("core %d degree %d", j, g.Degree(u))
+		if g.Degree(u) != cfg.DI || g.Servers(u) != 0 {
+			t.Fatalf("core %d: deg=%d servers=%d", j, g.Degree(u), g.Servers(u))
 		}
 	}
 	if !g.IsConnected() {
@@ -151,13 +151,14 @@ func TestFatTree(t *testing.T) {
 		t.Fatalf("servers %d, want 16", g.TotalServers())
 	}
 	// Every switch has degree k (edge switches: k/2 up only in-network).
+	// The 8 edge switches come first and are the only ones with servers.
 	for u := 0; u < g.N(); u++ {
-		want := 4
-		if g.Class(u) == ClassToR {
-			want = 2 // k/2 network ports; the other k/2 host servers
+		want, servers := 4, 0
+		if u < 8 {
+			want, servers = 2, 2 // k/2 network ports; the other k/2 host servers
 		}
-		if g.Degree(u) != want {
-			t.Fatalf("switch %d degree %d, want %d", u, g.Degree(u), want)
+		if g.Degree(u) != want || g.Servers(u) != servers {
+			t.Fatalf("switch %d: degree %d servers %d, want %d and %d", u, g.Degree(u), g.Servers(u), want, servers)
 		}
 	}
 	if !g.IsConnected() {

@@ -349,15 +349,6 @@ func (s Span) AttrInt(key string, val int64) {
 	s.tr.mu.Unlock()
 }
 
-// Child opens a span parented to s. A convenience for call sites that
-// hold a Span but no context.
-func (s Span) Child(name string) Span {
-	if s.tr == nil {
-		return Span{}
-	}
-	return s.tr.StartSpan(name, s.id)
-}
-
 // ctxKey keys the current Span in a context.
 type ctxKey struct{}
 
