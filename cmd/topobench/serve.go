@@ -46,7 +46,7 @@ func runServe(args []string) {
 		lease      = fs.Duration("claim-lease", 0, "claim-lease TTL for fleet-wide solve dedup on a shared -cache-dir (0 = off)")
 		reqTimeout = fs.Duration("request-timeout", 0, "per-evaluation wall-clock bound; expiry answers 504 (0 = unbounded)")
 		jobTimeout = fs.Duration("job-timeout", 0, "per-async-job evaluation wall-clock bound (0 = unbounded)")
-		jobRetain  = fs.Duration("job-retain", 24*time.Hour, "how long finished async-job records are kept before the startup sweep discards them")
+		jobRetain  = fs.Duration("job-retain", 24*time.Hour, "how long finished async-job records are kept; expired ones are dropped at startup and before each job submission")
 		jobQueue   = fs.Int("job-queue", 0, "max async jobs resident before submissions get 429 (0 = 16*jobs)")
 		respBytes  = fs.Int64("resp-cache-bytes", 0, "response-byte cache budget (0 = 64 MiB default, negative = disabled)")
 		pprofOn    = fs.Bool("pprof", false, "expose net/http/pprof profiling handlers under /debug/pprof/ (off by default)")

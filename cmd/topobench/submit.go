@@ -192,7 +192,6 @@ func pollJob(base, id string, interval, timeout time.Duration) ([]byte, error) {
 					} else if ok {
 						return b, nil
 					}
-					// 202: the replay is still materializing bytes; keep polling.
 				case "failed", "canceled":
 					return nil, fmt.Errorf("job %s %s: %s", id, st.State, st.Error)
 				}
@@ -205,8 +204,9 @@ func pollJob(base, id string, interval, timeout time.Duration) ([]byte, error) {
 	}
 }
 
-// fetchResult GETs the finished bytes; ok=false means the server answered
-// 202 (result not yet resident) and the caller should keep polling.
+// fetchResult GETs a done job's bytes, which its record holds, so the
+// server answers 200; ok=false means a transient network error and the
+// caller should poll again.
 func fetchResult(base, id string) ([]byte, bool, error) {
 	resp, err := http.Get(base + "/v1/jobs/" + id + "/result")
 	if err != nil {
@@ -217,12 +217,8 @@ func fetchResult(base, id string) ([]byte, bool, error) {
 	if err != nil {
 		return nil, false, nil
 	}
-	switch resp.StatusCode {
-	case http.StatusOK:
-		return body, true, nil
-	case http.StatusAccepted:
-		return nil, false, nil
-	default:
+	if resp.StatusCode != http.StatusOK {
 		return nil, false, fmt.Errorf("job %s result: %s: %s", id, resp.Status, strings.TrimSpace(string(body)))
 	}
+	return body, true, nil
 }

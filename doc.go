@@ -61,10 +61,10 @@
 // 202 with a poll URL, job records persist in the result store (TBRJ
 // codec, same corruption-tolerance rule as results — a lost or corrupt
 // record means "unknown job, resubmit", never a wedge), progress and
-// the final canonical bytes are served from GET /v1/jobs/<id>[/result],
-// and a restarted daemon recovers its jobs — re-dispatching unfinished
-// ones and replaying finished ones byte-identically from the warm
-// store. `topobench submit` is the submit/poll/fetch client.
+// the final canonical bytes, which a done job's record holds, are
+// served from GET /v1/jobs/<id>[/result], and a restarted daemon
+// re-dispatches unfinished jobs and answers finished ones from their
+// records. `topobench submit` is the submit/poll/fetch client.
 //
 // # Fault-tolerant distributed evaluation
 //

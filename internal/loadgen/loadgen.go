@@ -50,9 +50,9 @@ type Config struct {
 	// Seed feeds the RNG that fixes the whole schedule. Same seed, same
 	// universe, same rate → identical request sequence.
 	Seed int64
-	// ZipfS/ZipfV shape key popularity (rand.NewZipf; S > 1, V >= 1).
-	// Zero values default to S=1.2, V=1.
-	ZipfS, ZipfV float64
+	// ZipfS shapes key popularity (rand.NewZipf's s > 1, with v = 1).
+	// Zero defaults to 1.2.
+	ZipfS float64
 	// MissFrac in [0,1] is the fraction of requests redirected to fresh
 	// never-seen grids produced by MissGrid. Zero → pure warm load.
 	MissFrac float64
@@ -63,9 +63,6 @@ type Config struct {
 	// before the measured window opens, so the warm mix measures the serve
 	// path rather than first-touch solves.
 	Prime bool
-	// Client overrides the HTTP client (defaults to one with Conns
-	// keep-alive connections to the host).
-	Client *http.Client
 }
 
 // Result is one run's outcome.
@@ -144,26 +141,20 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 	if conns <= 0 {
 		conns = 8
 	}
-	zs, zv := cfg.ZipfS, cfg.ZipfV
+	zs := cfg.ZipfS
 	if zs == 0 {
 		zs = 1.2
 	}
-	if zv == 0 {
-		zv = 1
-	}
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{Transport: &http.Transport{
-			MaxIdleConnsPerHost: conns,
-			MaxConnsPerHost:     conns,
-		}}
-	}
+	client := &http.Client{Transport: &http.Transport{
+		MaxIdleConnsPerHost: conns,
+		MaxConnsPerHost:     conns,
+	}}
 
 	// The whole schedule is fixed up front: arrival times on an exact
 	// 1/Rate grid, key ranks and miss placements drawn from the seeded RNG
 	// in request order.
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	zipf := rand.NewZipf(rng, zs, zv, uint64(len(cfg.Universe)-1))
+	zipf := rand.NewZipf(rng, zs, 1, uint64(len(cfg.Universe)-1))
 	n := int(cfg.Rate * cfg.Duration.Seconds())
 	if n < 1 {
 		n = 1

@@ -371,7 +371,8 @@ type srcTree struct {
 
 // persistentTreeBudget caps the memory (in bytes, approximately) spent on
 // per-source persistent trees before falling back to one shared tree.
-const persistentTreeBudget = 1 << 28
+// Only tests change it, to run the fallback on small instances.
+var persistentTreeBudget = 1 << 28
 
 func newState(g *graph.Graph, flows []traffic.Flow, eps float64, opt Options) *state {
 	m := g.NumArcs()

@@ -106,18 +106,62 @@ func TestFlowcheckCertifiesAllToAll(t *testing.T) {
 	certify(t, g, tm.Flows, 0.1, "all-to-all")
 }
 
-// TestFlowcheckCertifiesHeavyDemand: the repair-heavy regime (demand far
-// above bottleneck capacity, many pieces per phase) must stay certified.
-func TestFlowcheckCertifiesHeavyDemand(t *testing.T) {
+// heavyDemand is the repair-heavy fixture: demand far above bottleneck
+// capacity, many pieces per phase.
+func heavyDemand(t *testing.T) (*graph.Graph, []traffic.Flow) {
 	rng := rand.New(rand.NewSource(23))
 	g, err := rrg.Regular(rng, 60, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	flows := randomDemands(rng, 60, 8, 30)
+	return g, randomDemands(rng, 60, 8, 30)
+}
+
+// TestFlowcheckCertifiesHeavyDemand: the repair-heavy regime must stay
+// certified.
+func TestFlowcheckCertifiesHeavyDemand(t *testing.T) {
+	g, flows := heavyDemand(t)
 	res := certify(t, g, flows, 0.1, "heavy-demand")
 	if res.TreeRepairs == 0 {
 		t.Fatal("no repairs engaged on the heavy-demand instance")
+	}
+}
+
+// TestFlowcheckCertifiesSharedTreeFallback: an instance whose per-source
+// trees would exceed the memory budget is solved with one shared tree,
+// which neither prebuilds nor repairs. No figure's instance is that
+// large, so the test forces the fallback with a zero budget: a random RRG
+// and the heavy-demand fixture, which engage both the prebuild and repair
+// at the default budget, engage neither under it and still certify.
+func TestFlowcheckCertifiesSharedTreeFallback(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	g, err := rrg.Regular(rng, 40, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hg, hflows := heavyDemand(t)
+	for _, fx := range []struct {
+		name  string
+		g     *graph.Graph
+		flows []traffic.Flow
+	}{
+		{"random rrg", g, randomDemands(rng, 40, 80, 4)},
+		{"heavy-demand", hg, hflows},
+	} {
+		res := certify(t, fx.g, fx.flows, 0.1, fx.name)
+		if res.TreePrebuilds == 0 || res.TreeRepairs == 0 {
+			t.Fatalf("%s at the default budget: %d prebuilds, %d repairs; the fixture must engage both",
+				fx.name, res.TreePrebuilds, res.TreeRepairs)
+		}
+		func() {
+			// Deferred, the restore also runs when certify fails the test.
+			defer mcf.SetTreeBudget(0)()
+			res = certify(t, fx.g, fx.flows, 0.1, fx.name+" (shared tree)")
+		}()
+		if res.TreePrebuilds != 0 || res.TreeRepairs != 0 {
+			t.Fatalf("%s with the shared tree: %d prebuilds, %d repairs, want 0 and 0",
+				fx.name, res.TreePrebuilds, res.TreeRepairs)
+		}
 	}
 }
 

@@ -34,14 +34,17 @@ type Config struct {
 	// Warmup and Measure are the warmup and measurement durations in unit
 	// times (defaults 100 and 400).
 	Warmup, Measure float64
-	// InitialWindow is the initial congestion window (default 2).
-	InitialWindow float64
 	// MaxWindow caps the window (default 256).
 	MaxWindow float64
-	// RetransmitDelay is the pause before a subflow resumes sending after
-	// a loss, emulating a retransmission timeout (default 1 unit time).
-	RetransmitDelay float64
 }
+
+const (
+	// initialWindow is a subflow's initial congestion window.
+	initialWindow = 2
+	// retransmitDelay is the pause, in unit times, before a subflow
+	// resumes sending after a loss, emulating a retransmission timeout.
+	retransmitDelay = 1
+)
 
 func (c Config) withDefaults() Config {
 	if c.SubflowsPerFlow <= 0 {
@@ -56,14 +59,8 @@ func (c Config) withDefaults() Config {
 	if c.Measure <= 0 {
 		c.Measure = 400
 	}
-	if c.InitialWindow <= 0 {
-		c.InitialWindow = 2
-	}
 	if c.MaxWindow <= 0 {
 		c.MaxWindow = 256
-	}
-	if c.RetransmitDelay <= 0 {
-		c.RetransmitDelay = 1
 	}
 	return c
 }
@@ -248,7 +245,7 @@ func (s *sim) setup(flows []FlowSpec) error {
 			p := paths[k%len(paths)]
 			arcs := make([]int32, len(p))
 			copy(arcs, p)
-			f.subs = append(f.subs, &subflow{flow: f, path: arcs, cwnd: s.cfg.InitialWindow})
+			f.subs = append(f.subs, &subflow{flow: f, path: arcs, cwnd: initialWindow})
 		}
 		s.flows = append(s.flows, f)
 	}
@@ -399,7 +396,7 @@ func (s *sim) registerLoss(p *pkt) {
 		}
 		sub.recover = sub.nextID
 	}
-	sub.backoff = s.now + s.cfg.RetransmitDelay
+	sub.backoff = s.now + retransmitDelay
 	s.schedulePump(sub, sub.backoff)
 }
 

@@ -41,9 +41,7 @@ type Grid struct {
 	Sweep   []Axis
 	Runs    int
 	Seed    int64
-	// SeedFactor is the per-run seed derivation factor (see Point).
-	SeedFactor int64
-	Epsilon    float64
+	Epsilon float64
 }
 
 // GridPoint is one materialized point of a grid with its sweep
@@ -124,8 +122,7 @@ func (g Grid) Points() ([]GridPoint, error) {
 		out = append(out, GridPoint{
 			Point: Point{
 				Topo: topo, Traffic: tr, Eval: ev,
-				Seed: g.Seed + int64(len(out)), SeedFactor: g.SeedFactor,
-				Runs: g.Runs, Epsilon: g.Epsilon,
+				Seed: g.Seed + int64(len(out)), Runs: g.Runs, Epsilon: g.Epsilon,
 			},
 			Coords: coords,
 		})

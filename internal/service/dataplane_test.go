@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/remotestore"
 	"repro/internal/scenario"
@@ -347,74 +346,4 @@ func TestMetricsDataplane(t *testing.T) {
 			t.Fatalf("metrics missing %q", want)
 		}
 	}
-}
-
-// TestJobAdoptsByteCache: a job finished by a previous process answers
-// its FIRST result poll with 200 when the new process already holds the
-// canonical bytes in its byte cache (a synchronous adoption, no replay
-// round-trip), and the bytes match the synchronous eval's.
-func TestJobAdoptsByteCache(t *testing.T) {
-	dir := t.TempDir()
-	_, hsA := newTestServer(t, dir, 4)
-	var sub struct {
-		Job  string `json:"job"`
-		Poll string `json:"poll"`
-	}
-	status, body := postJSON(t, hsA.URL+"/v1/jobs", `{"grid":"`+testGridQuick+`"}`)
-	if status != http.StatusAccepted {
-		t.Fatalf("submit: %d %s", status, body)
-	}
-	if err := json.Unmarshal(body, &sub); err != nil {
-		t.Fatal(err)
-	}
-	waitJobDone(t, hsA.URL, sub.Job)
-
-	// "Restart": a fresh process over the same store, byte cache warmed by
-	// a synchronous eval of the same grid.
-	_, hsB := newTestServer(t, dir, 4)
-	status, evalBody := postEval(t, hsB.URL, testGridQuick)
-	if status != http.StatusOK {
-		t.Fatalf("warm eval on B: %d", status)
-	}
-	status, jobBody := get(t, hsB.URL+"/v1/jobs/"+sub.Job+"/result")
-	if status != http.StatusOK {
-		t.Fatalf("first poll after restart: got %d want 200 (byte-cache adoption should be synchronous)", status)
-	}
-	if !bytes.Equal(jobBody, evalBody) {
-		t.Fatal("adopted job bytes differ from the synchronous eval's")
-	}
-}
-
-func postJSON(t *testing.T, url, body string) (int, []byte) {
-	t.Helper()
-	resp, err := http.Post(url, "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var buf bytes.Buffer
-	buf.ReadFrom(resp.Body)
-	return resp.StatusCode, buf.Bytes()
-}
-
-func waitJobDone(t *testing.T, url, id string) {
-	t.Helper()
-	deadline := 200
-	for i := 0; i < deadline; i++ {
-		_, body := get(t, url+"/v1/jobs/"+id)
-		var st struct {
-			State string `json:"state"`
-		}
-		if err := json.Unmarshal(body, &st); err != nil {
-			t.Fatal(err)
-		}
-		switch st.State {
-		case "done":
-			return
-		case "failed", "canceled":
-			t.Fatalf("job %s: %s", id, st.State)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Fatalf("job %s not done after %d polls", id, deadline)
 }

@@ -24,20 +24,20 @@ import (
 // the job-slot queue (jobs wait for a slot instead of 429ing; they already
 // answered, so waiting is cheap), and the tiered cache.
 //
-// Durability rides the store's job records (store.JobRecord): the record
-// is persisted before the 202 leaves, progress updates are throttled
-// through it, and completion stores the content address of the canonical
-// response bytes. After a restart, RecoverJobs re-adopts every record:
-// unfinished jobs re-dispatch (their solves resume against the warm
-// store), finished ones replay lazily — the first poll re-runs the grid
-// through the cache, which is byte-identical by the durability invariant,
-// and the replayed bytes are verified against the recorded address.
+// The job's record (store.JobRecord) is its only truth: queued → running
+// → done, failed or canceled, and then expired or deleted. The record is
+// persisted before the 202 leaves, progress updates are throttled through
+// it, and a done record holds the canonical response bytes, so the job
+// routes' GETs only read. After a restart, RecoverJobs re-adopts every
+// record: unfinished jobs re-dispatch (their solves resume against the
+// warm store), finished ones answer from their records. Terminal records
+// older than JobRetain are dropped at startup and before each submission.
 //
 // Job records obey a one-rung degradation ladder: lost or corrupt reads
 // as "unknown job, resubmit" (404), never a wedge and never wrong bytes.
 
-// job is one async evaluation: the durable record plus the live parts a
-// record cannot hold — the cancel func and the resident result bytes.
+// job is one async evaluation: the record plus the cancel func a record
+// cannot hold.
 type job struct {
 	id   string
 	grid string
@@ -47,15 +47,6 @@ type job struct {
 
 	mu  sync.Mutex
 	rec store.JobRecord
-	// body/status are the result bytes once the evaluation (or a
-	// post-restart replay) finished in this process. A done record with no
-	// resident body replays on first poll.
-	body   []byte
-	status int
-	// replay marks a re-run of an already-done job after a restart; its
-	// completion verifies bytes against rec.ResultAddr instead of
-	// recounting the job as done.
-	replay bool
 	// lastPersist throttles progress persistence (unix nanos).
 	lastPersist int64
 }
@@ -95,16 +86,13 @@ type jobStatusPayload struct {
 	State string `json:"state"`
 	Done  uint32 `json:"done"`
 	Total uint32 `json:"total"`
-	// Result is the poll target for the finished bytes, set once the
-	// result is fetchable.
+	// Result is the poll target for the finished bytes (or the failure),
+	// set once the job is terminal.
 	Result string `json:"result,omitempty"`
 	Error  string `json:"error,omitempty"`
 }
 
-// statusPayload snapshots the job for a poll response. A done record
-// whose bytes are not resident (finished before a restart) reports
-// "running" while the replay re-materializes them: "done" always means
-// the result is fetchable right now.
+// statusPayload snapshots the job's record for a poll response.
 func (j *job) statusPayload() jobStatusPayload {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -116,10 +104,7 @@ func (j *job) statusPayload() jobStatusPayload {
 		Total: j.rec.Total,
 		Error: j.rec.Error,
 	}
-	if j.rec.State == store.JobDone && j.body == nil {
-		p.State = store.JobRunning.String()
-	}
-	if p.State == store.JobDone.String() || j.rec.State == store.JobFailed || j.rec.State == store.JobCanceled {
+	if j.rec.State.Terminal() {
 		p.Result = "/v1/jobs/" + j.id + "/result"
 	}
 	return p
@@ -158,15 +143,7 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if s.jobCount() >= s.cfg.MaxQueuedJobs {
-		s.jobsRejected.Add(1)
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests,
-			fmt.Errorf("job table full (%d jobs resident)", s.cfg.MaxQueuedJobs))
-		return
-	}
-
-	now := time.Now().UnixNano()
+	now := time.Now()
 	j := &job{id: newJobID(), grid: line}
 	j.ctx, j.cancel = context.WithCancel(context.Background())
 	j.rec = store.JobRecord{
@@ -174,13 +151,18 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		Grid:    line,
 		State:   store.JobQueued,
 		Total:   uint32(len(gps)),
-		Created: now,
-		Updated: now,
+		Created: now.UnixNano(),
+		Updated: now.UnixNano(),
+	}
+	if !s.admitJob(j, now) {
+		j.cancel()
+		s.jobsRejected.Add(1)
+		w.Header().Set("Retry-After", "1")
+		writeError(w, http.StatusTooManyRequests,
+			fmt.Errorf("job table full (%d jobs resident)", s.cfg.MaxQueuedJobs))
+		return
 	}
 	s.persistJob(j.rec)
-	s.jobsMu.Lock()
-	s.jobTab[j.id] = j
-	s.jobsMu.Unlock()
 	s.jobsSubmitted.Add(1)
 	go s.runJob(j)
 
@@ -240,61 +222,32 @@ func (s *Server) jobProgress(j *job, done, total int) {
 	}
 }
 
-// finishJob records the evaluation's outcome. 200 → done, with the
-// canonical bytes' content address persisted as the byte-identity witness
-// for post-restart replays; 499 → canceled; anything else → failed with
-// the status and error retained for replay. A replay's completion only
-// re-materializes bytes (and verifies them against the recorded address)
-// — it never recounts or re-states the job.
+// finishJob records the evaluation's outcome: 200 → done, with the
+// canonical bytes in the record; 499 → canceled; anything else → failed,
+// with the status and error kept for the result route. The record is
+// saved under the job's lock, so a DELETE that sees the job terminal
+// runs after the save and its record stays deleted.
 func (s *Server) finishJob(j *job, status int, body []byte) {
-	now := time.Now().UnixNano()
 	j.mu.Lock()
-	if j.replay {
-		j.replay = false
-		if status == http.StatusOK {
-			s.jobsReplayed.Add(1)
-			addr := store.Addr(string(body))
-			if addr != j.rec.ResultAddr {
-				// The warm store no longer reproduces the recorded bytes
-				// (pruned entries re-solved under a changed build, say).
-				// Serve the fresh bytes — they are what this server computes
-				// — but count the broken witness.
-				s.jobsReplayMismatch.Add(1)
-				j.rec.ResultAddr = addr
-				j.rec.Updated = now
-			}
-			j.status, j.body = status, body
-		}
-		// A failed replay (canceled, timeout) leaves the record done and
-		// the bytes absent; the next poll retries.
-		rec := j.rec
-		j.mu.Unlock()
-		s.persistJob(rec)
-		return
-	}
-	j.status, j.body = status, body
-	j.rec.Updated = now
-	switch {
-	case status == http.StatusOK:
+	defer j.mu.Unlock()
+	j.rec.Updated = time.Now().UnixNano()
+	j.rec.Status = uint16(status)
+	switch status {
+	case http.StatusOK:
 		j.rec.State = store.JobDone
-		j.rec.Status = http.StatusOK
 		j.rec.Done = j.rec.Total
-		j.rec.ResultAddr = store.Addr(string(body))
+		j.rec.Result = body
 		s.jobsDone.Add(1)
-	case status == 499:
+	case 499:
 		j.rec.State = store.JobCanceled
-		j.rec.Status = 499
 		j.rec.Error = errorMessage(body)
 		s.jobsCanceled.Add(1)
 	default:
 		j.rec.State = store.JobFailed
-		j.rec.Status = uint16(status)
 		j.rec.Error = errorMessage(body)
 		s.jobsFailed.Add(1)
 	}
-	rec := j.rec
-	j.mu.Unlock()
-	s.persistJob(rec)
+	s.persistJob(j.rec)
 }
 
 // errorMessage extracts the message from an errorBody payload, falling
@@ -332,9 +285,14 @@ func (s *Server) lookupJob(id string) *job {
 
 // adoptJob registers a persisted record as a live job. Non-terminal jobs
 // (queued/running when the previous process died) re-dispatch
-// immediately; terminal ones sit passive until polled. The live table is
-// re-checked under the lock so concurrent adopters converge on one job.
+// immediately; terminal ones answer from their records. The live table
+// is re-checked under the lock so concurrent adopters converge on one
+// job.
 func (s *Server) adoptJob(rec store.JobRecord) *job {
+	resume := !rec.State.Terminal()
+	if resume {
+		rec.State = store.JobQueued
+	}
 	s.jobsMu.Lock()
 	if j, ok := s.jobTab[rec.ID]; ok {
 		s.jobsMu.Unlock()
@@ -345,30 +303,65 @@ func (s *Server) adoptJob(rec store.JobRecord) *job {
 	s.jobTab[rec.ID] = j
 	s.jobsMu.Unlock()
 	s.jobsRecovered.Add(1)
-	if !rec.State.Terminal() {
-		j.mu.Lock()
-		j.rec.State = store.JobQueued
-		j.mu.Unlock()
+	if resume {
 		go s.runJob(j)
 	}
 	return j
 }
 
-// RecoverJobs scans the store's job records, discards terminal jobs older
-// than JobRetain, and re-adopts the rest: unfinished jobs resume against
-// the warm store, finished ones become replayable. Call once at startup,
-// before serving.
+// expired reports whether a job's record has outlived JobRetain: only a
+// terminal job expires, JobRetain after its last update.
+func (s *Server) expired(rec store.JobRecord, now time.Time) bool {
+	return rec.State.Terminal() && now.Sub(time.Unix(0, rec.Updated)) > s.cfg.JobRetain
+}
+
+// admitJob adds a new job to the live table unless MaxQueuedJobs jobs
+// are already resident. Expired jobs leave the table, and their records
+// the store, first, so finished jobs nobody deletes cannot fill it. The
+// sweep, the bound check and the insertion hold one lock, so concurrent
+// submissions cannot overshoot the bound.
+func (s *Server) admitJob(nj *job, now time.Time) bool {
+	s.jobsMu.Lock()
+	defer s.jobsMu.Unlock()
+	for id, j := range s.jobTab {
+		j.mu.Lock()
+		old := s.expired(j.rec, now)
+		j.mu.Unlock()
+		if old {
+			s.deleteRecord(id)
+			delete(s.jobTab, id)
+		}
+	}
+	if len(s.jobTab) >= s.cfg.MaxQueuedJobs {
+		return false
+	}
+	s.jobTab[nj.id] = nj
+	return true
+}
+
+// deleteRecord removes a job's record from the store, if there is one.
+func (s *Server) deleteRecord(id string) {
+	if s.cfg.Store != nil {
+		s.cfg.Store.DeleteJob(id)
+	}
+}
+
+// RecoverJobs scans the store's job records, discards expired ones, and
+// re-adopts the rest: unfinished jobs resume against the warm store,
+// finished ones answer from their records. Call once at startup, before
+// serving.
 func (s *Server) RecoverJobs() int {
 	if s.cfg.Store == nil {
 		return 0
 	}
 	n := 0
+	now := time.Now()
 	for _, id := range s.cfg.Store.Jobs() {
 		rec, ok := s.cfg.Store.LoadJob(id)
 		if !ok {
 			continue // damaged record, already dropped by LoadJob
 		}
-		if rec.State.Terminal() && time.Since(time.Unix(0, rec.Updated)) > s.cfg.JobRetain {
+		if s.expired(rec, now) {
 			s.cfg.Store.DeleteJob(id)
 			continue
 		}
@@ -378,68 +371,46 @@ func (s *Server) RecoverJobs() int {
 	return n
 }
 
-// ensureResult re-materializes the bytes of a done job that finished in a
-// previous process (or whose resident bytes were dropped). It tries the
-// response-byte cache first — if the canonical bytes for the job's grid
-// are still resident AND their content address matches the recorded
-// witness, they are adopted synchronously, no replay, no 202 round-trip.
-// Otherwise it kicks off the usual async replay through the evaluation
-// path. Idempotent: one replay runs at a time.
-func (s *Server) ensureResult(j *job) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.rec.State != store.JobDone || j.body != nil || j.replay {
-		return
+// jobFor finds the request's job, answering 404 itself when the job is
+// unknown.
+func (s *Server) jobFor(w http.ResponseWriter, r *http.Request) *job {
+	j := s.lookupJob(r.PathValue("id"))
+	if j == nil {
+		s.jobsUnknown.Add(1)
+		writeError(w, http.StatusNotFound,
+			errors.New("unknown job (lost or expired record): resubmit the grid"))
 	}
-	rk, _ := respKeyFor(nil, respKeyPrefix, j.grid)
-	if body := s.resp.get(rk); body != nil && store.Addr(string(body)) == j.rec.ResultAddr {
-		j.status, j.body = http.StatusOK, body
-		return
-	}
-	j.replay = true
-	go s.runJob(j)
+	return j
 }
 
 func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
-	j := s.lookupJob(r.PathValue("id"))
-	if j == nil {
-		s.jobsUnknown.Add(1)
-		writeError(w, http.StatusNotFound,
-			errors.New("unknown job (lost or expired record): resubmit the grid"))
-		return
+	if j := s.jobFor(w, r); j != nil {
+		writeJobStatus(w, http.StatusOK, j)
 	}
-	s.ensureResult(j)
-	writeJobStatus(w, http.StatusOK, j)
 }
 
-// handleJobResult serves the finished bytes: 200 with the canonical
-// EvalResponse for a done job (byte-identical to the synchronous /v1/eval
-// response for the same grid), the recorded failure status and error for
-// a failed or canceled job, and 202 with the status payload while the
-// evaluation (or a post-restart replay) is still running.
+// handleJobResult serves the finished bytes from the job's record: 200
+// with the canonical EvalResponse for a done job (byte-identical to the
+// synchronous /v1/eval response for the same grid), the recorded failure
+// status and error for a failed or canceled job, and 202 with the status
+// payload while the evaluation is still queued or running.
 func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
-	j := s.lookupJob(r.PathValue("id"))
+	j := s.jobFor(w, r)
 	if j == nil {
-		s.jobsUnknown.Add(1)
-		writeError(w, http.StatusNotFound,
-			errors.New("unknown job (lost or expired record): resubmit the grid"))
 		return
 	}
-	// Before reading state: a byte-cache adoption inside ensureResult lands
-	// synchronously, so a done-but-not-resident job whose bytes are still
-	// cached answers 200 on this very poll instead of a 202 round-trip.
-	s.ensureResult(j)
 	j.mu.Lock()
-	state, status, body, errMsg := j.rec.State, int(j.rec.Status), j.body, j.rec.Error
+	rec := j.rec
 	j.mu.Unlock()
-	switch {
-	case state == store.JobDone && body != nil:
-		writeBytes(w, http.StatusOK, body)
-	case state == store.JobFailed || state == store.JobCanceled:
+	switch rec.State {
+	case store.JobDone:
+		writeBytes(w, http.StatusOK, rec.Result)
+	case store.JobFailed, store.JobCanceled:
+		status := int(rec.Status)
 		if status == 0 {
 			status = http.StatusInternalServerError
 		}
-		writeError(w, status, errors.New(errMsg))
+		writeError(w, status, errors.New(rec.Error))
 	default:
 		writeJobStatus(w, http.StatusAccepted, j)
 	}
@@ -450,24 +421,20 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 // boundary, or immediately if the job still waits for a slot) and
 // discards a terminal job's record entirely (204).
 func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	j := s.lookupJob(id)
+	j := s.jobFor(w, r)
 	if j == nil {
-		s.jobsUnknown.Add(1)
-		writeError(w, http.StatusNotFound,
-			errors.New("unknown job (lost or expired record): resubmit the grid"))
 		return
 	}
 	j.mu.Lock()
 	terminal := j.rec.State.Terminal()
 	j.mu.Unlock()
 	if terminal {
+		// Record first: a poll that misses the table from here on also
+		// misses the record, so it cannot adopt the job back.
+		s.deleteRecord(j.id)
 		s.jobsMu.Lock()
-		delete(s.jobTab, id)
+		delete(s.jobTab, j.id)
 		s.jobsMu.Unlock()
-		if s.cfg.Store != nil {
-			s.cfg.Store.DeleteJob(id)
-		}
 		w.WriteHeader(http.StatusNoContent)
 		return
 	}

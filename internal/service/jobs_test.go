@@ -5,11 +5,14 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -233,10 +236,29 @@ func TestJobLifecycle(t *testing.T) {
 	}
 }
 
-// TestJobSurvivesRestart: a finished job's record outlives the process —
-// a fresh server over the same store dir answers the SAME job id with
-// byte-identical result bytes (replayed through the warm store). An
-// unfinished (queued) record left by a crash re-dispatches to completion.
+// pruneResults deletes every result shard of a store directory, as a
+// prune to zero bytes would, and keeps the job records.
+func pruneResults(t *testing.T, dir string) {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if e.Name() != "jobs" {
+			if err := os.RemoveAll(filepath.Join(dir, e.Name())); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestJobSurvivesRestart: a finished job's record outlives the process.
+// A fresh server over the same store dir, with every result shard pruned
+// and an empty byte cache, answers the job's FIRST result poll with 200
+// and the original bytes — from the record, so nothing re-solved — and
+// those bytes equal a synchronous eval of the grid. An unfinished
+// (queued) record left by a crash re-dispatches to completion.
 func TestJobSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	srv1, hs1 := newTestServer(t, dir, 2)
@@ -244,10 +266,12 @@ func TestJobSurvivesRestart(t *testing.T) {
 	pollState(t, hs1.URL, id, "done")
 	_, ref := get(t, hs1.URL+"/v1/jobs/"+id+"/result")
 	hs1.Close()
+	pruneResults(t, dir)
 
 	// Simulate a crash mid-queue too: a second record that never ran.
+	crashedGrid := strings.Replace(testGridQuick, "seed=1", "seed=2", 1)
 	crashed := store.JobRecord{
-		ID: "c0ffee", Grid: testGridQuick, State: store.JobQueued,
+		ID: "c0ffee", Grid: crashedGrid, State: store.JobQueued,
 		Total: 1, Created: time.Now().UnixNano(), Updated: time.Now().UnixNano(),
 	}
 	if err := srv1.cfg.Store.SaveJob(crashed); err != nil {
@@ -258,19 +282,69 @@ func TestJobSurvivesRestart(t *testing.T) {
 	if n := srv2.RecoverJobs(); n != 2 {
 		t.Fatalf("recovered %d jobs, want 2", n)
 	}
-	// The finished job replays to byte-identical completion.
-	pollState(t, hs2.URL, id, "done")
 	rstatus, rbody := get(t, hs2.URL+"/v1/jobs/"+id+"/result")
 	if rstatus != http.StatusOK || !bytes.Equal(rbody, ref) {
-		t.Fatalf("restarted result: %d, byte-identical=%v", rstatus, bytes.Equal(rbody, ref))
+		t.Fatalf("first result poll after restart: %d, byte-identical=%v", rstatus, bytes.Equal(rbody, ref))
 	}
-	if got := metric(t, hs2.URL, "jobs_replay_mismatch_total"); got != 0 {
-		t.Fatalf("replay mismatches: %d", got)
+	if st := pollState(t, hs2.URL, id, "done", "running", "queued"); st.State != "done" {
+		t.Fatalf("finished job reports %q after restart", st.State)
 	}
-	// The crashed queued job re-dispatched and finished with the same bytes.
+	if status, body := postEval(t, hs2.URL, testGridQuick); status != http.StatusOK || !bytes.Equal(body, ref) {
+		t.Fatalf("sync eval after restart: %d, equals the job's bytes=%v", status, bytes.Equal(body, ref))
+	}
+	// The crashed queued job re-dispatched and finished with the bytes a
+	// synchronous eval of its grid answers.
 	pollState(t, hs2.URL, "c0ffee", "done")
-	if status, body := get(t, hs2.URL+"/v1/jobs/c0ffee/result"); status != http.StatusOK || !bytes.Equal(body, ref) {
-		t.Fatalf("recovered queued job: %d, byte-identical=%v", status, bytes.Equal(body, ref))
+	_, want := postEval(t, hs2.URL, crashedGrid)
+	if status, body := get(t, hs2.URL+"/v1/jobs/c0ffee/result"); status != http.StatusOK || !bytes.Equal(body, want) {
+		t.Fatalf("recovered queued job: %d, byte-identical=%v", status, bytes.Equal(body, want))
+	}
+}
+
+// TestDeletedJobStaysDeleted: restart over a pruned store, poll a done
+// job, DELETE it. The poll only reads the record (it starts no solve that
+// could save the record again), so the job stays deleted: 404, and no
+// record file is left under jobs/.
+func TestDeletedJobStaysDeleted(t *testing.T) {
+	dir := t.TempDir()
+	_, hs1 := newTestServer(t, dir, 2)
+	release := arm(t, &blockEntered, &blockRelease)
+	grid := "topo=rrg:n=8,deg=3 traffic=none eval=testblock runs=1 seed=1"
+	_, id := submitJobReq(t, hs1.URL, grid)
+	<-blockEntered
+	release()
+	pollState(t, hs1.URL, id, "done")
+	hs1.Close()
+	pruneResults(t, dir)
+
+	srv2, hs2 := newTestServer(t, dir, 2)
+	// Re-arm: a solve of the grid now parks until released.
+	release = arm(t, &blockEntered, &blockRelease)
+	srv2.RecoverJobs()
+	// The first poll reads the record: done.
+	if st := pollState(t, hs2.URL, id, "done", "running", "queued"); st.State != "done" {
+		t.Fatalf("finished job reports %q after restart", st.State)
+	}
+	req, _ := http.NewRequest(http.MethodDelete, hs2.URL+"/v1/jobs/"+id, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("delete done job: %d", resp.StatusCode)
+	}
+	// A solve the poll had started would finish now and could save the
+	// record again.
+	release()
+	if status, body := get(t, hs2.URL+"/v1/jobs/"+id); status != http.StatusNotFound {
+		t.Fatalf("deleted job answers %d %s", status, body)
+	}
+	if ids, _ := os.ReadDir(filepath.Join(dir, "jobs")); len(ids) != 0 {
+		t.Fatalf("%d record files left under jobs/ after the delete", len(ids))
+	}
+	if n := len(blockEntered); n != 0 {
+		t.Fatalf("%d solves ran after the restart; the job was done", n)
 	}
 }
 
@@ -318,7 +392,7 @@ func TestJobUnknownAndCorrupt(t *testing.T) {
 	}
 
 	// A record that rotted on disk: unknown, and the damage is dropped.
-	rec := store.JobRecord{ID: "abcd", Grid: testGridQuick, State: store.JobDone, Status: 200, Total: 1, Done: 1}
+	rec := store.JobRecord{ID: "abcd", Grid: testGridQuick, State: store.JobDone, Status: 200, Total: 1, Done: 1, Result: []byte("{}\n")}
 	if err := srv.cfg.Store.SaveJob(rec); err != nil {
 		t.Fatal(err)
 	}
@@ -368,4 +442,162 @@ func TestJobTableBound(t *testing.T) {
 		resp.Body.Close()
 	}
 	pollState(t, hs.URL, id, "canceled")
+}
+
+// TestJobBoundHoldsUnderConcurrentSubmits: concurrent submissions cannot
+// overshoot MaxQueuedJobs, even while each accepted record is being
+// persisted. Each round races 32 submissions at a table of one.
+func TestJobBoundHoldsUnderConcurrentSubmits(t *testing.T) {
+	for round := 0; round < 5; round++ {
+		st, err := store.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cache := scenario.NewCache()
+		cache.SetBackend(st)
+		eng := &scenario.Engine{Cache: cache, SkipInfeasible: true}
+		hs := httptest.NewServer(New(Config{Engine: eng, Cache: cache, Store: st, MaxJobs: 2, MaxQueuedJobs: 1}).Handler())
+		var (
+			mu       sync.Mutex
+			accepted []string
+			wg       sync.WaitGroup
+		)
+		start := make(chan struct{})
+		for i := 0; i < 32; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				grid := strings.Replace(testGridQuick, "seed=1", fmt.Sprintf("seed=%d", i+1), 1)
+				body, _ := json.Marshal(EvalRequest{Grid: grid})
+				<-start
+				resp, err := http.Post(hs.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				defer resp.Body.Close()
+				var acc struct {
+					Job string `json:"job"`
+				}
+				if resp.StatusCode == http.StatusAccepted && json.NewDecoder(resp.Body).Decode(&acc) == nil {
+					mu.Lock()
+					accepted = append(accepted, acc.Job)
+					mu.Unlock()
+				}
+			}(i)
+		}
+		close(start)
+		wg.Wait()
+		for _, id := range accepted {
+			pollState(t, hs.URL, id, "done") // nothing writes after the round
+		}
+		hs.Close()
+		if len(accepted) != 1 {
+			t.Fatalf("round %d: %d of 32 concurrent submissions accepted, want 1 (MaxQueuedJobs 1)", round, len(accepted))
+		}
+	}
+}
+
+// TestJobRetentionWhileServing: JobRetain holds while the daemon serves,
+// not only at startup. With room for one job, a submission after the
+// first job expired is accepted, and the expired job then answers 404
+// with its record gone.
+func TestJobRetentionWhileServing(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := scenario.NewCache()
+	cache.SetBackend(st)
+	eng := &scenario.Engine{Cache: cache, SkipInfeasible: true}
+	srv := New(Config{Engine: eng, Cache: cache, Store: st, MaxJobs: 2, MaxQueuedJobs: 1, JobRetain: time.Millisecond})
+	hs := httptest.NewServer(srv.Handler())
+	t.Cleanup(hs.Close)
+
+	_, first := submitJobReq(t, hs.URL, testGridQuick)
+	pollState(t, hs.URL, first, "done")
+	time.Sleep(20 * time.Millisecond)
+	if status, _ := submitJobReq(t, hs.URL, testGridQuick); status != http.StatusAccepted {
+		t.Fatalf("submit after the first job expired: %d, want 202", status)
+	}
+	if status, body := get(t, hs.URL+"/v1/jobs/"+first); status != http.StatusNotFound {
+		t.Fatalf("expired job answers %d %s", status, body)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "jobs", first)); !os.IsNotExist(err) {
+		t.Fatalf("expired job's record still on disk: %v", err)
+	}
+}
+
+// TestJobRetentionConcurrent: submissions from several goroutines sweep
+// expired jobs while other jobs run, finish and are polled (run it with
+// -race). Every submission is eventually accepted within the bound, and
+// every job is polled to done or, once expired and swept, to 404.
+func TestJobRetentionConcurrent(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := scenario.NewCache()
+	cache.SetBackend(st)
+	eng := &scenario.Engine{Cache: cache, SkipInfeasible: true}
+	srv := New(Config{Engine: eng, Cache: cache, Store: st, MaxJobs: 2, MaxQueuedJobs: 2, JobRetain: time.Millisecond})
+	hs := httptest.NewServer(srv.Handler())
+	t.Cleanup(hs.Close)
+
+	const workers, perWorker = 4, 4
+	deadline := time.Now().Add(20 * time.Second)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				grid := strings.Replace(testGridQuick, "seed=1", fmt.Sprintf("seed=%d", 1+w*perWorker+i), 1)
+				body, _ := json.Marshal(EvalRequest{Grid: grid})
+				var id string
+				for id == "" && time.Now().Before(deadline) {
+					resp, err := http.Post(hs.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					var acc struct {
+						Job string `json:"job"`
+					}
+					if resp.StatusCode == http.StatusAccepted {
+						json.NewDecoder(resp.Body).Decode(&acc)
+						id = acc.Job
+					} else if resp.StatusCode != http.StatusTooManyRequests {
+						t.Errorf("submit: %d", resp.StatusCode)
+					}
+					resp.Body.Close()
+					time.Sleep(time.Millisecond)
+				}
+				for state := ""; state != "done" && state != "gone"; {
+					if time.Now().After(deadline) {
+						t.Errorf("job %q not finished by the deadline (state %q)", id, state)
+						return
+					}
+					resp, err := http.Get(hs.URL + "/v1/jobs/" + id)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					var js jobStatus
+					json.NewDecoder(resp.Body).Decode(&js)
+					resp.Body.Close()
+					state = js.State
+					if resp.StatusCode == http.StatusNotFound {
+						state = "gone"
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if got := srv.jobsSubmitted.Load(); got != workers*perWorker {
+		t.Fatalf("%d jobs accepted, want %d", got, workers*perWorker)
+	}
 }

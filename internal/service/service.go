@@ -13,10 +13,11 @@
 //	                       is persisted in the result store and survives
 //	                       restart (see handleSubmitJob in jobs.go).
 //	GET  /v1/jobs/<id>     job status: state, progress (done/total
-//	                       points), result address once done.
+//	                       points), result path once terminal.
 //	GET  /v1/jobs/<id>/result
 //	                       the finished job's canonical EvalResponse
-//	                       bytes (202 + status while still running).
+//	                       bytes, kept in its record (202 + status while
+//	                       still running).
 //	DELETE /v1/jobs/<id>   cancel a running job (202) or discard a
 //	                       terminal one (204).
 //	GET  /v1/result/<key>  one stored result by content address (hex
@@ -144,8 +145,9 @@ type Config struct {
 	// unbounded). Async jobs deliberately do NOT inherit RequestTimeout:
 	// outliving a connection-scale deadline is their reason to exist.
 	JobTimeout time.Duration
-	// JobRetain is how long a terminal job's record is kept before the
-	// recovery sweep discards it. 0 means 24 hours.
+	// JobRetain is how long a terminal job's record is kept after its last
+	// update; expired records are discarded at startup and before each
+	// job submission. 0 means 24 hours.
 	JobRetain time.Duration
 	// MaxQueuedJobs bounds async jobs resident at once (queued + running +
 	// finished-but-retained); submissions beyond it get 429. <= 0 means
@@ -184,19 +186,17 @@ type Server struct {
 
 	// jobsMu guards jobTab, the in-memory registry of async jobs (the
 	// durable truth lives in the store's job records; jobTab adds the live
-	// cancel funcs and resident result bytes).
+	// cancel funcs).
 	jobsMu sync.Mutex
 	jobTab map[string]*job
 
-	jobsSubmitted      atomic.Int64
-	jobsDone           atomic.Int64
-	jobsFailed         atomic.Int64
-	jobsCanceled       atomic.Int64
-	jobsRejected       atomic.Int64
-	jobsRecovered      atomic.Int64
-	jobsReplayed       atomic.Int64
-	jobsReplayMismatch atomic.Int64
-	jobsUnknown        atomic.Int64
+	jobsSubmitted atomic.Int64
+	jobsDone      atomic.Int64
+	jobsFailed    atomic.Int64
+	jobsCanceled  atomic.Int64
+	jobsRejected  atomic.Int64
+	jobsRecovered atomic.Int64
+	jobsUnknown   atomic.Int64
 
 	requests atomic.Int64
 	rejected atomic.Int64
@@ -1091,8 +1091,6 @@ func (s *Server) metrics(emit func(name, help string, v int64)) {
 	emit("jobs_canceled_total", "Async jobs canceled before finishing.", s.jobsCanceled.Load())
 	emit("jobs_rejected_total", "Async job submissions refused by the resident-job bound.", s.jobsRejected.Load())
 	emit("jobs_recovered_total", "Job records re-adopted from the store after a restart.", s.jobsRecovered.Load())
-	emit("jobs_replayed_total", "Done jobs whose bytes were re-materialized by replay.", s.jobsReplayed.Load())
-	emit("jobs_replay_mismatch_total", "Replays whose bytes no longer matched the recorded address.", s.jobsReplayMismatch.Load())
 	emit("jobs_unknown_total", "Polls for unknown (lost or expired) job ids.", s.jobsUnknown.Load())
 	emit("jobs_resident", "Async jobs resident (queued, running, or retained).", int64(s.jobCount()))
 	emit("eval_requests_total", "Evaluation requests received (/v1/eval and /v1/jobs).", s.requests.Load())

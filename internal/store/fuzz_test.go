@@ -45,6 +45,8 @@ func FuzzDecodeJob(f *testing.F) {
 	good := EncodeJob(sampleJob())
 	f.Add(good)
 	f.Add(reserveJob(good, 7))
+	f.Add(EncodeJob(emptyDone()))
+	f.Add(EncodeJob(JobRecord{ID: "0c", State: JobCanceled, Status: 499, Error: "all clients gone"}))
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		for _, in := range [][]byte{buf, withCRC(buf)} {
 			rec, ok := DecodeJob(in)

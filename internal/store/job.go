@@ -10,19 +10,20 @@ import (
 )
 
 // Job records are the durable half of the service's async job API
-// (POST /v1/jobs): one small entry per submitted grid, holding the job's
+// (POST /v1/jobs): one entry per submitted grid, holding the job's
 // lifecycle state, its progress counters, and — once the evaluation
-// completes — the content address of the canonical response bytes. They
-// ride the same machinery as result entries: a versioned, CRC-checksummed
-// binary codec (magic TBRJ, a sibling of codec.go's TBRS), atomic
-// temp-file-plus-rename publication, and absolute corruption tolerance.
+// completes — the canonical response bytes themselves, so a finished job
+// is answered from its record alone. They ride the same machinery as
+// result entries: a versioned, CRC-checksummed binary codec (magic TBRJ,
+// a sibling of codec.go's TBRS), atomic temp-file-plus-rename
+// publication, and absolute corruption tolerance.
 //
 // The degradation ladder for job records is deliberately one rung
 // shorter than for results: a result entry that is lost re-solves, a job
 // record that is lost or corrupt reads as "unknown job" and the client
 // resubmits the grid — never a wedge, never a wrong answer. Nothing in a
-// job record is needed to *compute* anything; it only names work, so
-// dropping a damaged record costs one resubmission.
+// job record is needed to *compute* anything, so dropping a damaged
+// record costs one resubmission.
 //
 // JobCodecVersion follows the same rule as CodecVersion: bump it whenever
 // the record encoding or the meaning of any field changes. Old-version
@@ -39,9 +40,8 @@ const (
 	JobCanceled
 )
 
-// Terminal reports whether the state is final — no dispatcher will move
-// the job again (a done job may still be re-run to replay its bytes after
-// a restart, but its recorded state stays done).
+// Terminal reports whether the state is final: nothing runs the job
+// again, and its record only expires or is deleted.
 func (st JobState) Terminal() bool {
 	return st == JobDone || st == JobFailed || st == JobCanceled
 }
@@ -72,16 +72,15 @@ type JobRecord struct {
 	Grid string
 	// State is the lifecycle position last persisted.
 	State JobState
-	// Status is the HTTP status the job's result replays (200 for done;
-	// the failure status for failed/canceled jobs).
+	// Status is the HTTP status the job's result answers with (200 for
+	// done; the failure status for failed/canceled jobs).
 	Status uint16
 	// Done and Total are the progress counters: grid points completed and
 	// the point count.
 	Done, Total uint32
-	// ResultAddr, for done jobs, is the content address (hex SHA-256) of
-	// the canonical EvalResponse bytes — the byte-identity witness a
-	// post-restart replay is verified against.
-	ResultAddr string
+	// Result, for done jobs, is the canonical EvalResponse bytes; it is
+	// empty in every other state.
+	Result []byte
 	// Error carries the failure reason for failed/canceled jobs.
 	Error string
 	// Created and Updated are unix-nano timestamps.
@@ -90,8 +89,9 @@ type JobRecord struct {
 
 // JobCodecVersion versions the job-record encoding. Bump it whenever the
 // layout or the meaning of any field changes — stale-version records then
-// read as unknown jobs (resubmit), never as misinterpreted bytes.
-const JobCodecVersion uint16 = 1
+// read as unknown jobs (resubmit), never as misinterpreted bytes. Version
+// 2 replaced the result's content address with the result bytes.
+const JobCodecVersion uint16 = 2
 
 var jobMagic = [4]byte{'T', 'B', 'R', 'J'}
 
@@ -100,15 +100,15 @@ var jobMagic = [4]byte{'T', 'B', 'R', 'J'}
 const jobHeaderSize = 36
 
 // EncodeJob serializes a job record into the versioned TBRJ format:
-// fixed header, four length-prefixed strings (ID, Grid, ResultAddr,
-// Error), CRC-32 trailer over everything before it.
+// fixed header, four length-prefixed fields (ID, Grid, Result, Error),
+// CRC-32 trailer over everything before it.
 func EncodeJob(rec JobRecord) []byte {
-	strs := []string{rec.ID, rec.Grid, rec.ResultAddr, rec.Error}
-	size := jobHeaderSize
-	for _, s := range strs {
-		size += 4 + len(s)
+	fields := [][]byte{[]byte(rec.ID), []byte(rec.Grid), rec.Result, []byte(rec.Error)}
+	size := jobHeaderSize + trailerSize
+	for _, f := range fields {
+		size += 4 + len(f)
 	}
-	buf := make([]byte, size+trailerSize)
+	buf := make([]byte, jobHeaderSize, size)
 	copy(buf[0:4], jobMagic[:])
 	binary.LittleEndian.PutUint16(buf[4:6], JobCodecVersion)
 	buf[6] = byte(rec.State)
@@ -117,21 +117,19 @@ func EncodeJob(rec JobRecord) []byte {
 	binary.LittleEndian.PutUint32(buf[16:20], rec.Total)
 	binary.LittleEndian.PutUint64(buf[20:28], uint64(rec.Created))
 	binary.LittleEndian.PutUint64(buf[28:36], uint64(rec.Updated))
-	off := jobHeaderSize
-	for _, s := range strs {
-		binary.LittleEndian.PutUint32(buf[off:], uint32(len(s)))
-		copy(buf[off+4:], s)
-		off += 4 + len(s)
+	for _, f := range fields {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(f)))
+		buf = append(buf, f...)
 	}
-	sum := crc32.ChecksumIEEE(buf[:size])
-	binary.LittleEndian.PutUint32(buf[size:], sum)
-	return buf
+	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
 }
 
 // DecodeJob parses a job record, ok=false on any corruption, truncation,
 // or codec-version mismatch — the "unknown job, resubmit" rung of the
 // degradation ladder. A decoded record is exactly what some EncodeJob
-// produced; garbage never parses.
+// produced; garbage never parses. A done record without result bytes
+// is rejected too: no finished job writes one, and it must never answer
+// as a 200 with an empty body.
 func DecodeJob(buf []byte) (JobRecord, bool) {
 	if len(buf) < jobHeaderSize+trailerSize {
 		return JobRecord{}, false
@@ -162,9 +160,9 @@ func DecodeJob(buf []byte) (JobRecord, bool) {
 	if rec.State > JobCanceled {
 		return JobRecord{}, false
 	}
+	var fields [4][]byte
 	off := jobHeaderSize
-	fields := []*string{&rec.ID, &rec.Grid, &rec.ResultAddr, &rec.Error}
-	for _, f := range fields {
+	for i := range fields {
 		if off+4 > len(body) {
 			return JobRecord{}, false
 		}
@@ -172,12 +170,14 @@ func DecodeJob(buf []byte) (JobRecord, bool) {
 		if n < 0 || off+4+n > len(body) {
 			return JobRecord{}, false
 		}
-		*f = string(buf[off+4 : off+4+n])
+		fields[i] = buf[off+4 : off+4+n]
 		off += 4 + n
 	}
-	if off != len(body) {
+	if off != len(body) || (rec.State == JobDone && len(fields[2]) == 0) {
 		return JobRecord{}, false
 	}
+	rec.ID, rec.Grid, rec.Error = string(fields[0]), string(fields[1]), string(fields[3])
+	rec.Result = append([]byte(nil), fields[2]...)
 	return rec, true
 }
 

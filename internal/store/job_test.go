@@ -10,16 +10,16 @@ import (
 
 func sampleJob() JobRecord {
 	return JobRecord{
-		ID:         "00deadbeef00deadbeef00deadbeef00",
-		Grid:       "topo=rrg:n=8,deg=3 traffic=permutation eval=aspl runs=1 seed=1",
-		State:      JobDone,
-		Status:     200,
-		Done:       7,
-		Total:      7,
-		ResultAddr: Addr("some canonical bytes"),
-		Error:      "",
-		Created:    1700000000000000001,
-		Updated:    1700000000000000002,
+		ID:      "00deadbeef00deadbeef00deadbeef00",
+		Grid:    "topo=rrg:n=8,deg=3 traffic=permutation eval=aspl runs=1 seed=1",
+		State:   JobDone,
+		Status:  200,
+		Done:    7,
+		Total:   7,
+		Result:  []byte("{\n  \"points\": []\n}\n"),
+		Error:   "",
+		Created: 1700000000000000001,
+		Updated: 1700000000000000002,
 	}
 }
 
@@ -84,6 +84,25 @@ func TestJobCodecTamper(t *testing.T) {
 			t.Fatalf("nonzero reserved byte %d accepted", i)
 		}
 	}
+	// A record of the previous codec version reads as unknown, even with
+	// a valid CRC.
+	old := append([]byte(nil), good...)
+	old[4], old[5] = 1, 0
+	if _, ok := DecodeJob(withCRC(old)); ok {
+		t.Fatal("version-1 record accepted")
+	}
+	// A done record without result bytes reads as unknown: no finished job
+	// writes one, and it must never answer 200 with an empty body.
+	if _, ok := DecodeJob(EncodeJob(emptyDone())); ok {
+		t.Fatal("done record without result bytes accepted")
+	}
+}
+
+// emptyDone is the done record no finished job writes: no result bytes.
+func emptyDone() JobRecord {
+	rec := sampleJob()
+	rec.Result = nil
+	return rec
 }
 
 // reserveJob returns a copy of an encoded job record with reserved header

@@ -36,11 +36,12 @@ type TieredOptions struct {
 	Poll time.Duration
 	// Owner identifies this replica on claims (default "host/pid").
 	Owner string
-	// WaitCycles bounds how many consecutive lost-claim leases a Load will
-	// wait out before degrading to a local solve (default 2). The bound is
-	// the no-stall guarantee: a Load blocks at most WaitCycles lease TTLs.
-	WaitCycles int
 }
+
+// claimWaitCycles bounds how many consecutive lost-claim leases a Load
+// waits out before degrading to a local solve. The bound is the no-stall
+// guarantee: a Load blocks at most claimWaitCycles lease TTLs.
+const claimWaitCycles = 2
 
 // Tiered chains the local disk store with an optional remote tier into
 // one scenario.Backend: reads go disk first, then remote (a remote hit is
@@ -81,8 +82,8 @@ type TieredStats struct {
 	// Reclaims counts leases that expired under a waiter — crashed or
 	// wedged claimants whose work this replica took over.
 	Reclaims int64
-	// WaitTimeouts counts Loads that exhausted WaitCycles and degraded to
-	// a local solve.
+	// WaitTimeouts counts Loads that exhausted claimWaitCycles and
+	// degraded to a local solve.
 	WaitTimeouts int64
 	// Abandons counts claims released without a result — failed, canceled,
 	// or infeasible solves whose lease would otherwise park waiters for a
@@ -116,9 +117,6 @@ func NewTiered(disk *Store, remote Remote, opt TieredOptions) *Tiered {
 	if opt.Owner == "" {
 		host, _ := os.Hostname()
 		opt.Owner = fmt.Sprintf("%s/%d", host, os.Getpid())
-	}
-	if opt.WaitCycles <= 0 {
-		opt.WaitCycles = 2
 	}
 	return &Tiered{disk: disk, remote: remote, opt: opt}
 }
@@ -174,7 +172,7 @@ func (t *Tiered) Load(ctx context.Context, key string) ([]float64, bool) {
 	// path can never stall a solve indefinitely.
 	csp := trace.StartSpan(ctx, "claim.wait")
 	defer csp.End()
-	for cycle := 0; cycle < t.opt.WaitCycles; cycle++ {
+	for cycle := 0; cycle < claimWaitCycles; cycle++ {
 		if cycle > 0 {
 			// A previous holder may have published between our last poll and
 			// now; re-check before contending for the lease. The fresh load
