@@ -74,6 +74,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"time"
@@ -194,39 +195,32 @@ func main() {
 func runScenario(line string, runs int, seed int64, eps float64, cache *scenario.Cache, outPath string, jsonOut, warm bool) error {
 	eng := &scenario.Engine{Cache: cache, SkipInfeasible: true, WarmStart: warm}
 	start := time.Now()
-	w := os.Stdout
-	if outPath != "" {
-		f, err := os.Create(outPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
 	def := service.Defaults{Runs: runs, Seed: seed, Epsilon: eps}
-	if jsonOut {
-		// The service's evaluation path and canonical encoding: the emitted
-		// bytes equal a `topobench serve` response for the same grid.
-		resp, err := service.EvalGrid(context.Background(), eng, line, def, nil)
-		if err != nil {
+	err := writeOut(outPath, func(w io.Writer) error {
+		if jsonOut {
+			// The service's evaluation path and canonical encoding: the
+			// emitted bytes equal a `topobench serve` response for the
+			// same grid.
+			resp, err := service.EvalGrid(context.Background(), eng, line, def, nil)
+			if err != nil {
+				return err
+			}
+			body, err := resp.MarshalCanonical()
+			if err != nil {
+				return err
+			}
+			_, err = w.Write(body)
 			return err
 		}
-		body, err := resp.MarshalCanonical()
-		if err != nil {
-			return err
-		}
-		if _, err := w.Write(body); err != nil {
-			return err
-		}
-	} else {
 		grid, err := scenario.ParseGrid(line)
 		if err != nil {
 			return err
 		}
 		def.Apply(&grid)
-		if err := grid.WriteTSV(eng, w); err != nil {
-			return err
-		}
+		return grid.WriteTSV(eng, w)
+	})
+	if err != nil {
+		return err
 	}
 	logger.Info("scenario done", "elapsed", time.Since(start).Round(time.Millisecond))
 	if warm {
@@ -236,8 +230,8 @@ func runScenario(line string, runs int, seed int64, eps float64, cache *scenario
 }
 
 func runOne(id string, opts experiments.Options, outPath string) error {
-	runner, ok := experiments.Registry[id]
-	if !ok {
+	runner := experiments.Registry(id)
+	if runner == nil {
 		return fmt.Errorf("unknown figure %q (use -list)", id)
 	}
 	start := time.Now()
@@ -246,16 +240,26 @@ func runOne(id string, opts experiments.Options, outPath string) error {
 		return err
 	}
 	logger.Info("figure done", "figure", id, "elapsed", time.Since(start).Round(time.Millisecond))
-	w := os.Stdout
-	if outPath != "" {
-		f, err := os.Create(outPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
+	return writeOut(outPath, figure.TSV)
+}
+
+// writeOut runs write against the file at path, created or truncated, or
+// against stdout when path is empty. It returns write's error, else the
+// file's Close error, so a write that only fails on close (a full disk)
+// does not exit 0 over a short file.
+func writeOut(path string, write func(io.Writer) error) error {
+	if path == "" {
+		return write(os.Stdout)
 	}
-	return figure.TSV(w)
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func fatal(err error) {

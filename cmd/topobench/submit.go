@@ -70,16 +70,10 @@ func runSubmit(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	w := io.Writer(os.Stdout)
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		w = f
-	}
-	if _, err := w.Write(body); err != nil {
+	if err := writeOut(*out, func(w io.Writer) error {
+		_, err := w.Write(body)
+		return err
+	}); err != nil {
 		fatal(err)
 	}
 }

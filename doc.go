@@ -198,7 +198,18 @@
 // the only concurrency bound: total in-flight work stays within
 // runner.SetMaxInFlight (GOMAXPROCS by default) no matter how grids, runs,
 // and trials nest, and topobench's -workers sets it (-workers 1 is serial
-// everywhere). cmd/benchjson runs the hot-path entries of
+// everywhere). Each figure in internal/experiments is one engine call. A
+// runner with a family of curves lays every (curve, x) point out flat,
+// measures them all at once, and folds the stats back into series in
+// curve order, an infeasible point dropping from its own curve only; one
+// normalizer and one peak function then scale the curves. Two kinds of
+// runner are the
+// exception. The §7 sizing searches (Fig. 12a–c) run a binary search per
+// point and share only the fold. The detailed sweeps (Fig. 9a–c, 10a–b,
+// 11) call Engine.MeasureDetailed once per curve, because each Detail
+// holds a run's graph and flow result: flattening full-mode Fig. 11 (18
+// curves × 11 x × 20 runs) would hold 3,960 of them at once.
+// cmd/benchjson runs the hot-path entries of
 // internal/benchsuite — the same bodies, under the same names, as `go test
 // -bench` — and snapshots them to BENCH_<date>.json so perf is tracked
 // from change to change. In CI it compares them to the committed baseline,

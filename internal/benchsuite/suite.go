@@ -102,7 +102,7 @@ func Run(b *testing.B, prefix string) {
 // preserved, only grids and run counts shrink.
 func Figure(id string) func(*testing.B) {
 	return func(b *testing.B) {
-		run := experiments.Registry[id]
+		run := experiments.Registry(id)
 		if run == nil {
 			b.Fatalf("unknown figure %s", id)
 		}

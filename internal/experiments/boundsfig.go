@@ -10,42 +10,34 @@ import (
 	"repro/internal/scenario"
 )
 
-// boundSweep measures, for every cross-cluster ratio (one detailed
-// scenario point per ratio), the observed throughput and the Eq. 1
-// two-cluster upper bound (averaged over runs). It also reports the
-// measured cross-cluster capacity C̄ at every point.
-func boundSweep(o Options, cfgAt func(x float64) hetero.Config, xs []float64, seedMix int64) (keptX, obs, bnd, crossCap []float64, n1, n2 int, err error) {
-	pts := make([]scenario.Point, len(xs))
-	for i, x := range xs {
-		pts[i] = o.evalPoint(&scenario.Hetero{Cfg: cfgAt(x)}, scenario.Permutation{}, seedMix+int64(x*1000))
+// twoCluster is one sweep point of a two-cluster configuration, averaged
+// over its runs: observed throughput, the Eq. 1 upper bound, and the
+// measured cross-cluster capacity C̄. n1 and n2 are the last run's server
+// counts in the large and the small cluster.
+type twoCluster struct {
+	obs, bound, crossCap float64
+	n1, n2               int
+}
+
+// twoClusterBound reduces one point's detailed runs of configuration cfg
+// to its twoCluster averages.
+func twoClusterBound(cfg hetero.Config, dets []scenario.Detail) twoCluster {
+	mask := hetero.LargeClusterMask(cfg)
+	var p twoCluster
+	for _, det := range dets {
+		g := det.G
+		aspl, _ := g.ASPL()
+		p.n1, p.n2 = clusterServers(g, mask)
+		cbar := g.CrossCapacity(mask)
+		p.obs += det.Res.Throughput
+		p.bound += bounds.TwoClusterBound(g.TotalCapacity(), cbar, aspl, p.n1, p.n2)
+		p.crossCap += cbar
 	}
-	details, err := o.sweepEngine().MeasureDetailed(pts)
-	if err != nil {
-		return nil, nil, nil, nil, 0, 0, err
-	}
-	for i, dets := range details {
-		if dets == nil {
-			continue // infeasible sweep point
-		}
-		mask := hetero.LargeClusterMask(cfgAt(xs[i]))
-		var tMean, bMean, cMean float64
-		for _, det := range dets {
-			g := det.G
-			aspl, _ := g.ASPL()
-			s1, s2 := clusterServers(g, mask)
-			n1, n2 = s1, s2
-			cbar := g.CrossCapacity(mask)
-			tMean += det.Res.Throughput
-			bMean += bounds.TwoClusterBound(g.TotalCapacity(), cbar, aspl, s1, s2)
-			cMean += cbar
-		}
-		n := float64(len(dets))
-		keptX = append(keptX, xs[i])
-		obs = append(obs, tMean/n)
-		bnd = append(bnd, bMean/n)
-		crossCap = append(crossCap, cMean/n)
-	}
-	return keptX, obs, bnd, crossCap, n1, n2, nil
+	n := float64(len(dets))
+	p.obs /= n
+	p.bound /= n
+	p.crossCap /= n
+	return p
 }
 
 func clusterServers(g *graph.Graph, inS []bool) (s1, s2 int) {
@@ -59,80 +51,85 @@ func clusterServers(g *graph.Graph, inS []bool) (s1, s2 int) {
 	return s1, s2
 }
 
+// boundCurves measures, for each configuration family cfgs[i] (case A,
+// B, ... seeded seedBase+i), the Eq. 1 bound and the observed throughput
+// across the cross-cluster sweep. Both are normalized by the same
+// constant, the peak observation, so their gap stays interpretable.
+func boundCurves(o Options, seedBase int64, cfgs ...func(x float64) hetero.Config) ([]Series, error) {
+	var series []Series
+	for ci, cfgAt := range cfgs {
+		name := string(rune('A' + ci))
+		xs, pts, err := detailedSweep(o, cfgAt, crossRatioXs(o.Quick), seedBase+int64(ci), twoClusterBound)
+		if err != nil {
+			return nil, err
+		}
+		bnd := Series{Label: "Bound " + name, X: xs}
+		obs := Series{Label: "Throughput " + name, X: xs}
+		for _, p := range pts {
+			bnd.Y = append(bnd.Y, p.bound)
+			obs.Y = append(obs.Y, p.obs)
+		}
+		ref := peak(obs)
+		normalize(&bnd, ref)
+		normalize(&obs, ref)
+		series = append(series, bnd, obs)
+	}
+	return series, nil
+}
+
 // Fig10a: the Eq. 1 analytical bound vs. observed throughput for two
 // uniform line-speed cases. The bound should track the observed curve
 // closely, including the knee.
 func Fig10a(o Options) (*Figure, error) {
 	o = o.withDefaults()
-	fig := &Figure{
-		ID: "10a", Title: "Analytical bound vs. observed throughput (uniform line-speed)",
-		XLabel: "Cross-cluster Links (Ratio to Expected Under Random Connection)",
-		YLabel: "Normalized Throughput",
-	}
-	cases := []struct {
-		name string
-		cfg  func(x float64) hetero.Config
-	}{
-		{"A", func(x float64) hetero.Config {
+	series, err := boundCurves(o, 10100,
+		func(x float64) hetero.Config {
 			return hetero.Config{
 				NumLarge: 20, NumSmall: 40, PortsLarge: 30, PortsSmall: 10,
 				Servers: serversForPool(20*30 + 40*10), ServersPerLarge: -1, ServersPerSmall: -1,
 				ServerRatio: 1, CrossRatio: x,
 			}
-		}},
-		{"B", func(x float64) hetero.Config {
+		},
+		func(x float64) hetero.Config {
 			return hetero.Config{
 				NumLarge: 20, NumSmall: 30, PortsLarge: 30, PortsSmall: 20,
 				Servers: 500, ServersPerLarge: -1, ServersPerSmall: -1,
 				ServerRatio: 1, CrossRatio: x,
 			}
-		}},
+		})
+	if err != nil {
+		return nil, err
 	}
-	for ci, c := range cases {
-		xs, obs, bnd, _, _, _, err := boundSweep(o, c.cfg, crossRatioXs(o.Quick), int64(10100+ci))
-		if err != nil {
-			return nil, err
-		}
-		// Normalize bound and observation by the same constant (the peak
-		// observation) so their gap stays interpretable.
-		ref := maxOf(obs)
-		fig.Series = append(fig.Series,
-			Series{Label: "Bound " + c.name, X: xs, Y: scaled(bnd, ref)},
-			Series{Label: "Throughput " + c.name, X: xs, Y: scaled(obs, ref)},
-		)
-	}
-	return fig, nil
+	return &Figure{
+		ID: "10a", Title: "Analytical bound vs. observed throughput (uniform line-speed)",
+		XLabel: crossRatioAxis, YLabel: "Normalized Throughput",
+		Series: series,
+	}, nil
 }
 
 // Fig10b: the same comparison with mixed line-speeds, where the bound can
 // be looser (three cases with 3/6/9 high-speed links).
 func Fig10b(o Options) (*Figure, error) {
 	o = o.withDefaults()
-	fig := &Figure{
-		ID: "10b", Title: "Analytical bound vs. observed throughput (mixed line-speeds)",
-		XLabel: "Cross-cluster Links (Ratio to Expected Under Random Connection)",
-		YLabel: "Normalized Throughput",
-	}
-	for ci, hl := range []int{3, 6, 9} {
-		name := string(rune('A' + ci))
-		cfgAt := func(x float64) hetero.Config {
+	var cfgs []func(x float64) hetero.Config
+	for _, hl := range []int{3, 6, 9} {
+		cfgs = append(cfgs, func(x float64) hetero.Config {
 			cfg := fig8Base()
 			cfg.ServersPerLarge, cfg.ServersPerSmall = fig8ServerSplit[0], fig8ServerSplit[1]
 			cfg.HighLinksPerLarge, cfg.HighCap = hl, 4
 			cfg.CrossRatio = x
 			return cfg
-		}
-		xs, obs, bnd, _, _, _, err := boundSweep(o, cfgAt, crossRatioXs(o.Quick), int64(10200+ci))
-		if err != nil {
-			return nil, err
-		}
-		ref := maxOf(obs)
-		fig.Series = append(fig.Series,
-			Series{Label: "Bound " + name, X: xs, Y: scaled(bnd, ref)},
-			Series{Label: "Throughput " + name, X: xs, Y: scaled(obs, ref)},
-		)
+		})
 	}
-	return fig, nil
+	series, err := boundCurves(o, 10200, cfgs...)
+	if err != nil {
+		return nil, err
+	}
+	return &Figure{
+		ID: "10b", Title: "Analytical bound vs. observed throughput (mixed line-speeds)",
+		XLabel: crossRatioAxis, YLabel: "Normalized Throughput",
+		Series: series,
+	}, nil
 }
 
 // Fig11: for a family of two-cluster configurations, mark the analytically
@@ -143,8 +140,7 @@ func Fig11(o Options) (*Figure, error) {
 	o = o.withDefaults()
 	fig := &Figure{
 		ID: "11", Title: "Throughput profile vs. cross-cluster connectivity, with C̄* thresholds",
-		XLabel: "Cross-cluster Links (Ratio to Expected Under Random Connection)",
-		YLabel: "Normalized Throughput",
+		XLabel: crossRatioAxis, YLabel: "Normalized Throughput",
 	}
 	type cfgCase struct {
 		nSmall, portsSmall, servers int
@@ -178,53 +174,38 @@ func Fig11(o Options) (*Figure, error) {
 				ServerRatio: 1, CrossRatio: x,
 			}
 		}
-		keptX, obs, _, crossCap, n1, n2, err := boundSweep(o, cfgAt, xs, int64(11000+ci))
+		keptX, pts, err := detailedSweep(o, cfgAt, xs, int64(11000+ci), twoClusterBound)
 		if err != nil {
 			return nil, err
 		}
-		if len(obs) == 0 {
+		if len(pts) == 0 {
 			continue
 		}
-		tstar := maxOf(obs)
+		s := Series{Label: label, X: keptX}
+		for _, p := range pts {
+			s.Y = append(s.Y, p.obs)
+		}
+		tstar := peak(s)
+		last := pts[len(pts)-1]
+		n1, n2 := last.n1, last.n2
 		cstar := bounds.CrossCapThreshold(tstar, n1, n2)
 		// Locate the threshold on the x axis by interpolating measured C̄.
 		markX := math.NaN()
 		for i := 0; i < len(keptX); i++ {
-			if crossCap[i] >= cstar {
+			if pts[i].crossCap >= cstar {
 				if i == 0 {
 					markX = keptX[0]
 				} else {
 					// Linear interpolation between i-1 and i.
-					f := (cstar - crossCap[i-1]) / (crossCap[i] - crossCap[i-1])
+					f := (cstar - pts[i-1].crossCap) / (pts[i].crossCap - pts[i-1].crossCap)
 					markX = keptX[i-1] + f*(keptX[i]-keptX[i-1])
 				}
 				break
 			}
 		}
-		s := Series{Label: label, X: keptX, Y: scaled(obs, tstar)}
+		normalize(&s, tstar)
 		s.Note = fmt.Sprintf("C̄* = %.1f (T* = %.4f, n1 = %d, n2 = %d); threshold at x ≈ %.3f", cstar, tstar, n1, n2, markX)
 		fig.Series = append(fig.Series, s)
 	}
 	return fig, nil
-}
-
-func maxOf(xs []float64) float64 {
-	var m float64
-	for _, v := range xs {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-func scaled(xs []float64, ref float64) []float64 {
-	if ref == 0 {
-		return append([]float64(nil), xs...)
-	}
-	out := make([]float64, len(xs))
-	for i, v := range xs {
-		out[i] = v / ref
-	}
-	return out
 }

@@ -6,48 +6,35 @@ import (
 	"repro/internal/scenario"
 )
 
-// decompSweep evaluates a sweep on the scenario engine (one detailed point
-// per grid value) and returns the averaged §6.1 decomposition at every
-// feasible point.
-func decompSweep(o Options, mk func(x float64) hetero.Config, xs []float64, seedMix int64) ([]float64, []analysis.Decomposition, error) {
-	pts := make([]scenario.Point, len(xs))
-	for i, x := range xs {
-		pts[i] = o.evalPoint(&scenario.Hetero{Cfg: mk(x)}, scenario.Permutation{}, seedMix+int64(x*1000))
+// meanDecomposition averages the §6.1 decomposition over one point's
+// detailed runs.
+func meanDecomposition(_ hetero.Config, dets []scenario.Detail) analysis.Decomposition {
+	var agg analysis.Decomposition
+	for _, det := range dets {
+		d := analysis.Decompose(det.G, det.Res)
+		agg.Throughput += d.Throughput
+		agg.Capacity += d.Capacity
+		agg.Utilization += d.Utilization
+		agg.SPL += d.SPL
+		agg.Stretch += d.Stretch
 	}
-	details, err := o.sweepEngine().MeasureDetailed(pts)
-	if err != nil {
-		return nil, nil, err
-	}
-	var keptX []float64
-	var ds []analysis.Decomposition
-	for i, dets := range details {
-		if dets == nil {
-			continue // infeasible sweep point
-		}
-		var agg analysis.Decomposition
-		for _, det := range dets {
-			d := analysis.Decompose(det.G, det.Res)
-			agg.Throughput += d.Throughput
-			agg.Capacity += d.Capacity
-			agg.Utilization += d.Utilization
-			agg.SPL += d.SPL
-			agg.Stretch += d.Stretch
-		}
-		n := float64(len(dets))
-		agg.Throughput /= n
-		agg.Capacity /= n
-		agg.Utilization /= n
-		agg.SPL /= n
-		agg.Stretch /= n
-		keptX = append(keptX, xs[i])
-		ds = append(ds, agg)
-	}
-	return keptX, ds, nil
+	n := float64(len(dets))
+	agg.Throughput /= n
+	agg.Capacity /= n
+	agg.Utilization /= n
+	agg.SPL /= n
+	agg.Stretch /= n
+	return agg
 }
 
-// decompFigure packages a normalized decomposition as a 4-series figure.
-func decompFigure(id, title, xlabel string, xs []float64, ds []analysis.Decomposition) *Figure {
-	ns := analysis.Normalize(xs, ds)
+// decompFigure measures the decomposition across one sweep and packages
+// it, normalized, as a 4-series figure.
+func decompFigure(o Options, id, title, xlabel string, cfgAt func(x float64) hetero.Config, xs []float64, seedMix int64) (*Figure, error) {
+	kept, ds, err := detailedSweep(o, cfgAt, xs, seedMix, meanDecomposition)
+	if err != nil {
+		return nil, err
+	}
+	ns := analysis.Normalize(kept, ds)
 	return &Figure{
 		ID: id, Title: title, XLabel: xlabel, YLabel: "Normalized Metric",
 		Series: []Series{
@@ -56,7 +43,7 @@ func decompFigure(id, title, xlabel string, xs []float64, ds []analysis.Decompos
 			{Label: "Inverse Stretch", X: ns.X, Y: ns.InvStretch},
 			{Label: "Utilization", X: ns.X, Y: ns.Util},
 		},
-	}
+	}, nil
 }
 
 // Fig9a: decomposition of the Fig. 4c "480 Servers" server-placement
@@ -64,55 +51,43 @@ func decompFigure(id, title, xlabel string, xs []float64, ds []analysis.Decompos
 // length contributes at the right edge.
 func Fig9a(o Options) (*Figure, error) {
 	o = o.withDefaults()
-	xs, ds, err := decompSweep(o, func(x float64) hetero.Config {
-		return hetero.Config{
-			NumLarge: 20, NumSmall: 30,
-			PortsLarge: 30, PortsSmall: 20,
-			Servers:         480,
-			ServersPerLarge: -1, ServersPerSmall: -1,
-			ServerRatio: x,
-		}
-	}, serverRatioXs(o.Quick), 9100)
-	if err != nil {
-		return nil, err
-	}
-	return decompFigure("9a", "Throughput decomposition: server distribution (480 servers)",
-		"Number of Servers at Large Switches (Ratio to Expected Under Random Distribution)", xs, ds), nil
+	return decompFigure(o, "9a", "Throughput decomposition: server distribution (480 servers)", serverRatioAxis,
+		func(x float64) hetero.Config {
+			return hetero.Config{
+				NumLarge: 20, NumSmall: 30,
+				PortsLarge: 30, PortsSmall: 20,
+				Servers:         480,
+				ServersPerLarge: -1, ServersPerSmall: -1,
+				ServerRatio: x,
+			}
+		}, serverRatioXs(o.Quick), 9100)
 }
 
 // Fig9b: decomposition of the Fig. 6c "500 Servers" cross-cluster sweep.
 func Fig9b(o Options) (*Figure, error) {
 	o = o.withDefaults()
-	xs, ds, err := decompSweep(o, func(x float64) hetero.Config {
-		return hetero.Config{
-			NumLarge: 20, NumSmall: 30,
-			PortsLarge: 30, PortsSmall: 20,
-			Servers:         500,
-			ServersPerLarge: -1, ServersPerSmall: -1,
-			ServerRatio: 1,
-			CrossRatio:  x,
-		}
-	}, crossRatioXs(o.Quick), 9200)
-	if err != nil {
-		return nil, err
-	}
-	return decompFigure("9b", "Throughput decomposition: cross-cluster sweep (500 servers)",
-		"Cross-cluster Links (Ratio to Expected Under Random Connection)", xs, ds), nil
+	return decompFigure(o, "9b", "Throughput decomposition: cross-cluster sweep (500 servers)", crossRatioAxis,
+		func(x float64) hetero.Config {
+			return hetero.Config{
+				NumLarge: 20, NumSmall: 30,
+				PortsLarge: 30, PortsSmall: 20,
+				Servers:         500,
+				ServersPerLarge: -1, ServersPerSmall: -1,
+				ServerRatio: 1,
+				CrossRatio:  x,
+			}
+		}, crossRatioXs(o.Quick), 9200)
 }
 
 // Fig9c: decomposition of the Fig. 8c "3 H-links" mixed line-speed sweep.
 func Fig9c(o Options) (*Figure, error) {
 	o = o.withDefaults()
-	xs, ds, err := decompSweep(o, func(x float64) hetero.Config {
-		cfg := fig8Base()
-		cfg.ServersPerLarge, cfg.ServersPerSmall = fig8ServerSplit[0], fig8ServerSplit[1]
-		cfg.HighLinksPerLarge, cfg.HighCap = 3, 4
-		cfg.CrossRatio = x
-		return cfg
-	}, crossRatioXs(o.Quick), 9300)
-	if err != nil {
-		return nil, err
-	}
-	return decompFigure("9c", "Throughput decomposition: mixed line-speeds (3 H-links)",
-		"Cross-cluster Links (Ratio to Expected Under Random Connection)", xs, ds), nil
+	return decompFigure(o, "9c", "Throughput decomposition: mixed line-speeds (3 H-links)", crossRatioAxis,
+		func(x float64) hetero.Config {
+			cfg := fig8Base()
+			cfg.ServersPerLarge, cfg.ServersPerSmall = fig8ServerSplit[0], fig8ServerSplit[1]
+			cfg.HighLinksPerLarge, cfg.HighCap = 3, 4
+			cfg.CrossRatio = x
+			return cfg
+		}, crossRatioXs(o.Quick), 9300)
 }

@@ -11,21 +11,23 @@ import (
 // TestParallelMatchesSerial asserts the runner contract: for the same
 // seed, a parallel regeneration of a figure is byte-identical to a serial
 // one. Fig. 2a exercises the homogeneous grid runner (flattened
-// curve × size engine points), Fig. 9a the decomposition sweep (Detailed
-// results reduced per point). The subtests set the process-wide worker
-// bound, so they run one at a time.
+// curve × size engine points), Fig. 8b a hetero family (three curves
+// measured in one engine call, all normalized by the first curve's x = 1
+// value), Fig. 9a the decomposition sweep (Detailed results reduced per
+// point). The subtests set the process-wide worker bound, so they run one
+// at a time.
 func TestParallelMatchesSerial(t *testing.T) {
 	defer runner.SetMaxInFlight(0)
 	opts := Options{Quick: true, Runs: 2, Seed: 3}
-	for _, id := range []string{"2a", "9a"} {
+	for _, id := range []string{"2a", "8b", "9a"} {
 		t.Run("fig"+id, func(t *testing.T) {
 			runner.SetMaxInFlight(1)
-			serial, err := Registry[id](opts)
+			serial, err := Registry(id)(opts)
 			if err != nil {
 				t.Fatalf("serial fig %s: %v", id, err)
 			}
 			runner.SetMaxInFlight(4)
-			parallel, err := Registry[id](opts)
+			parallel, err := Registry(id)(opts)
 			if err != nil {
 				t.Fatalf("parallel fig %s: %v", id, err)
 			}

@@ -115,46 +115,37 @@ func (f *Figure) TSV(w io.Writer) error {
 // Runner regenerates one figure.
 type Runner func(Options) (*Figure, error)
 
-// Registry maps figure IDs to their runners.
-var Registry = map[string]Runner{
-	"1a":  Fig1a,
-	"1b":  Fig1b,
-	"2a":  Fig2a,
-	"2b":  Fig2b,
-	"3":   Fig3,
-	"4a":  Fig4a,
-	"4b":  Fig4b,
-	"4c":  Fig4c,
-	"5":   Fig5,
-	"6a":  Fig6a,
-	"6b":  Fig6b,
-	"6c":  Fig6c,
-	"7a":  Fig7a,
-	"7b":  Fig7b,
-	"8a":  Fig8a,
-	"8b":  Fig8b,
-	"8c":  Fig8c,
-	"9a":  Fig9a,
-	"9b":  Fig9b,
-	"9c":  Fig9c,
-	"10a": Fig10a,
-	"10b": Fig10b,
-	"11":  Fig11,
-	"12a": Fig12a,
-	"12b": Fig12b,
-	"12c": Fig12c,
-	"13":  Fig13,
+// figures lists every figure runner in display order, under its ID. IDs
+// and Registry read it; nothing else lists the figures.
+var figures = []struct {
+	id  string
+	run Runner
+}{
+	{"1a", Fig1a}, {"1b", Fig1b}, {"2a", Fig2a}, {"2b", Fig2b}, {"3", Fig3},
+	{"4a", Fig4a}, {"4b", Fig4b}, {"4c", Fig4c}, {"5", Fig5},
+	{"6a", Fig6a}, {"6b", Fig6b}, {"6c", Fig6c}, {"7a", Fig7a}, {"7b", Fig7b},
+	{"8a", Fig8a}, {"8b", Fig8b}, {"8c", Fig8c},
+	{"9a", Fig9a}, {"9b", Fig9b}, {"9c", Fig9c},
+	{"10a", Fig10a}, {"10b", Fig10b}, {"11", Fig11},
+	{"12a", Fig12a}, {"12b", Fig12b}, {"12c", Fig12c}, {"13", Fig13},
 }
 
-// IDs returns the registered figure IDs in display order.
+// IDs returns the figure IDs in display order.
 func IDs() []string {
-	return []string{
-		"1a", "1b", "2a", "2b", "3",
-		"4a", "4b", "4c", "5",
-		"6a", "6b", "6c", "7a", "7b",
-		"8a", "8b", "8c",
-		"9a", "9b", "9c",
-		"10a", "10b", "11",
-		"12a", "12b", "12c", "13",
+	ids := make([]string, len(figures))
+	for i, f := range figures {
+		ids[i] = f.id
 	}
+	return ids
+}
+
+// Registry returns the runner of figure id, or nil when no figure has
+// that ID.
+func Registry(id string) Runner {
+	for _, f := range figures {
+		if f.id == id {
+			return f.run
+		}
+	}
+	return nil
 }

@@ -1,25 +1,22 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/scenario"
 )
 
 func quickOpts() Options {
 	return Options{Quick: true, Runs: 2, Seed: 1}
 }
 
-func TestRegistryCompleteAndOrdered(t *testing.T) {
-	ids := IDs()
-	if len(ids) != len(Registry) {
-		t.Fatalf("IDs() has %d entries, Registry %d", len(ids), len(Registry))
-	}
+func TestIDsUnique(t *testing.T) {
 	seen := map[string]bool{}
-	for _, id := range ids {
-		if Registry[id] == nil {
-			t.Fatalf("figure %s in IDs but not Registry", id)
-		}
+	for _, id := range IDs() {
 		if seen[id] {
 			t.Fatalf("duplicate id %s", id)
 		}
@@ -56,16 +53,6 @@ func TestTSVFormat(t *testing.T) {
 			t.Fatalf("TSV missing %q:\n%s", want, out)
 		}
 	}
-}
-
-// seriesValueAt fetches y at the given x (exact match).
-func seriesValueAt(s Series, x float64) (float64, bool) {
-	for i, xv := range s.X {
-		if xv == x {
-			return s.Y[i], true
-		}
-	}
-	return 0, false
 }
 
 func TestFig1bObservedAboveBound(t *testing.T) {
@@ -148,7 +135,7 @@ func TestFig4cPeakAtProportional(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range fig.Series {
-		yAt1, ok := seriesValueAt(s, 1.0)
+		yAt1, ok := valueAt(s, 1.0)
 		if !ok {
 			t.Fatalf("%s: no x=1 point", s.Label)
 		}
@@ -159,7 +146,7 @@ func TestFig4cPeakAtProportional(t *testing.T) {
 			}
 		}
 		// Extremes fall off.
-		if edge, ok := seriesValueAt(s, 1.6); ok && edge > yAt1 {
+		if edge, ok := valueAt(s, 1.6); ok && edge > yAt1 {
 			t.Fatalf("%s: skewed placement (%v) beats proportional (%v)", s.Label, edge, yAt1)
 		}
 	}
@@ -177,9 +164,9 @@ func TestFig6cPlateauAndDrop(t *testing.T) {
 		if s.Label == "300 Servers" {
 			continue // lightly-loaded case may not drop in the quick grid
 		}
-		low, okLow := seriesValueAt(s, 0.2)
-		mid, okMid := seriesValueAt(s, 1.0)
-		hi, okHi := seriesValueAt(s, 1.5)
+		low, okLow := valueAt(s, 0.2)
+		mid, okMid := valueAt(s, 1.0)
+		hi, okHi := valueAt(s, 1.5)
 		if !okMid {
 			t.Fatalf("%s: missing x=1", s.Label)
 		}
@@ -248,12 +235,63 @@ func TestLabelSeedStable(t *testing.T) {
 	}
 }
 
-func TestNormalizePeakZeroSafe(t *testing.T) {
-	s := Series{X: []float64{1, 2}}
-	normalizePeak(&s, []float64{0, 0})
-	for _, y := range s.Y {
-		if math.IsNaN(y) {
-			t.Fatal("NaN from zero-peak normalization")
+func TestNormalizeZeroSafe(t *testing.T) {
+	s := Series{X: []float64{1, 2}, Y: []float64{0, 0}, Err: []float64{0.5, 0}}
+	normalize(&s, peak(s))
+	if !reflect.DeepEqual(s.Y, []float64{0, 0}) || !reflect.DeepEqual(s.Err, []float64{0.5, 0}) {
+		t.Fatalf("zero-reference normalization changed the values: Y %v, Err %v", s.Y, s.Err)
+	}
+	normalize(&s, 0.5)
+	if !reflect.DeepEqual(s.Err, []float64{1, 0}) {
+		t.Fatalf("Err not divided by the reference: %v", s.Err)
+	}
+}
+
+// TestFamilyInfeasibleDropsFromOwnCurve folds a two-curve family whose
+// first curve has one unrealizable x (no 3-regular graph has 5 nodes):
+// that x drops from its own curve only, and every other point keeps its
+// place and value.
+func TestFamilyInfeasibleDropsFromOwnCurve(t *testing.T) {
+	o := quickOpts().withDefaults()
+	aspl := func(n, r int) scenario.Point {
+		return scenario.Point{
+			Topo: &scenario.RRG{N: n, Deg: r}, Traffic: scenario.None{}, Eval: scenario.ASPL{},
+			Seed: int64(n*100 + r), SeedFactor: 1, Runs: o.Runs,
 		}
+	}
+	var f family
+	for _, n := range []int{5, 6} {
+		c := f.newCurve(fmt.Sprintf("n=%d", n))
+		for _, r := range []int{2, 3, 4} {
+			f.add(c, float64(r), aspl(n, r))
+		}
+	}
+	got, err := f.measure(o.sweepEngine())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || got[0].Label != "n=5" || got[1].Label != "n=6" {
+		t.Fatalf("curves out of order: %+v", got)
+	}
+	if !reflect.DeepEqual(got[0].X, []float64{2, 4}) || !reflect.DeepEqual(got[1].X, []float64{2, 3, 4}) {
+		t.Fatalf("x values: n=5 %v, n=6 %v; want [2 4] and [2 3 4]", got[0].X, got[1].X)
+	}
+	for _, s := range got {
+		n := 5
+		if s.Label == "n=6" {
+			n = 6
+		}
+		for i, x := range s.X {
+			want, err := o.engine().MeasureOne(aspl(n, int(x)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.Y[i] != want.Mean || s.Err[i] != want.Std {
+				t.Fatalf("%s at x=%v: got (%v, %v), measured alone (%v, %v)", s.Label, x, s.Y[i], s.Err[i], want.Mean, want.Std)
+			}
+		}
+	}
+	if _, err := f.measure(o.engine()); err == nil {
+		t.Fatal("the non-skipping engine accepted an infeasible point")
 	}
 }

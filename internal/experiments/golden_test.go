@@ -54,7 +54,7 @@ func goldenFigure(t *testing.T, id string) {
 	if testing.Short() {
 		t.Skip("flow-solver experiment; skipped in -short")
 	}
-	fig, err := Registry[id](goldenOpts())
+	fig, err := Registry(id)(goldenOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestGoldenFig2aWithStore(t *testing.T) {
 		cache.SetBackend(st)
 		opts := goldenOpts()
 		opts.Cache = cache
-		fig, err := Registry["2a"](opts)
+		fig, err := Registry("2a")(opts)
 		if err != nil {
 			t.Fatal(err)
 		}

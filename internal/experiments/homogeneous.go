@@ -35,48 +35,57 @@ var homCurves = []struct {
 	{"Permutation (5 Servers per switch)", scenario.Permutation{}, 5},
 }
 
+// homRatios measures the homCurves family on RRGs of size(x) = (N, r), one
+// point per curve and x, and reports each point as a ratio to its own
+// Theorem 1 bound. The all-to-all curve stops at N = 100: the paper notes
+// its simulator does not scale for all-to-all at large N, and we follow
+// the same cutoff.
+func homRatios(o Options, xs []int, size func(x int) (n, r int)) ([]Series, error) {
+	var f family
+	for _, c := range homCurves {
+		ci := f.newCurve(c.label)
+		for _, x := range xs {
+			n, r := size(x)
+			if _, a2a := c.tr.(scenario.AllToAll); a2a && n > 100 {
+				continue
+			}
+			f.add(ci, float64(x), homPoint(o, n, r, c.tr, c.sps))
+		}
+	}
+	series, err := f.measure(o.engine())
+	if err != nil {
+		return nil, err
+	}
+	for ci, c := range homCurves {
+		s := &series[ci]
+		for i, x := range s.X {
+			n, r := size(int(x))
+			ub := homUpperBound(n, r, c.tr, c.sps)
+			s.Y[i] /= ub
+			s.Err[i] /= ub
+		}
+	}
+	return series, nil
+}
+
 // Fig1a: throughput of RRGs relative to the upper bound as density grows
 // (N = 40 switches, degree sweep) for all-to-all and two permutation
 // workloads.
 func Fig1a(o Options) (*Figure, error) {
 	o = o.withDefaults()
-	const n = 40
 	degrees := []int{3, 5, 7, 9, 11, 13, 15, 17, 19, 23, 27, 33}
 	if o.Quick {
 		degrees = []int{5, 11, 19, 27, 33}
 	}
-	fig := &Figure{
-		ID: "1a", Title: "Random graphs vs. throughput bound (N=40)",
-		XLabel: "Network Degree", YLabel: "Throughput (Ratio to Upper-bound)",
-	}
-	// Flatten the (curve × degree) grid so every point runs concurrently.
-	type point struct{ ci, r int }
-	var grid []point
-	var pts []scenario.Point
-	for ci, c := range homCurves {
-		for _, r := range degrees {
-			grid = append(grid, point{ci, r})
-			pts = append(pts, homPoint(o, n, r, c.tr, c.sps))
-		}
-	}
-	stats, err := o.engine().Measure(pts)
+	series, err := homRatios(o, degrees, func(r int) (int, int) { return 40, r })
 	if err != nil {
 		return nil, fmt.Errorf("fig1a: %w", err)
 	}
-	series := make([]Series, len(homCurves))
-	for ci, c := range homCurves {
-		series[ci] = Series{Label: c.label}
-	}
-	for i, p := range grid {
-		c := homCurves[p.ci]
-		ub := homUpperBound(n, p.r, c.tr, c.sps)
-		s := &series[p.ci]
-		s.X = append(s.X, float64(p.r))
-		s.Y = append(s.Y, stats[i].Mean/ub)
-		s.Err = append(s.Err, stats[i].Std/ub)
-	}
-	fig.Series = series
-	return fig, nil
+	return &Figure{
+		ID: "1a", Title: "Random graphs vs. throughput bound (N=40)",
+		XLabel: "Network Degree", YLabel: "Throughput (Ratio to Upper-bound)",
+		Series: series,
+	}, nil
 }
 
 // asplSeries measures RRG average shortest path length and the Cerf et al.
@@ -135,43 +144,15 @@ func Fig2a(o Options) (*Figure, error) {
 	if o.Quick {
 		sizes = []int{15, 30, 60, 100}
 	}
-	const r = 10
-	fig := &Figure{
-		ID: "2a", Title: "Random graphs vs. throughput bound (degree=10)",
-		XLabel: "Network Size", YLabel: "Throughput (Ratio to Upper-bound)",
-	}
-	type point struct{ ci, n int }
-	var grid []point
-	var pts []scenario.Point
-	for ci, c := range homCurves {
-		for _, n := range sizes {
-			if _, a2a := c.tr.(scenario.AllToAll); a2a && n > 100 {
-				// The paper notes its simulator does not scale for
-				// all-to-all at large N; we follow the same cutoff.
-				continue
-			}
-			grid = append(grid, point{ci, n})
-			pts = append(pts, homPoint(o, n, r, c.tr, c.sps))
-		}
-	}
-	stats, err := o.engine().Measure(pts)
+	series, err := homRatios(o, sizes, func(n int) (int, int) { return n, 10 })
 	if err != nil {
 		return nil, fmt.Errorf("fig2a: %w", err)
 	}
-	series := make([]Series, len(homCurves))
-	for ci, c := range homCurves {
-		series[ci] = Series{Label: c.label}
-	}
-	for i, p := range grid {
-		c := homCurves[p.ci]
-		ub := homUpperBound(p.n, r, c.tr, c.sps)
-		s := &series[p.ci]
-		s.X = append(s.X, float64(p.n))
-		s.Y = append(s.Y, stats[i].Mean/ub)
-		s.Err = append(s.Err, stats[i].Std/ub)
-	}
-	fig.Series = series
-	return fig, nil
+	return &Figure{
+		ID: "2a", Title: "Random graphs vs. throughput bound (degree=10)",
+		XLabel: "Network Size", YLabel: "Throughput (Ratio to Upper-bound)",
+		Series: series,
+	}, nil
 }
 
 // Fig2b: ASPL of RRGs vs. the lower bound as size grows (degree=10).

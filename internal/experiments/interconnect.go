@@ -4,7 +4,11 @@ import (
 	"fmt"
 
 	"repro/internal/hetero"
+	"repro/internal/scenario"
 )
+
+// crossRatioAxis is the x-axis label of every cross-cluster sweep.
+const crossRatioAxis = "Cross-cluster Links (Ratio to Expected Under Random Connection)"
 
 // crossRatioXs is the Fig. 6/7 x grid (cross-cluster links as a ratio to
 // the vanilla-random expectation).
@@ -15,23 +19,15 @@ func crossRatioXs(quick bool) []float64 {
 	return []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.8, 1.0, 1.2, 1.4, 1.6, 1.8, 2.0}
 }
 
-// sweepCrossRatio evaluates one cross-cluster connectivity curve with the
-// server distribution held fixed (one scenario point per grid value),
-// normalized to the curve's peak.
-func sweepCrossRatio(o Options, label string, base hetero.Config, xs []float64) (Series, error) {
-	pts, err := sweepHetero(o, xs,
-		func(x float64) hetero.Config {
-			cfg := base
-			cfg.CrossRatio = x
-			return cfg
-		},
-		func(x float64) int64 { return labelSeed(label) + int64(x*1000) })
-	if err != nil {
-		return Series{Label: label}, err
+// crossRatioCurve adds a Fig. 6–8 curve: base with its server
+// distribution held fixed at each crossRatioXs cross-cluster ratio.
+func (f *family) crossRatioCurve(o Options, label string, base hetero.Config) {
+	c := f.newCurve(label)
+	for _, x := range crossRatioXs(o.Quick) {
+		cfg := base
+		cfg.CrossRatio = x
+		f.add(c, x, o.evalPoint(&scenario.Hetero{Cfg: cfg}, scenario.Permutation{}, labelSeed(label)+int64(x*1000)))
 	}
-	s, raw := collectSeries(label, pts)
-	normalizePeak(&s, raw)
-	return s, nil
 }
 
 // proportionalConfig returns base with the port-proportional server split.
@@ -47,11 +43,7 @@ func proportionalConfig(base hetero.Config) hetero.Config {
 // only when the cut becomes the bottleneck.
 func Fig6a(o Options) (*Figure, error) {
 	o = o.withDefaults()
-	fig := &Figure{
-		ID: "6a", Title: "Cross-cluster connectivity vs. throughput (port ratios)",
-		XLabel: "Cross-cluster Links (Ratio to Expected Under Random Connection)",
-		YLabel: "Normalized Throughput",
-	}
+	var f family
 	for _, c := range []struct {
 		label      string
 		portsSmall int
@@ -60,119 +52,80 @@ func Fig6a(o Options) (*Figure, error) {
 		{"2:1 Port-ratio", 15},
 		{"3:2 Port-ratio", 20},
 	} {
-		base := proportionalConfig(hetero.Config{
+		f.crossRatioCurve(o, c.label, proportionalConfig(hetero.Config{
 			NumLarge: 20, NumSmall: 40,
 			PortsLarge: 30, PortsSmall: c.portsSmall,
 			Servers: serversForPool(20*30 + 40*c.portsSmall),
-		})
-		s, err := sweepCrossRatio(o, c.label, base, crossRatioXs(o.Quick))
-		if err != nil {
-			return nil, err
-		}
-		fig.Series = append(fig.Series, s)
+		}))
 	}
-	return fig, nil
+	return peakFigure(o, &f, &Figure{
+		ID: "6a", Title: "Cross-cluster connectivity vs. throughput (port ratios)",
+		XLabel: crossRatioAxis, YLabel: "Normalized Throughput",
+	})
 }
 
 // Fig6b: cross-cluster sweep with varying small-switch counts.
 func Fig6b(o Options) (*Figure, error) {
 	o = o.withDefaults()
-	fig := &Figure{
-		ID: "6b", Title: "Cross-cluster connectivity vs. throughput (switch counts)",
-		XLabel: "Cross-cluster Links (Ratio to Expected Under Random Connection)",
-		YLabel: "Normalized Throughput",
-	}
+	var f family
 	for _, nSmall := range []int{20, 30, 40} {
-		base := proportionalConfig(hetero.Config{
+		f.crossRatioCurve(o, fmt.Sprintf("%d Smaller Switches", nSmall), proportionalConfig(hetero.Config{
 			NumLarge: 20, NumSmall: nSmall,
 			PortsLarge: 30, PortsSmall: 20,
 			Servers: serversForPool(20*30 + nSmall*20),
-		})
-		s, err := sweepCrossRatio(o, fmt.Sprintf("%d Smaller Switches", nSmall), base, crossRatioXs(o.Quick))
-		if err != nil {
-			return nil, err
-		}
-		fig.Series = append(fig.Series, s)
+		}))
 	}
-	return fig, nil
+	return peakFigure(o, &f, &Figure{
+		ID: "6b", Title: "Cross-cluster connectivity vs. throughput (switch counts)",
+		XLabel: crossRatioAxis, YLabel: "Normalized Throughput",
+	})
 }
 
 // Fig6c: cross-cluster sweep with 300/500/700 servers (oversubscription).
 func Fig6c(o Options) (*Figure, error) {
 	o = o.withDefaults()
-	fig := &Figure{
-		ID: "6c", Title: "Cross-cluster connectivity vs. throughput (oversubscription)",
-		XLabel: "Cross-cluster Links (Ratio to Expected Under Random Connection)",
-		YLabel: "Normalized Throughput",
-	}
+	var f family
 	for _, servers := range []int{300, 500, 700} {
-		base := proportionalConfig(hetero.Config{
+		f.crossRatioCurve(o, fmt.Sprintf("%d Servers", servers), proportionalConfig(hetero.Config{
 			NumLarge: 20, NumSmall: 30,
 			PortsLarge: 30, PortsSmall: 20,
 			Servers: servers,
-		})
-		s, err := sweepCrossRatio(o, fmt.Sprintf("%d Servers", servers), base, crossRatioXs(o.Quick))
-		if err != nil {
-			return nil, err
-		}
-		fig.Series = append(fig.Series, s)
+		}))
 	}
-	return fig, nil
+	return peakFigure(o, &f, &Figure{
+		ID: "6c", Title: "Cross-cluster connectivity vs. throughput (oversubscription)",
+		XLabel: crossRatioAxis, YLabel: "Normalized Throughput",
+	})
 }
 
 // fig7 runs the joint (server split × cross-cluster) sweep for explicit
 // per-switch server counts.
 func fig7(o Options, id string, portsSmall int, splits [][2]int) (*Figure, error) {
-	fig := &Figure{
+	return splitFigure(o, &Figure{
 		ID: id, Title: "Joint server-distribution and interconnect sweep",
-		XLabel: "Cross-cluster Links (Ratio to Expected Under Random Connection)",
-		YLabel: "Normalized Throughput",
-	}
-	// Normalize the whole family by the global peak so the figure shows
-	// which split wins, as in the paper.
-	type curve struct {
-		s   Series
-		raw []float64
-	}
-	var curves []curve
-	var peak float64
+		XLabel: crossRatioAxis, YLabel: "Normalized Throughput",
+	}, hetero.Config{NumLarge: 20, NumSmall: 40, PortsLarge: 30, PortsSmall: portsSmall}, splits)
+}
+
+// splitFigure sweeps cross-cluster connectivity for each per-switch
+// server split of base (Fig. 7, 8a). The whole family is normalized by its
+// global peak so the figure shows which split wins, as in the paper.
+func splitFigure(o Options, fig *Figure, base hetero.Config, splits [][2]int) (*Figure, error) {
+	var f family
 	for _, split := range splits {
-		label := fmt.Sprintf("%dH, %dL", split[0], split[1])
-		base := hetero.Config{
-			NumLarge: 20, NumSmall: 40,
-			PortsLarge: 30, PortsSmall: portsSmall,
-			ServersPerLarge: split[0], ServersPerSmall: split[1],
-		}
-		pts, err := sweepHetero(o, crossRatioXs(o.Quick),
-			func(x float64) hetero.Config {
-				cfg := base
-				cfg.CrossRatio = x
-				return cfg
-			},
-			func(x float64) int64 { return labelSeed(label) + int64(x*1000) })
-		if err != nil {
-			return nil, err
-		}
-		s, raw := collectSeries(label, pts)
-		for _, v := range raw {
-			if v > peak {
-				peak = v
-			}
-		}
-		curves = append(curves, curve{s, raw})
+		cfg := base
+		cfg.ServersPerLarge, cfg.ServersPerSmall = split[0], split[1]
+		f.crossRatioCurve(o, fmt.Sprintf("%dH, %dL", split[0], split[1]), cfg)
 	}
-	for _, c := range curves {
-		if peak > 0 {
-			c.s.Y = make([]float64, len(c.raw))
-			for i, v := range c.raw {
-				c.s.Y[i] = v / peak
-				c.s.Err[i] /= peak
-			}
-		} else {
-			c.s.Y = c.raw
-		}
-		fig.Series = append(fig.Series, c.s)
+	series, err := f.measure(o.sweepEngine())
+	if err != nil {
+		return nil, err
 	}
+	p := peak(series...)
+	for i := range series {
+		normalize(&series[i], p)
+	}
+	fig.Series = series
 	return fig, nil
 }
 

@@ -1,10 +1,6 @@
 package experiments
 
-import (
-	"fmt"
-
-	"repro/internal/hetero"
-)
+import "repro/internal/hetero"
 
 // fig8Base is the §5.2 equipment pool: 20 large switches with 40 low
 // line-speed ports each, 20 small switches with 15 low line-speed ports
@@ -22,61 +18,12 @@ func fig8Base() hetero.Config {
 // sweep. The paper's finding: multiple configurations are near-optimal.
 func Fig8a(o Options) (*Figure, error) {
 	o = o.withDefaults()
-	fig := &Figure{
+	base := fig8Base()
+	base.HighLinksPerLarge, base.HighCap = 3, 10
+	return splitFigure(o, &Figure{
 		ID: "8a", Title: "Mixed line-speeds: server splits × interconnect",
-		XLabel: "Cross-cluster Links (Ratio to Expected Under Random Connection)",
-		YLabel: "Normalized Throughput",
-	}
-	xs := crossRatioXs(o.Quick)
-	var peak float64
-	type curve struct {
-		s   Series
-		raw []float64
-	}
-	var curves []curve
-	for _, split := range [][2]int{{36, 7}, {35, 8}, {34, 9}, {33, 10}, {32, 11}} {
-		label := fmt.Sprintf("%dH, %dL", split[0], split[1])
-		base := fig8Base()
-		base.ServersPerLarge, base.ServersPerSmall = split[0], split[1]
-		base.HighLinksPerLarge, base.HighCap = 3, 10
-		pts, err := sweepHetero(o, xs,
-			func(x float64) hetero.Config {
-				cfg := base
-				cfg.CrossRatio = x
-				return cfg
-			},
-			func(x float64) int64 { return labelSeed(label) + int64(x*1000) })
-		if err != nil {
-			return nil, err
-		}
-		s, raw := collectSeries(label, pts)
-		for _, v := range raw {
-			if v > peak {
-				peak = v
-			}
-		}
-		curves = append(curves, curve{s, raw})
-	}
-	for _, c := range curves {
-		normalizeBy(&c.s, c.raw, peak)
-		fig.Series = append(fig.Series, c.s)
-	}
-	return fig, nil
-}
-
-// normalizeBy rescales a series by an external reference value.
-func normalizeBy(s *Series, raw []float64, ref float64) {
-	if ref == 0 {
-		s.Y = append([]float64(nil), raw...)
-		return
-	}
-	s.Y = make([]float64, len(raw))
-	for i, v := range raw {
-		s.Y[i] = v / ref
-		if i < len(s.Err) {
-			s.Err[i] /= ref
-		}
-	}
+		XLabel: crossRatioAxis, YLabel: "Normalized Throughput",
+	}, base, [][2]int{{36, 7}, {35, 8}, {34, 9}, {33, 10}, {32, 11}})
 }
 
 // fig8ServerSplit is the fixed proportional-ish split used by Fig. 8b/8c.
@@ -91,54 +38,29 @@ func fig8bc(o Options, id, title string, settings []struct {
 	count int
 	speed float64
 }) (*Figure, error) {
-	fig := &Figure{
-		ID: id, Title: title,
-		XLabel: "Cross-cluster Links (Ratio to Expected Under Random Connection)",
-		YLabel: "Normalized Throughput",
-	}
-	xs := crossRatioXs(o.Quick)
-	type curve struct {
-		s   Series
-		raw []float64
-	}
-	var curves []curve
-	var ref float64
-	for si, set := range settings {
+	var f family
+	for _, set := range settings {
 		base := fig8Base()
 		base.ServersPerLarge, base.ServersPerSmall = fig8ServerSplit[0], fig8ServerSplit[1]
 		base.HighLinksPerLarge, base.HighCap = set.count, set.speed
-		pts, err := sweepHetero(o, xs,
-			func(x float64) hetero.Config {
-				cfg := base
-				cfg.CrossRatio = x
-				return cfg
-			},
-			func(x float64) int64 { return labelSeed(set.label) + int64(x*1000) })
-		if err != nil {
-			return nil, err
-		}
-		s, raw := collectSeries(set.label, pts)
-		if si == 0 {
-			for _, p := range pts {
-				if p.ok && p.x == 1.0 {
-					ref = p.mean
-				}
-			}
-		}
-		curves = append(curves, curve{s, raw})
+		f.crossRatioCurve(o, set.label, base)
 	}
-	if ref == 0 && len(curves) > 0 { // quick grids may miss x=1.0 exactly
-		for _, v := range curves[0].raw {
-			if v > ref {
-				ref = v
-			}
-		}
+	series, err := f.measure(o.sweepEngine())
+	if err != nil {
+		return nil, err
 	}
-	for _, c := range curves {
-		normalizeBy(&c.s, c.raw, ref)
-		fig.Series = append(fig.Series, c.s)
+	ref, _ := valueAt(series[0], 1)
+	if ref == 0 { // the weakest setting's x=1 point may be infeasible
+		ref = peak(series[0])
 	}
-	return fig, nil
+	for i := range series {
+		normalize(&series[i], ref)
+	}
+	return &Figure{
+		ID: id, Title: title,
+		XLabel: crossRatioAxis, YLabel: "Normalized Throughput",
+		Series: series,
+	}, nil
 }
 
 // Fig8b: varying the high line-speed (2×, 4×, 8×) with 6 high-speed links

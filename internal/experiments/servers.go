@@ -7,6 +7,9 @@ import (
 	"repro/internal/scenario"
 )
 
+// serverRatioAxis is the Fig. 4 x-axis label.
+const serverRatioAxis = "Number of Servers at Large Switches (Ratio to Expected Under Random Distribution)"
+
 // serverRatioXs is the Fig. 4 x grid (ratio of servers-at-large-switches
 // to the port-proportional expectation).
 func serverRatioXs(quick bool) []float64 {
@@ -16,44 +19,15 @@ func serverRatioXs(quick bool) []float64 {
 	return []float64{0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.1, 1.2, 1.4, 1.6, 1.8, 2.0, 2.2, 2.4}
 }
 
-// sweepServerRatio evaluates one Fig. 4 curve: throughput across server
-// placement ratios (one scenario point per ratio), normalized by the
-// curve's peak. Infeasible ratios are skipped.
-func sweepServerRatio(o Options, label string, base hetero.Config) (Series, error) {
-	pts, err := sweepHetero(o, serverRatioXs(o.Quick),
-		func(x float64) hetero.Config {
-			cfg := base
-			cfg.ServersPerLarge, cfg.ServersPerSmall = -1, -1
-			cfg.ServerRatio = x
-			return cfg
-		},
-		func(x float64) int64 { return labelSeed(label) })
-	if err != nil {
-		return Series{Label: label}, err
-	}
-	s, raw := collectSeries(label, pts)
-	normalizePeak(&s, raw)
-	return s, nil
-}
-
-// normalizePeak rescales Y (from raw) and Err so the curve's peak is 1.
-func normalizePeak(s *Series, raw []float64) {
-	var peak float64
-	for _, v := range raw {
-		if v > peak {
-			peak = v
-		}
-	}
-	if peak == 0 {
-		s.Y = append([]float64(nil), raw...)
-		return
-	}
-	s.Y = make([]float64, len(raw))
-	for i, v := range raw {
-		s.Y[i] = v / peak
-		if i < len(s.Err) {
-			s.Err[i] /= peak
-		}
+// serverRatioCurve adds a Fig. 4 curve: base with its servers split at
+// each serverRatioXs ratio to the port-proportional expectation.
+func (f *family) serverRatioCurve(o Options, label string, base hetero.Config) {
+	c := f.newCurve(label)
+	for _, x := range serverRatioXs(o.Quick) {
+		cfg := base
+		cfg.ServersPerLarge, cfg.ServersPerSmall = -1, -1
+		cfg.ServerRatio = x
+		f.add(c, x, o.evalPoint(&scenario.Hetero{Cfg: cfg}, scenario.Permutation{}, labelSeed(label)))
 	}
 }
 
@@ -73,32 +47,25 @@ func labelSeed(label string) int64 {
 // (port-proportional placement).
 func Fig4a(o Options) (*Figure, error) {
 	o = o.withDefaults()
-	fig := &Figure{
-		ID: "4a", Title: "Server distribution vs. throughput (port ratios)",
-		XLabel: "Number of Servers at Large Switches (Ratio to Expected Under Random Distribution)",
-		YLabel: "Normalized Throughput",
-	}
-	cases := []struct {
+	var f family
+	for _, c := range []struct {
 		label      string
 		portsSmall int
 	}{
 		{"3:1 Port-ratio", 10},
 		{"2:1 Port-ratio", 15},
 		{"3:2 Port-ratio", 20},
-	}
-	for _, c := range cases {
-		base := hetero.Config{
+	} {
+		f.serverRatioCurve(o, c.label, hetero.Config{
 			NumLarge: 20, NumSmall: 40,
 			PortsLarge: 30, PortsSmall: c.portsSmall,
 			Servers: serversForPool(20*30 + 40*c.portsSmall),
-		}
-		s, err := sweepServerRatio(o, c.label, base)
-		if err != nil {
-			return nil, err
-		}
-		fig.Series = append(fig.Series, s)
+		})
 	}
-	return fig, nil
+	return peakFigure(o, &f, &Figure{
+		ID: "4a", Title: "Server distribution vs. throughput (port ratios)",
+		XLabel: serverRatioAxis, YLabel: "Normalized Throughput",
+	})
 }
 
 // serversForPool picks a server count leaving roughly 55% of ports for the
@@ -110,48 +77,36 @@ func serversForPool(totalPorts int) int {
 // Fig4b: server distribution with varying counts of small switches.
 func Fig4b(o Options) (*Figure, error) {
 	o = o.withDefaults()
-	fig := &Figure{
-		ID: "4b", Title: "Server distribution vs. throughput (switch counts)",
-		XLabel: "Number of Servers at Large Switches (Ratio to Expected Under Random Distribution)",
-		YLabel: "Normalized Throughput",
-	}
+	var f family
 	for _, nSmall := range []int{20, 30, 40} {
-		base := hetero.Config{
+		f.serverRatioCurve(o, fmt.Sprintf("%d Small Switches", nSmall), hetero.Config{
 			NumLarge: 20, NumSmall: nSmall,
 			PortsLarge: 30, PortsSmall: 20,
 			Servers: serversForPool(20*30 + nSmall*20),
-		}
-		s, err := sweepServerRatio(o, fmt.Sprintf("%d Small Switches", nSmall), base)
-		if err != nil {
-			return nil, err
-		}
-		fig.Series = append(fig.Series, s)
+		})
 	}
-	return fig, nil
+	return peakFigure(o, &f, &Figure{
+		ID: "4b", Title: "Server distribution vs. throughput (switch counts)",
+		XLabel: serverRatioAxis, YLabel: "Normalized Throughput",
+	})
 }
 
 // Fig4c: server distribution with varying oversubscription (480/510/540
 // servers on 20 large 30-port and 30 small 20-port switches).
 func Fig4c(o Options) (*Figure, error) {
 	o = o.withDefaults()
-	fig := &Figure{
-		ID: "4c", Title: "Server distribution vs. throughput (oversubscription)",
-		XLabel: "Number of Servers at Large Switches (Ratio to Expected Under Random Distribution)",
-		YLabel: "Normalized Throughput",
-	}
+	var f family
 	for _, servers := range []int{480, 510, 540} {
-		base := hetero.Config{
+		f.serverRatioCurve(o, fmt.Sprintf("%d Servers", servers), hetero.Config{
 			NumLarge: 20, NumSmall: 30,
 			PortsLarge: 30, PortsSmall: 20,
 			Servers: servers,
-		}
-		s, err := sweepServerRatio(o, fmt.Sprintf("%d Servers", servers), base)
-		if err != nil {
-			return nil, err
-		}
-		fig.Series = append(fig.Series, s)
+		})
 	}
-	return fig, nil
+	return peakFigure(o, &f, &Figure{
+		ID: "4c", Title: "Server distribution vs. throughput (oversubscription)",
+		XLabel: serverRatioAxis, YLabel: "Normalized Throughput",
+	})
 }
 
 // Fig5: power-law port counts; servers attached in proportion to
@@ -163,13 +118,10 @@ func Fig5(o Options) (*Figure, error) {
 	if o.Quick {
 		betas = []float64{0, 0.5, 1.0, 1.4}
 	}
-	fig := &Figure{
-		ID: "5", Title: "Power-law port counts: servers ∝ degree^β",
-		XLabel: "β", YLabel: "Normalized Throughput",
-	}
 	const nSwitches = 40
+	var f family
 	for _, avg := range []float64{6, 8, 10} {
-		label := fmt.Sprintf("Avg port-count %d", int(avg))
+		c := f.newCurve(fmt.Sprintf("Avg port-count %d", int(avg)))
 		// Cap the tail at min(2.5·avg, n/2): a port count near n would
 		// demand near-complete connectivity and leave no simple graph
 		// after servers are attached. The port sequence itself is drawn
@@ -179,42 +131,29 @@ func Fig5(o Options) (*Figure, error) {
 		if kmax > nSwitches/2 {
 			kmax = nSwitches / 2
 		}
-		s := Series{Label: label}
-		pts := make([]scenario.Point, len(betas))
-		for i, beta := range betas {
-			pts[i] = o.evalPoint(&scenario.PowerLawRRG{
+		for _, beta := range betas {
+			f.add(c, beta, o.evalPoint(&scenario.PowerLawRRG{
 				N: nSwitches, Avg: avg, Gamma: 2.2, Kmin: 3, Kmax: kmax,
 				SFrac: 0.4, Beta: beta, PortSeed: o.Seed*31 + int64(avg),
-			}, scenario.Permutation{}, int64(avg*100)+int64(beta*10))
+			}, scenario.Permutation{}, int64(avg*100)+int64(beta*10)))
 		}
-		stats, err := o.engine().Measure(pts)
-		if err != nil {
-			return nil, err
-		}
-		var raw []float64
-		for i, st := range stats {
-			s.X = append(s.X, betas[i])
-			raw = append(raw, st.Mean)
-			s.Err = append(s.Err, st.Std)
-		}
-		// The paper normalizes each curve to its β=1 value; x=1 is then
-		// directly comparable across curves.
-		var ref float64
-		for i, b := range betas {
-			if b == 1.0 {
-				ref = raw[i]
-			}
-		}
-		if ref == 0 {
-			normalizePeak(&s, raw)
-		} else {
-			s.Y = make([]float64, len(raw))
-			for i, v := range raw {
-				s.Y[i] = v / ref
-				s.Err[i] /= ref
-			}
-		}
-		fig.Series = append(fig.Series, s)
 	}
-	return fig, nil
+	series, err := f.measure(o.engine())
+	if err != nil {
+		return nil, err
+	}
+	// The paper normalizes each curve to its β=1 value; x=1 is then
+	// directly comparable across curves.
+	for i := range series {
+		ref, _ := valueAt(series[i], 1)
+		if ref == 0 {
+			ref = peak(series[i])
+		}
+		normalize(&series[i], ref)
+	}
+	return &Figure{
+		ID: "5", Title: "Power-law port counts: servers ∝ degree^β",
+		XLabel: "β", YLabel: "Normalized Throughput",
+		Series: series,
+	}, nil
 }

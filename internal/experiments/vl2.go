@@ -61,41 +61,31 @@ func fig12aGrid(quick bool) (das []int, dis []int) {
 func Fig12a(o Options) (*Figure, error) {
 	o = o.withDefaults()
 	das, dis := fig12aGrid(o.Quick)
-	fig := &Figure{
-		ID: "12a", Title: "Rewired VL2: servers at full throughput (ratio over VL2)",
-		XLabel: "Aggregation Switch Degree (DA)", YLabel: "Servers at Full Throughput (Ratio Over VL2)",
+	var f family
+	for _, di := range dis {
+		c := f.newCurve(fmt.Sprintf("%d Agg Switches (DI=%d)", di, di))
+		for _, da := range das {
+			f.place(c, float64(da))
+		}
 	}
 	// Each (DA, DI) point is a pair of binary searches — inherently
 	// sequential inside, so parallelize across the flattened grid.
-	type point struct{ di, da int }
-	var grid []point
-	for _, di := range dis {
-		for _, da := range das {
-			grid = append(grid, point{di, da})
-		}
-	}
-	ratios, err := runner.Map(len(grid), func(i int) (float64, error) {
-		p := grid[i]
-		ratio, err := rewiredOverVL2(o, scenario.Permutation{}, p.da, p.di, int64(12100+p.da*100+p.di))
+	ratios, err := runner.Map(len(f.x), func(i int) (scenario.Stat, error) {
+		da, di := int(f.x[i]), dis[f.curve[i]]
+		ratio, err := rewiredOverVL2(o, scenario.Permutation{}, da, di, int64(12100+da*100+di))
 		if err != nil {
-			return 0, fmt.Errorf("fig12a DA=%d DI=%d: %w", p.da, p.di, err)
+			return scenario.Stat{}, fmt.Errorf("fig12a DA=%d DI=%d: %w", da, di, err)
 		}
-		return ratio, nil
+		return scenario.Stat{Mean: ratio, OK: true}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	series := make([]Series, len(dis))
-	for si, di := range dis {
-		series[si] = Series{Label: fmt.Sprintf("%d Agg Switches (DI=%d)", di, di)}
-	}
-	for i, p := range grid {
-		s := &series[i/len(das)]
-		s.X = append(s.X, float64(p.da))
-		s.Y = append(s.Y, ratios[i])
-	}
-	fig.Series = series
-	return fig, nil
+	return &Figure{
+		ID: "12a", Title: "Rewired VL2: servers at full throughput (ratio over VL2)",
+		XLabel: "Aggregation Switch Degree (DA)", YLabel: "Servers at Full Throughput (Ratio Over VL2)",
+		Series: f.fold(ratios, false),
+	}, nil
 }
 
 // rewiredOverVL2 measures max ToRs at full throughput for both topologies
@@ -133,69 +123,41 @@ func Fig12b(o Options) (*Figure, error) {
 		di = 16
 		das = []int{6, 10, 14}
 	}
-	fig := &Figure{
-		ID: "12b", Title: fmt.Sprintf("Rewired VL2 under chunky traffic (DI=%d)", di),
-		XLabel: "Aggregation Switch Degree (DA)", YLabel: "Normalized Throughput",
-	}
 	fractions := []float64{0.2, 0.6, 1.0}
-	type point struct {
-		frac float64
-		da   int
-	}
-	var grid []point
+	var f family
 	for _, frac := range fractions {
+		c := f.newCurve(fmt.Sprintf("%d%% Chunky", int(frac*100)))
 		for _, da := range das {
-			grid = append(grid, point{frac, da})
+			f.place(c, float64(da))
 		}
 	}
-	type meas struct {
-		y, std float64
-		ok     bool
-	}
-	vals, err := runner.Map(len(grid), func(i int) (meas, error) {
-		p := grid[i]
-		cfg := topo.VL2Config{DA: p.da, DI: di}
+	stats, err := runner.Map(len(f.x), func(i int) (scenario.Stat, error) {
+		da, frac := int(f.x[i]), fractions[f.curve[i]]
+		cfg := topo.VL2Config{DA: da, DI: di}
 		// Size the topology at its permutation-full-throughput point. The
 		// search's seed mix depends only on DA, so the three chunky
 		// fractions share it — with the solve cache, it runs once.
 		tors, err := maxToRs(o, scenario.Permutation{}, 1, cfg.NumToRs()*2+4, 20, func(t int) scenario.Point {
-			return o.rewiredPoint(scenario.Permutation{}, p.da, di, t, int64(12200+p.da))
+			return o.rewiredPoint(scenario.Permutation{}, da, di, t, int64(12200+da))
 		})
-		if err != nil {
-			return meas{}, err
-		}
-		if tors < 2 {
-			return meas{}, nil
+		if err != nil || tors < 2 {
+			return scenario.Stat{}, err // a zero Stat is not OK: no point at this DA
 		}
 		st, err := o.engine().MeasureOne(
-			o.rewiredPoint(scenario.Chunky{Frac: p.frac}, p.da, di, tors, int64(12250+p.da)))
-		if err != nil {
-			return meas{}, err
+			o.rewiredPoint(scenario.Chunky{Frac: frac}, da, di, tors, int64(12250+da)))
+		if st.Mean > 1 {
+			st.Mean = 1 // full throughput; demands are 1 unit per server
 		}
-		y := st.Mean
-		if y > 1 {
-			y = 1 // full throughput; demands are 1 unit per server
-		}
-		return meas{y: y, std: st.Std, ok: st.OK}, nil
+		return st, err
 	})
 	if err != nil {
 		return nil, err
 	}
-	series := make([]Series, len(fractions))
-	for fi, frac := range fractions {
-		series[fi] = Series{Label: fmt.Sprintf("%d%% Chunky", int(frac*100))}
-	}
-	for i, p := range grid {
-		if !vals[i].ok {
-			continue
-		}
-		s := &series[i/len(das)]
-		s.X = append(s.X, float64(p.da))
-		s.Y = append(s.Y, vals[i].y)
-		s.Err = append(s.Err, vals[i].std)
-	}
-	fig.Series = series
-	return fig, nil
+	return &Figure{
+		ID: "12b", Title: fmt.Sprintf("Rewired VL2 under chunky traffic (DI=%d)", di),
+		XLabel: "Aggregation Switch Degree (DA)", YLabel: "Normalized Throughput",
+		Series: f.fold(stats, true),
+	}, nil
 }
 
 // Fig12c: the Fig. 12a search repeated under all-to-all and 100% chunky
@@ -221,36 +183,24 @@ func Fig12c(o Options) (*Figure, error) {
 		{"Permutation Traffic", scenario.Permutation{}},
 		{"100% Chunky Traffic", scenario.Chunky{Frac: 1.0}},
 	}
-	type point struct {
-		ci, da int
-	}
-	var grid []point
-	for ci := range cases {
+	var f family
+	for _, c := range cases {
+		ci := f.newCurve(c.label)
 		for _, da := range das {
-			grid = append(grid, point{ci, da})
+			f.place(ci, float64(da))
 		}
 	}
-	ratios, err := runner.Map(len(grid), func(i int) (float64, error) {
-		p := grid[i]
-		c := cases[p.ci]
-		ratio, err := rewiredOverVL2(o, c.tr, p.da, di, int64(12300+p.ci*997+p.da))
+	ratios, err := runner.Map(len(f.x), func(i int) (scenario.Stat, error) {
+		ci, da := f.curve[i], int(f.x[i])
+		ratio, err := rewiredOverVL2(o, cases[ci].tr, da, di, int64(12300+ci*997+da))
 		if err != nil {
-			return 0, fmt.Errorf("fig12c %s DA=%d: %w", c.label, p.da, err)
+			return scenario.Stat{}, fmt.Errorf("fig12c %s DA=%d: %w", cases[ci].label, da, err)
 		}
-		return ratio, nil
+		return scenario.Stat{Mean: ratio, OK: true}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	series := make([]Series, len(cases))
-	for ci, c := range cases {
-		series[ci] = Series{Label: c.label}
-	}
-	for i, p := range grid {
-		s := &series[p.ci]
-		s.X = append(s.X, float64(p.da))
-		s.Y = append(s.Y, ratios[i])
-	}
-	fig.Series = series
+	fig.Series = f.fold(ratios, false)
 	return fig, nil
 }
