@@ -71,11 +71,6 @@ func runServe(args []string) {
 		if err != nil {
 			fatal(err)
 		}
-		// Fleet peers probe GET /v1/result for addresses that mostly don't
-		// exist locally; the negative cache absorbs those repeated misses
-		// without touching the filesystem each time (defaults: 4096 entries,
-		// 250ms TTL, invalidated by writes).
-		st.EnableNegativeCache(0, 0)
 		cache.SetBackend(st)
 	}
 	var remote *remotestore.Client

@@ -124,11 +124,10 @@
 // Cold solves are untouched byte-for-byte — warm-starting is opt-in and
 // can only move a value within the certified ε class. Store entries
 // written for a warm-started child carry their parent's content address
-// (TBRS codec v2 parent link, readable by any process), store.PinKey
-// protects parents from Prune eviction while children still seed from
-// them, and a negative-result cache absorbs repeated misses on
-// GET /v1/result so what-if probing stays cheap even when the answer is
-// "not solved yet".
+// (TBRS codec v2 parent link, readable by any process). A child copies
+// its parent's witnesses before its runs start, so nothing pins them: a
+// witness evicted earlier by a store Prune only makes the child solve
+// cold.
 //
 // # Performance architecture
 //

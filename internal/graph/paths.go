@@ -136,7 +136,7 @@ func (g *Graph) ShortestPathDAGPaths(src, dst, k int) []Path {
 	if k <= 0 {
 		return nil
 	}
-	distTo := g.bfsFrom(dst)
+	distTo := g.BFS(dst)
 	if distTo[src] < 0 {
 		return nil
 	}
@@ -165,29 +165,6 @@ func (g *Graph) ShortestPathDAGPaths(src, dst, k int) []Path {
 	}
 	walk(int32(src))
 	return paths
-}
-
-func (g *Graph) bfsFrom(src int) []int32 {
-	c := g.csrView()
-	dist := make([]int32, g.n)
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[src] = 0
-	queue := []int32{int32(src)}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		du := dist[u]
-		for k, end := c.start[u], c.start[u+1]; k < end; k++ {
-			v := c.to[k]
-			if dist[v] < 0 {
-				dist[v] = du + 1
-				queue = append(queue, v)
-			}
-		}
-	}
-	return dist
 }
 
 // Dijkstra computes weighted shortest-path distances from src using the

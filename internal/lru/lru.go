@@ -1,20 +1,20 @@
 // Package lru is the process's one in-memory eviction mechanism: a map
 // bounded by a size budget that evicts whole entries, least recently used
-// first. It has three owners: the service's response-byte cache (bodies
-// charged their length), the store's negative cache (absent addresses,
-// one unit each) and scenario.Cache's memory tier (run values, 8 bytes
-// each plus a fixed per-entry overhead). Two bounded structures keep their
-// own mechanism. The disk store's Prune skips entries pinned by in-flight
-// reads, evicts only when a caller asks, to that call's budget, and
-// unlinks its victims outside its lock; an LRU that evicts inside Add can
-// do none of that. The trace ring keeps the last N completed traces in
-// completion order: reading a trace does not make it recent.
+// first. It has two owners: the service's response-byte cache (bodies
+// charged their length) and scenario.Cache's memory tier (run values, 8
+// bytes each plus a fixed per-entry overhead). Two bounded structures
+// keep their own mechanism. The disk store's Prune skips entries pinned
+// by in-flight reads, evicts only when a caller asks, to that call's
+// budget, and unlinks its victims outside its lock; an LRU that evicts
+// inside Add can do none of that. The trace ring keeps the last N
+// completed traces in completion order: reading a trace does not make it
+// recent.
 package lru
 
 // Cache maps keys to values whose sizes, as charged by the owner, sum to
-// at most a budget. Get and Add make an entry the most recently used; Get,
-// Add and Remove are O(1). A Cache is not safe for concurrent use: each
-// owner guards its cache with its own lock.
+// at most a budget. Get and Add make an entry the most recently used and
+// are O(1). A Cache is not safe for concurrent use: each owner guards its
+// cache with its own lock.
 type Cache[K comparable, V any] struct {
 	budget, size, evictions int64
 	items                   map[K]*entry[K, V]
@@ -66,16 +66,6 @@ func (c *Cache[K, V]) Add(k K, v V, size int64) bool {
 		c.evictions++
 	}
 	return true
-}
-
-// Remove deletes k's entry, reporting whether there was one. A removal is
-// not an eviction.
-func (c *Cache[K, V]) Remove(k K) bool {
-	e := c.items[k]
-	if e != nil {
-		c.remove(e)
-	}
-	return e != nil
 }
 
 // Len reports the number of entries.

@@ -904,24 +904,12 @@ func (s *state) runPhase() {
 func (s *state) recordPiece(j int, path []int32, u float64) {
 	if n := len(s.rec); n > 0 {
 		last := &s.rec[n-1]
-		if last.Commodity == j && int32SlicesEqual(last.Arcs, path) {
+		if last.Commodity == j && slices.Equal(last.Arcs, path) {
 			last.Flow += u
 			return
 		}
 	}
 	s.rec = append(s.rec, PathFlow{Commodity: j, Arcs: append([]int32(nil), path...), Flow: u})
-}
-
-func int32SlicesEqual(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // walkPath returns the arc sequence from t's root to dst, or nil if dst

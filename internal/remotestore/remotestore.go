@@ -487,9 +487,5 @@ func (c *Client) SaveLinked(key string, vals []float64, parentKey string) error 
 	return nil
 }
 
-// PinKey is a no-op (scenario.Backend): the peer's entries are not
-// evicted by anything this replica does.
-func (c *Client) PinKey(string) func() { return func() {} }
-
 // Abandon is a no-op (scenario.Backend): the client takes no solve claims.
 func (c *Client) Abandon(string) {}

@@ -18,18 +18,16 @@ import (
 // when ctx holds a sampled trace span, the backend may record its own
 // spans beneath it. SaveLinked publishes values together with the key of
 // the parent point whose result warm-started their solve ("" for none).
-// PinKey keeps an entry resident against eviction until the returned
-// (idempotent) release runs. Abandon releases any solve claim a Load took
-// on a key whose solve ended with nothing to save. A tier that evicts
-// nothing locally or takes no claims implements those two as no-ops. All
-// methods must be safe for concurrent use. Under the cache key invariant,
-// whatever a backend returns for a key is exactly what a cold solve of
-// that key would compute, so the choice of tier changes latency, never
-// results.
+// Abandon releases any solve claim a Load took on a key whose solve ended
+// with nothing to save; a tier that takes no claims implements it as a
+// no-op. All methods must be safe for concurrent use. Under the cache key
+// invariant, whatever a backend returns for a key is exactly what a cold
+// solve of that key would compute, so the choice of tier changes latency,
+// never results. No tier pins entries for the cache: a witness evicted
+// before a child loads it only makes that child solve cold.
 type Backend interface {
 	Load(ctx context.Context, key string) ([]float64, bool)
 	SaveLinked(key string, vals []float64, parentKey string) error
-	PinKey(key string) func()
 	Abandon(key string)
 }
 
@@ -181,16 +179,6 @@ func (c *Cache) Abandon(key string) {
 	if backend := c.tier(); backend != nil {
 		backend.Abandon(key)
 	}
-}
-
-// Pin pins key's backend entry against eviction, returning an idempotent
-// release. Without a backend it is a no-op: an evicted memory-tier parent
-// or witness only makes a child solve cold.
-func (c *Cache) Pin(key string) func() {
-	if backend := c.tier(); backend != nil {
-		return backend.PinKey(key)
-	}
-	return func() {}
 }
 
 // Stats reports the cache's lookup counters and resident entries.

@@ -247,9 +247,6 @@ func (e *Engine) runPoint(ctx context.Context, p Point) ([]float64, error) {
 		}
 	}
 	pw := e.prepareWarm(ctx, p, key)
-	if pw != nil {
-		defer pw.unpin()
-	}
 	vals, err := runner.Map(p.runs(), func(i int) (float64, error) {
 		if err := ctx.Err(); err != nil {
 			return 0, err
@@ -280,16 +277,15 @@ func (e *Engine) runPoint(ctx context.Context, p Point) ([]float64, error) {
 }
 
 // pointWarm is the per-point warm-start plan prepareWarm assembles for
-// runPoint: the parent's identity and per-run witnesses, plus the pin
-// release keeping the parent's entries eviction-safe while runs consume
-// them.
+// runPoint: the parent's identity and per-run witnesses. The witnesses
+// are the caller's own copies (Cache.Get returns slices the caller owns),
+// so an eviction after prepareWarm cannot touch them.
 type pointWarm struct {
 	parentKey  string
 	kind       parentKind
 	parentTopo Topology
 	// lens[i] is run i's parent witness (nil: that run solves cold).
-	lens  [][]float64
-	unpin func()
+	lens [][]float64
 }
 
 // prepareWarm derives the point's parent and gathers its per-run
@@ -340,32 +336,12 @@ func (e *Engine) prepareWarm(ctx context.Context, p Point, key string) *pointWar
 		e.materializeParent(ctx, pp, parentKey)
 		lens, _ = load()
 	}
-	any := false
-	var unpins []func()
-	for i := range lens {
-		if lens[i] != nil {
-			any = true
-			unpins = append(unpins, e.Cache.Pin(WitnessKey(parentKey, i)))
+	for _, w := range lens {
+		if w != nil {
+			return &pointWarm{parentKey: parentKey, kind: kind, parentTopo: pp.Topo, lens: lens}
 		}
 	}
-	if !any {
-		return nil
-	}
-	// Pin the parent's result entry too: the in-flight warm start is what
-	// makes this entry "hot", and a concurrent store Prune must not evict
-	// it (or the witnesses above) mid-flight.
-	unpins = append(unpins, e.Cache.Pin(parentKey))
-	return &pointWarm{
-		parentKey:  parentKey,
-		kind:       kind,
-		parentTopo: pp.Topo,
-		lens:       lens,
-		unpin: func() {
-			for _, u := range unpins {
-				u()
-			}
-		},
-	}
+	return nil
 }
 
 // materializeParent solves the parent point so its witnesses land in the

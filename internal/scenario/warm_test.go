@@ -134,8 +134,6 @@ func (b *memBackend) SaveLinked(key string, vals []float64, _ string) error {
 	return nil
 }
 
-func (b *memBackend) PinKey(string) func() { return func() {} }
-
 func (b *memBackend) Abandon(string) {}
 
 // TestWarmStartParentSourceIrrelevant pins byte-determinism across the

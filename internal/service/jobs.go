@@ -32,6 +32,9 @@ import (
 // record: unfinished jobs re-dispatch (their solves resume against the
 // warm store), finished ones answer from their records. Terminal records
 // older than JobRetain are dropped at startup and before each submission.
+// A replica answers only for the jobs in its own table; it never adopts a
+// record while serving, since a peer sharing the directory may be running
+// that job.
 //
 // Job records obey a one-rung degradation ladder: lost or corrupt reads
 // as "unknown job, resubmit" (404), never a wedge and never wrong bytes.
@@ -262,51 +265,16 @@ func errorMessage(body []byte) string {
 	return strings.TrimSpace(string(body))
 }
 
-// lookupJob finds a job by id: the live table first, then the store's
-// records (a record persisted by a previous process is adopted on first
-// touch). nil means unknown — lost, expired, corrupt, or never submitted
-// — and the client should resubmit.
+// lookupJob finds a job in this replica's table: the jobs it accepted
+// and those RecoverJobs adopted at startup. It never reads the store: a
+// record there may belong to a job a peer sharing the directory is
+// running, and adopting it would run the job twice. nil means unknown —
+// lost, expired, corrupt, never submitted, or another replica's — and
+// the client should resubmit.
 func (s *Server) lookupJob(id string) *job {
 	s.jobsMu.Lock()
-	if j, ok := s.jobTab[id]; ok {
-		s.jobsMu.Unlock()
-		return j
-	}
-	s.jobsMu.Unlock()
-	if s.cfg.Store == nil {
-		return nil
-	}
-	rec, ok := s.cfg.Store.LoadJob(id)
-	if !ok {
-		return nil
-	}
-	return s.adoptJob(rec)
-}
-
-// adoptJob registers a persisted record as a live job. Non-terminal jobs
-// (queued/running when the previous process died) re-dispatch
-// immediately; terminal ones answer from their records. The live table
-// is re-checked under the lock so concurrent adopters converge on one
-// job.
-func (s *Server) adoptJob(rec store.JobRecord) *job {
-	resume := !rec.State.Terminal()
-	if resume {
-		rec.State = store.JobQueued
-	}
-	s.jobsMu.Lock()
-	if j, ok := s.jobTab[rec.ID]; ok {
-		s.jobsMu.Unlock()
-		return j
-	}
-	j := &job{id: rec.ID, grid: rec.Grid, rec: rec}
-	j.ctx, j.cancel = context.WithCancel(context.Background())
-	s.jobTab[rec.ID] = j
-	s.jobsMu.Unlock()
-	s.jobsRecovered.Add(1)
-	if resume {
-		go s.runJob(j)
-	}
-	return j
+	defer s.jobsMu.Unlock()
+	return s.jobTab[id]
 }
 
 // expired reports whether a job's record has outlived JobRetain: only a
@@ -347,7 +315,8 @@ func (s *Server) deleteRecord(id string) {
 }
 
 // RecoverJobs scans the store's job records, discards expired ones, and
-// re-adopts the rest: unfinished jobs resume against the warm store,
+// re-adopts the rest: unfinished jobs (queued or running when the
+// previous process died) re-dispatch from queued against the warm store,
 // finished ones answer from their records. Call once at startup, before
 // serving.
 func (s *Server) RecoverJobs() int {
@@ -365,7 +334,19 @@ func (s *Server) RecoverJobs() int {
 			s.cfg.Store.DeleteJob(id)
 			continue
 		}
-		s.adoptJob(rec)
+		resume := !rec.State.Terminal()
+		if resume {
+			rec.State = store.JobQueued
+		}
+		j := &job{id: rec.ID, grid: rec.Grid, rec: rec}
+		j.ctx, j.cancel = context.WithCancel(context.Background())
+		s.jobsMu.Lock()
+		s.jobTab[rec.ID] = j
+		s.jobsMu.Unlock()
+		s.jobsRecovered.Add(1)
+		if resume {
+			go s.runJob(j)
+		}
 		n++
 	}
 	return n
@@ -429,8 +410,8 @@ func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 	terminal := j.rec.State.Terminal()
 	j.mu.Unlock()
 	if terminal {
-		// Record first: a poll that misses the table from here on also
-		// misses the record, so it cannot adopt the job back.
+		// Record first: a crash between the two steps leaves no record
+		// for RecoverJobs to adopt back.
 		s.deleteRecord(j.id)
 		s.jobsMu.Lock()
 		delete(s.jobTab, j.id)

@@ -379,8 +379,8 @@ func TestJobCancel(t *testing.T) {
 }
 
 // TestJobUnknownAndCorrupt: unknown ids 404 with the resubmit hint, and a
-// corrupt record reads as unknown AND is swept — the job-record rung of
-// the degradation ladder.
+// corrupt record reads as unknown across a restart AND is swept by
+// RecoverJobs — the job-record rung of the degradation ladder.
 func TestJobUnknownAndCorrupt(t *testing.T) {
 	dir := t.TempDir()
 	srv, hs := newTestServer(t, dir, 2)
@@ -390,24 +390,58 @@ func TestJobUnknownAndCorrupt(t *testing.T) {
 			t.Fatalf("unknown job %q: %d %s", id, status, body)
 		}
 	}
+	if got := metric(t, hs.URL, "jobs_unknown_total"); got != 3 {
+		t.Fatalf("unknown-job metric: %d, want 3", got)
+	}
 
-	// A record that rotted on disk: unknown, and the damage is dropped.
+	// A record that rotted on disk while its process was down: unknown
+	// after the restart, and the damage is dropped.
 	rec := store.JobRecord{ID: "abcd", Grid: testGridQuick, State: store.JobDone, Status: 200, Total: 1, Done: 1, Result: []byte("{}\n")}
 	if err := srv.cfg.Store.SaveJob(rec); err != nil {
 		t.Fatal(err)
 	}
+	hs.Close()
 	path := filepath.Join(dir, "jobs", "abcd")
 	if err := os.WriteFile(path, []byte("bit rot"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if status, _ := get(t, hs.URL+"/v1/jobs/abcd"); status != http.StatusNotFound {
-		t.Fatalf("corrupt record answered %d, want 404", status)
+	srv2, hs2 := newTestServer(t, dir, 2)
+	if n := srv2.RecoverJobs(); n != 0 {
+		t.Fatalf("recovered %d jobs from a corrupt record, want 0", n)
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Fatal("corrupt record not swept")
 	}
-	if got := metric(t, hs.URL, "jobs_unknown_total"); got != 4 {
-		t.Fatalf("unknown-job metric: %d, want 4", got)
+	if status, _ := get(t, hs2.URL+"/v1/jobs/abcd"); status != http.StatusNotFound {
+		t.Fatalf("corrupt record answered %d, want 404", status)
+	}
+	if got := metric(t, hs2.URL, "jobs_unknown_total"); got != 1 {
+		t.Fatalf("unknown-job metric after restart: %d, want 1", got)
+	}
+}
+
+// TestJobUnknownAtPeerReplica: two servers share one store directory. A
+// status GET at B for a job A is running answers 404 — B does not adopt
+// A's record and run the job a second time — and exactly one evaluation
+// runs.
+func TestJobUnknownAtPeerReplica(t *testing.T) {
+	dir := t.TempDir()
+	_, hsA := newTestServer(t, dir, 2)
+	_, hsB := newTestServer(t, dir, 2)
+	release := arm(t, &blockEntered, &blockRelease)
+	_, id := submitJobReq(t, hsA.URL, "topo=rrg:n=8,deg=3 traffic=none eval=testblock runs=1 seed=1")
+	<-blockEntered // A's evaluation is running and parked
+
+	if status, body := get(t, hsB.URL+"/v1/jobs/"+id); status != http.StatusNotFound {
+		t.Fatalf("peer replica answered %d %s for a job it never accepted", status, body)
+	}
+	release()
+	pollState(t, hsA.URL, id, "done")
+	if got := metric(t, hsB.URL, "jobs_recovered_total"); got != 0 {
+		t.Fatalf("peer replica adopted %d jobs while serving", got)
+	}
+	if n := len(blockEntered); n != 0 {
+		t.Fatalf("%d more evaluations ran; the job was A's alone", n)
 	}
 }
 

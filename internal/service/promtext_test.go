@@ -182,11 +182,11 @@ func TestMetricsPrometheusWellFormed(t *testing.T) {
 		t.Fatal("no samples parsed")
 	}
 
-	// Every component's families are present: 69 single-sample families
+	// Every component's families are present: 68 single-sample families
 	// plus the request-latency histogram, including each family CI's
 	// smokes grep for and perfbench scrapes.
-	if len(families) != 70 {
-		t.Errorf("%d families, want 70", len(families))
+	if len(families) != 69 {
+		t.Errorf("%d families, want 69", len(families))
 	}
 	for _, name := range []string{
 		"cache_store_hits_total", "cache_evictions_total", "store_writes_total", "store_parent_links_total",

@@ -138,6 +138,52 @@ func TestEvalMatchesEngineAndPersists(t *testing.T) {
 	}
 }
 
+// TestPrunedWarmServerSameBytes runs -store-max-bytes on the serve path:
+// two warm-start servers, each over its own dir, one pruning its store to
+// 1 byte after every evaluation, answer CI's two failure-ladder grids with
+// the same bytes. The second grid's rungs share parents with the first's,
+// whose witnesses the pruned server has evicted by then; it re-solves
+// them, which changes work, never bytes.
+func TestPrunedWarmServerSameBytes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("flow-solver evaluation; skipped in -short")
+	}
+	serve := func(maxBytes int64) *httptest.Server {
+		st, err := store.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cache := scenario.NewCache()
+		cache.SetBackend(st)
+		eng := &scenario.Engine{Cache: cache, SkipInfeasible: true, WarmStart: true}
+		hs := httptest.NewServer(New(Config{Engine: eng, Cache: cache, Store: st, StoreMaxBytes: maxBytes}).Handler())
+		t.Cleanup(hs.Close)
+		return hs
+	}
+	kept, pruned := serve(0), serve(1)
+	for _, grid := range []string{
+		"topo=rrg:n=24,deg=8,sps=2 traffic=permutation eval=failures:frac=0,eval=mcf sweep=eval.frac:0,0.1,0.2 runs=2 eps=0.12 seed=1",
+		"topo=rrg:n=24,deg=8,sps=2 traffic=permutation eval=failures:frac=0,eval=mcf sweep=eval.frac:0.05,0.15,0.25 runs=2 eps=0.12 seed=1",
+	} {
+		ks, kb := postEval(t, kept.URL, grid)
+		ps, pb := postEval(t, pruned.URL, grid)
+		if ks != http.StatusOK || ps != http.StatusOK || !bytes.Equal(kb, pb) {
+			t.Fatalf("grid %q: kept %d, pruned %d, byte-identical=%v", grid, ks, ps, bytes.Equal(kb, pb))
+		}
+	}
+	if got := metric(t, pruned.URL, "store_evicted_total"); got == 0 {
+		t.Fatal("the pruned server evicted nothing")
+	}
+	if got := metric(t, kept.URL, "store_evicted_total"); got != 0 {
+		t.Fatalf("the unbounded server evicted %d entries", got)
+	}
+	for _, hs := range []*httptest.Server{kept, pruned} {
+		if got := metric(t, hs.URL, "warm_starts_total"); got == 0 {
+			t.Fatal("no warm start ran; the test exercises nothing")
+		}
+	}
+}
+
 // TestStoreBackedServeKeepsNoMemoryCopy is the one-tier rule at the
 // daemon: with a store attached, solved points live in the store alone.
 // Two distinct grids sharing a point leave no resident memory entries,

@@ -257,38 +257,51 @@ func TestTieredClaimSingleflight(t *testing.T) {
 	}
 }
 
+// publishingRemote is a remote tier whose Load runs publish and then
+// reports a miss: it stands in for a peer that solves, publishes and
+// releases a key between this replica's disk miss and its claim.
+type publishingRemote struct{ publish func() }
+
+func (r publishingRemote) Load(context.Context, string) ([]float64, bool) {
+	r.publish()
+	return nil, false
+}
+
+func (publishingRemote) SaveLinked(string, []float64, string) error { return nil }
+
 // TestTieredClaimRechecksAfterWin: a replica whose disk read missed
 // before a peer published and released the key must not solve it again
-// when it then wins the released claim. The negative cache makes the
-// interleaving deterministic: r1's miss is remembered, r2 solves and
-// publishes through its own handle, and r1's next disk read is answered
-// by the stale negative entry.
+// when it then wins the released claim. r1's remote tier forces the
+// interleaving: after r1's disk miss, its Load has r2 miss, claim, solve
+// and publish the key, so the lease r1 then wins guards a key already on
+// disk.
 func TestTieredClaimRechecksAfterWin(t *testing.T) {
 	dir := t.TempDir()
-	open := func() *Tiered {
+	open := func(remote Remote) *Tiered {
 		disk, err := Open(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		disk.EnableNegativeCache(0, time.Hour)
-		return NewTiered(disk, nil, TieredOptions{LeaseTTL: 10 * time.Second, Poll: 2 * time.Millisecond})
+		return NewTiered(disk, remote, TieredOptions{LeaseTTL: 10 * time.Second, Poll: 2 * time.Millisecond})
 	}
-	r1, r2 := open(), open()
-	if _, ok := r1.disk.Load(bg, "pt"); ok {
-		t.Fatal("cold pool must miss")
-	}
-	if _, ok := r2.Load(bg, "pt"); ok {
-		t.Fatal("cold pool must miss")
-	}
-	if err := r2.SaveLinked("pt", []float64{9, 9}, ""); err != nil {
-		t.Fatal(err)
-	}
+	r2 := open(nil)
+	r1 := open(publishingRemote{publish: func() {
+		if _, ok := r2.Load(bg, "pt"); ok {
+			t.Error("cold pool must miss")
+		}
+		if err := r2.SaveLinked("pt", []float64{9, 9}, ""); err != nil {
+			t.Error(err)
+		}
+	}})
 	got, ok := r1.Load(bg, "pt")
 	if !ok || !reflect.DeepEqual(got, []float64{9, 9}) {
 		t.Fatalf("r1 after r2's publish: %v %v (a miss means solving the key a second time)", got, ok)
 	}
-	if st := r1.Stats(); st.ClaimsWon != 0 || st.WaitHits != 1 {
-		t.Fatalf("r1 stats: %+v (must be served, not solve)", st)
+	if st := r1.Stats(); st.ClaimsWon != 0 || st.WaitHits != 1 || st.DiskHits != 0 {
+		t.Fatalf("r1 stats: %+v (must be served by the re-read, not solve)", st)
+	}
+	if st := r2.Stats(); st.ClaimsWon != 1 {
+		t.Fatalf("r2 stats: %+v (r2 must have claimed and solved)", st)
 	}
 	if _, _, ok := r1.disk.ClaimHolder(Addr("pt")); ok {
 		t.Fatal("the re-check left its claim behind")

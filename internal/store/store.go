@@ -28,7 +28,9 @@
 // millions of entries. Open scans the tree once into an in-memory index
 // (sizes + last-access ordering seeded from file mtimes); Prune evicts
 // least-recently-used entries down to a byte budget, skipping entries
-// pinned by in-flight reads.
+// pinned by in-flight reads. The index and the counters are the handle's
+// only in-memory state: a lookup of an address outside the index stats
+// its file, so another process's publish is visible at once.
 package store
 
 import (
@@ -44,8 +46,6 @@ import (
 	"strings"
 	"sync"
 	"time"
-
-	"repro/internal/lru"
 )
 
 // Store is one handle on a result-store directory. It is safe for
@@ -61,14 +61,6 @@ type Store struct {
 	bytes int64
 	clock int64 // logical access clock for LRU ordering
 	st    Stats // counters; Stats fills in Entries and Bytes
-
-	// neg short-circuits repeated misses on addresses known to be absent,
-	// so a hot 404 path costs a map probe instead of a disk stat per
-	// request: an LRU from address to the time of its failed probe, one
-	// unit per entry, trusted for negTTL. Its budget is 0, so it holds
-	// nothing, until EnableNegativeCache.
-	neg    *lru.Cache[string, time.Time]
-	negTTL time.Duration
 
 	// loadHook, when set (tests only), runs after a Load has pinned its
 	// entry and released the lock, before the file is read — the window a
@@ -101,9 +93,6 @@ type Stats struct {
 	// writer that died between CreateTemp and the publishing rename (a
 	// SIGKILL mid-Save) leaves a .tmp-* file no entry ever points to.
 	Orphans int64
-	// NegHits counts misses answered by the negative cache — repeated
-	// lookups of absent addresses that skipped the disk stat.
-	NegHits int64
 	// ParentLinks counts entries written with a parent content-address
 	// link — the durable trace of warm-started (delta) solves.
 	ParentLinks int64
@@ -120,7 +109,6 @@ func (s Stats) Metrics(emit func(name, help string, v int64)) {
 	emit("store_corrupt_total", "Result-store entries rejected by codec/CRC verification.", s.Corrupt)
 	emit("store_evicted_total", "Result-store entries evicted by LRU pruning.", s.Evicted)
 	emit("store_orphans_total", "Result-store orphaned temp files swept at startup.", s.Orphans)
-	emit("store_negative_hits_total", "Result-store reads short-circuited by the negative cache.", s.NegHits)
 	emit("store_parent_links_total", "Result-store entries written with a warm-start parent link.", s.ParentLinks)
 	emit("store_entries", "Result-store resident entries.", int64(s.Entries))
 	emit("store_bytes", "Result-store resident bytes.", s.Bytes)
@@ -150,7 +138,7 @@ func Open(dir string) (*Store, error) {
 	probe.Close()
 	os.Remove(probe.Name())
 
-	s := &Store{dir: dir, index: map[string]*entry{}, neg: lru.New[string, time.Time](0)}
+	s := &Store{dir: dir, index: map[string]*entry{}}
 	err = filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() {
 			return err
@@ -238,18 +226,6 @@ func (s *Store) LoadAddr(addr string) ([]float64, bool) {
 // LoadAddr is preserved: misses, corruption-as-miss (the damaged file is
 // dropped), pinning against concurrent Prune, and the stats counters.
 func (s *Store) LoadAddrBuf(addr string, buf []byte, vals []float64) (raw []byte, out []float64, ok bool) {
-	return s.loadAddrBuf(addr, buf, vals, true)
-}
-
-// loadAddrFresh is LoadAddr bypassing the negative cache — the claim-wait
-// poll path, which exists precisely to observe another process's publish
-// the moment it lands and must not be blinded by a recent negative probe.
-func (s *Store) loadAddrFresh(addr string) ([]float64, bool) {
-	_, vals, ok := s.loadAddrBuf(addr, nil, nil, false)
-	return vals, ok
-}
-
-func (s *Store) loadAddrBuf(addr string, buf []byte, vals []float64, useNeg bool) (raw []byte, out []float64, ok bool) {
 	if len(addr) != 2*sha256.Size || !isHex(addr) {
 		s.mu.Lock()
 		s.st.Misses++
@@ -261,25 +237,12 @@ func (s *Store) loadAddrBuf(addr string, buf []byte, vals []float64, useNeg bool
 	e, found := s.index[addr]
 	if !found {
 		// The entry may have been published by another process after this
-		// handle indexed the tree; adopt it if the file exists. The
-		// negative cache remembers recent failed probes so a hot 404 path
-		// (a client polling an address nobody has solved) does not pay a
-		// disk stat per lookup; entries expire after a short TTL, bounding
-		// how long another process's out-of-band publish can stay unseen.
-		if at, ok := s.neg.Get(addr); ok && useNeg && time.Since(at) < s.negTTL {
-			s.st.NegHits++
-			s.st.Misses++
-			s.mu.Unlock()
-			return nil, nil, false
-		}
+		// handle indexed the tree; adopt it if the file exists.
 		if info, err := os.Stat(path); err == nil {
 			e = &entry{size: info.Size()}
 			s.index[addr] = e
 			s.bytes += e.size
 			found = true
-			s.neg.Remove(addr)
-		} else {
-			s.neg.Add(addr, time.Now(), 1) // refreshes an expired entry
 		}
 	}
 	if !found {
@@ -421,9 +384,6 @@ func (s *Store) SaveAddrLinked(addr string, vals []float64, parent string) error
 	if parent != "" {
 		s.st.ParentLinks++
 	}
-	// The address exists now: a negative entry recorded before this
-	// publish must not outlive it.
-	s.neg.Remove(addr)
 	s.clock++
 	if e, ok := s.index[addr]; ok {
 		s.bytes += int64(len(buf)) - e.size
@@ -509,53 +469,10 @@ func (s *Store) Stats() Stats {
 	return st
 }
 
-// PinKey pins the entry stored under key against Prune eviction for the
-// duration of an external use — an in-flight warm start reading the
-// parent's witness, say — returning a release function (idempotent; call
-// it exactly when the use ends). It shares the eviction exclusion with
-// in-flight Loads (entry.pins), so a pinned parent entry survives any
-// Prune that runs while a warm start depends on it — the parent-link
-// extension of the pinned-read rule. Pinning an absent entry is a no-op
-// whose release does nothing: pins protect what exists, they do not
-// reserve addresses.
-func (s *Store) PinKey(key string) func() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.index[Addr(key)]
-	if !ok {
-		return func() {}
-	}
-	e.pins++
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			s.mu.Lock()
-			e.pins--
-			s.mu.Unlock()
-		})
-	}
-}
-
 // Abandon is a no-op (scenario.Backend): a bare store takes no solve
 // claims to release; Tiered does.
 func (*Store) Abandon(string) {}
 
-// EnableNegativeCache attaches a bounded negative cache of at most max
-// addresses with the given TTL (both > 0; zero values pick 4096 entries
-// and 250ms). Repeated lookups of an absent address within the TTL are
-// answered from memory instead of stat'ing the disk — the hot-404 path of
-// GET /v1/result. The TTL bounds cross-process staleness: another
-// process's publish becomes visible at worst one TTL late on this handle
-// (same-handle Saves invalidate immediately, and the claim-wait poll path
-// bypasses the negative cache entirely).
-func (s *Store) EnableNegativeCache(max int, ttl time.Duration) {
-	if max <= 0 {
-		max = 4096
-	}
-	if ttl <= 0 {
-		ttl = 250 * time.Millisecond
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.neg, s.negTTL = lru.New[string, time.Time](int64(max)), ttl
-}
+// EnableNegativeCache does nothing. It stays only for its one caller,
+// perfbench/daemon.go, until that benchmark drops the call.
+func (*Store) EnableNegativeCache(int, time.Duration) {}

@@ -10,7 +10,6 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-	"time"
 )
 
 // bg is the context of every test Load: no test here cancels or traces.
@@ -332,95 +331,6 @@ func TestCodecRoundTrip(t *testing.T) {
 		if !ok || !reflect.DeepEqual(got, vals) || parent != "" {
 			t.Fatalf("codec round trip %v -> %v (%v)", vals, got, ok)
 		}
-	}
-}
-
-// TestPruneNeverEvictsPinnedParent is the warm-start extension of the
-// pinned-read rule: an entry pinned via PinKey (an in-flight delta solve
-// depending on its parent's witness) survives any Prune, however far over
-// budget the store is, and becomes evictable again only after release.
-func TestPruneNeverEvictsPinnedParent(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, dir)
-	want := []float64{4, 5, 6}
-	if err := s.SaveLinked("parent", want, ""); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		if err := s.SaveLinked(fmt.Sprintf("filler%d", i), []float64{float64(i)}, ""); err != nil {
-			t.Fatal(err)
-		}
-	}
-	release := s.PinKey("parent")
-	if s.Prune(0) != 5 {
-		t.Fatal("prune did not evict exactly the unpinned entries")
-	}
-	if vals, ok := s.Load(bg, "parent"); !ok || !reflect.DeepEqual(vals, want) {
-		t.Fatalf("pinned parent evicted or damaged: %v %v", vals, ok)
-	}
-	// Release is idempotent; after it the entry prunes normally.
-	release()
-	release()
-	if s.Prune(0) != 1 {
-		t.Fatal("released parent not evicted")
-	}
-	if _, ok := s.Load(bg, "parent"); ok {
-		t.Fatal("parent survived post-release prune")
-	}
-	// Pinning an address that holds no entry is a harmless no-op.
-	s.PinKey("absent")()
-}
-
-// TestNegativeCache: repeated lookups of an absent address are answered
-// from the negative cache within the TTL (no disk stat), a Save
-// invalidates the negative entry immediately, and entries expire.
-func TestNegativeCache(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, dir)
-	s.EnableNegativeCache(4, 50*time.Millisecond)
-
-	if _, ok := s.Load(bg, "ghost"); ok {
-		t.Fatal("absent key loaded")
-	}
-	if _, ok := s.Load(bg, "ghost"); ok {
-		t.Fatal("absent key loaded")
-	}
-	if st := s.Stats(); st.NegHits != 1 || st.Misses != 2 {
-		t.Fatalf("negative cache did not absorb the repeat miss: %+v", st)
-	}
-
-	// A write through this handle drops the negative entry at once: the
-	// very next lookup must see the fresh value.
-	if err := s.SaveLinked("ghost", []float64{7}, ""); err != nil {
-		t.Fatal(err)
-	}
-	if vals, ok := s.Load(bg, "ghost"); !ok || vals[0] != 7 {
-		t.Fatalf("negative entry outlived the publish: %v %v", vals, ok)
-	}
-
-	// Out-of-band publishes (another process) become visible after the
-	// TTL: a fresh store handle on the same dir stands in for the writer.
-	if _, ok := s.Load(bg, "late"); ok {
-		t.Fatal("absent key loaded")
-	}
-	if err := mustOpen(t, dir).SaveLinked("late", []float64{8}, ""); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s.Load(bg, "late"); ok {
-		t.Fatal("negative entry expired early")
-	}
-	time.Sleep(60 * time.Millisecond)
-	if vals, ok := s.Load(bg, "late"); !ok || vals[0] != 8 {
-		t.Fatalf("publish invisible after TTL: %v %v", vals, ok)
-	}
-
-	// The memo is bounded: overflowing it evicts oldest-first rather than
-	// growing without limit.
-	for i := 0; i < 10; i++ {
-		s.Load(bg, fmt.Sprintf("bulk%d", i))
-	}
-	if n := s.neg.Len(); n > 4 {
-		t.Fatalf("negative cache grew to %d entries, bound is 4", n)
 	}
 }
 

@@ -175,10 +175,8 @@ func (t *Tiered) Load(ctx context.Context, key string) ([]float64, bool) {
 	for cycle := 0; cycle < claimWaitCycles; cycle++ {
 		if cycle > 0 {
 			// A previous holder may have published between our last poll and
-			// now; re-check before contending for the lease. The fresh load
-			// bypasses the negative cache: the whole point of polling is to
-			// see another process's publish immediately.
-			if vals, ok := t.disk.loadAddrFresh(addr); ok {
+			// now; re-check before contending for the lease.
+			if vals, ok := t.disk.LoadAddr(addr); ok {
 				csp.Attr("outcome", "wait-hit")
 				t.count(func(s *TieredStats) { s.WaitHits++ })
 				return vals, true
@@ -187,11 +185,10 @@ func (t *Tiered) Load(ctx context.Context, key string) ([]float64, bool) {
 		won, deadline := t.disk.Claim(addr, t.opt.Owner, t.opt.LeaseTTL)
 		if won {
 			// A holder may have published and released between this
-			// replica's miss (possibly a negative-cache answer) and its
-			// claim. A holder publishes before it releases, so one fresh
-			// read after winning sees that result; solving instead would
-			// solve the key twice fleet-wide.
-			if vals, ok := t.disk.loadAddrFresh(addr); ok {
+			// replica's miss and its claim. A holder publishes before it
+			// releases, so one fresh read after winning sees that result;
+			// solving instead would solve the key twice fleet-wide.
+			if vals, ok := t.disk.LoadAddr(addr); ok {
 				t.disk.Unclaim(addr, t.opt.Owner)
 				csp.Attr("outcome", "wait-hit")
 				t.count(func(s *TieredStats) { s.WaitHits++ })
@@ -205,7 +202,7 @@ func (t *Tiered) Load(ctx context.Context, key string) ([]float64, bool) {
 		released := false
 		for time.Now().Before(deadline) {
 			time.Sleep(t.opt.Poll)
-			if vals, ok := t.disk.loadAddrFresh(addr); ok {
+			if vals, ok := t.disk.LoadAddr(addr); ok {
 				csp.Attr("outcome", "wait-hit")
 				t.count(func(s *TieredStats) { s.WaitHits++ })
 				return vals, true
@@ -246,11 +243,6 @@ func (t *Tiered) SaveLinked(key string, vals []float64, parentKey string) error 
 	}
 	return err
 }
-
-// PinKey pins the disk entry under key against Prune eviction (see
-// Store.PinKey); the returned release is idempotent. Remote tiers have no
-// local eviction to pin against.
-func (t *Tiered) PinKey(key string) func() { return t.disk.PinKey(key) }
 
 // Abandon releases this replica's claim on a key whose solve produced no
 // result — it errored, was canceled, or the point was infeasible.

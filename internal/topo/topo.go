@@ -50,46 +50,21 @@ func (c VL2Config) NumAggs() int { return c.DI }
 // NumCores returns the number of core switches (= DA/2).
 func (c VL2Config) NumCores() int { return c.DA / 2 }
 
-// VL2 builds the standard VL2 topology. Node order: ToRs, then aggregation
-// switches, then cores. Each ToR's two uplinks go to a distinct round-robin
-// pair of aggregation switches, balancing ToR load across the aggregation
-// layer as in the deployed design.
+// VL2 builds the standard VL2 topology: VL2WithToRs at the designed
+// DA·DI/4 ToRs.
 func VL2(cfg VL2Config) (*graph.Graph, error) {
-	cfg = cfg.withDefaults()
-	if cfg.DA < 2 || cfg.DA%2 != 0 || cfg.DI < 2 {
-		return nil, fmt.Errorf("topo: invalid VL2 config DA=%d DI=%d", cfg.DA, cfg.DI)
-	}
-	nTor, nAgg, nCore := cfg.NumToRs(), cfg.NumAggs(), cfg.NumCores()
-	g := graph.New(nTor + nAgg + nCore)
-	agg := func(i int) int { return nTor + i }
-	core := func(i int) int { return nTor + nAgg + i }
-	for t := 0; t < nTor; t++ {
-		g.SetServers(t, cfg.ServersPerToR)
-		a1 := (2 * t) % nAgg
-		a2 := (2*t + 1) % nAgg
-		if a1 == a2 { // nAgg == 1 cannot host two distinct uplinks
-			return nil, fmt.Errorf("topo: VL2 needs DI >= 2 distinct aggregation switches")
-		}
-		g.AddLink(t, agg(a1), cfg.UplinkCap)
-		g.AddLink(t, agg(a2), cfg.UplinkCap)
-	}
-	for i := 0; i < nAgg; i++ {
-		for j := 0; j < nCore; j++ {
-			g.AddLink(agg(i), core(j), cfg.UplinkCap)
-		}
-	}
-	return g, nil
+	return VL2WithToRs(cfg, cfg.NumToRs())
 }
 
-// VL2WithToRs builds VL2 with an arbitrary ToR count on the cfg fabric
-// (round-robin uplinks over aggregation pairs), allowing under- and
-// oversubscription relative to the designed DA·DI/4 — the §7 capacity
-// search probes exactly this family.
+// VL2WithToRs builds VL2 with an arbitrary ToR count on the cfg fabric,
+// allowing under- and oversubscription relative to the designed DA·DI/4 —
+// the §7 capacity search probes exactly this family. Node order: ToRs,
+// then aggregation switches, then cores. Each ToR's two uplinks go to a
+// distinct round-robin pair of aggregation switches (DI ≥ 2 keeps the
+// pair distinct), balancing ToR load across the aggregation layer as in
+// the deployed design.
 func VL2WithToRs(cfg VL2Config, tors int) (*graph.Graph, error) {
 	cfg = cfg.withDefaults()
-	if tors == cfg.NumToRs() {
-		return VL2(cfg)
-	}
 	if cfg.DA < 2 || cfg.DA%2 != 0 || cfg.DI < 2 {
 		return nil, fmt.Errorf("topo: invalid VL2 config DA=%d DI=%d", cfg.DA, cfg.DI)
 	}
