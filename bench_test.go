@@ -56,6 +56,7 @@ func BenchmarkSolverEpsilon(b *testing.B)      { benchsuite.Run(b, "SolverEpsilo
 func BenchmarkSolverRepair(b *testing.B)       { benchsuite.Run(b, "SolverRepair") }
 func BenchmarkSolverWarmStart(b *testing.B)    { benchsuite.Run(b, "SolverWarmStart") }
 func BenchmarkScenarioCache(b *testing.B)      { benchsuite.Run(b, "ScenarioCache") }
+func BenchmarkScenarioGrid(b *testing.B)       { benchsuite.Run(b, "ScenarioGrid") }
 func BenchmarkStoreColdWarm(b *testing.B)      { benchsuite.Run(b, "StoreColdWarm") }
 func BenchmarkRemoteStore(b *testing.B)        { benchsuite.Run(b, "RemoteStore") }
 func BenchmarkServeEvalWarm(b *testing.B)      { benchsuite.Run(b, "ServeEvalWarm") }

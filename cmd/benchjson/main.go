@@ -17,9 +17,12 @@
 // same delta-shaped points solved cold vs warm-started from the parent's
 // stored witness; the ladder's ≥3× cold/warm speedup is enforced by the
 // run itself, baseline or not), the scenario engine's solve cache (cold
-// vs warm repeated-instance sweep), the persistent result store (cold process vs warm restart over
-// a primed store directory), the remote store client (a Load round trip
-// against a warm peer, clean vs through the chaos injector), the
+// vs warm repeated-instance sweep), the cold engine rung
+// (ScenarioGrid/sweep: one grid line of perfbench sweep's rrg family on a
+// fresh engine), the persistent result store (cold process vs warm
+// restart over a primed store directory), the remote store client (a
+// Load round trip against a warm peer, clean vs through the chaos
+// injector), the
 // shortest-path tree rung (GraphTree/dual/rrg: the solver's early-exit
 // rebuilds under a solved dual, heap vs bucket queue), the
 // bisection-bandwidth estimator, two representative figure runners in
@@ -82,7 +85,7 @@ var snapshotNames = []string{
 	"SolverScale/n=20", "SolverScale/n=40", "SolverScale/n=80",
 	"SolverEpsilon/eps=0.2", "SolverEpsilon/eps=0.1", "SolverEpsilon/eps=0.05",
 	"SolverRepair/n=400/repair", "SolverRepair/n=400/rebuild",
-	"ScenarioCache/cold", "ScenarioCache/warm",
+	"ScenarioCache/cold", "ScenarioCache/warm", "ScenarioGrid/sweep",
 	"StoreColdWarm/cold", "StoreColdWarm/warm",
 	"RemoteStore/clean", "RemoteStore/faulty",
 	"SolverWarmStart/ladder/cold", "SolverWarmStart/ladder/warm",

@@ -190,14 +190,17 @@
 // switches; ROADMAP.md records the ablation that keeps each of them.
 //
 // Experiment layer. internal/runner's Map is what the scenario engine maps
-// its points, their runs, and the bisection trials inside them onto. Every
-// task seeds its RNG deterministically from (Options.Seed, point index)
-// and results are reduced in grid order, so parallel output is
-// byte-identical to serial output. One process-wide weighted semaphore is
-// the only concurrency bound: total in-flight work stays within
-// runner.SetMaxInFlight (GOMAXPROCS by default) no matter how grids, runs,
-// and trials nest, and topobench's -workers sets it (-workers 1 is serial
-// everywhere). Each figure in internal/experiments is one engine call. A
+// a grid onto: every (point, run) pair is one task of one flat Map, in
+// point-major order, so the runs of all points share the workers, and
+// bisection trials nest inside a run. A point's cache lookup runs once,
+// when its first run starts, and its store write once, when its last run
+// ends. Every task seeds its RNG deterministically from (Options.Seed,
+// point index) and results are reduced in grid order, so parallel output
+// is byte-identical to serial output. One process-wide weighted
+// semaphore is the only concurrency bound: total in-flight work stays
+// within runner.SetMaxInFlight (GOMAXPROCS by default) no matter how
+// grids, runs, and trials nest, and topobench's -workers sets it
+// (-workers 1 is serial everywhere). Each figure in internal/experiments is one engine call. A
 // runner with a family of curves lays every (curve, x) point out flat,
 // measures them all at once, and folds the stats back into series in
 // curve order, an infeasible point dropping from its own curve only; one

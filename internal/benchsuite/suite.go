@@ -54,6 +54,7 @@ var Suite = []Bench{
 	{"SolverRepair/n=400/rebuild", repair(400, 6, false)},
 	{"ScenarioCache/cold", scenarioCache(false)},
 	{"ScenarioCache/warm", scenarioCache(true)},
+	{"ScenarioGrid/sweep", scenarioGrid},
 	{"StoreColdWarm/cold", storeColdWarm(false)},
 	{"StoreColdWarm/warm", storeColdWarm(true)},
 	{"RemoteStore/clean", remoteStore(false)},
@@ -331,6 +332,24 @@ func scenarioCache(warm bool) func(*testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			run(e)
+		}
+	}
+}
+
+// scenarioGrid is the cold engine rung: one op evaluates one grid line
+// of perfbench sweep's rrg family (3 points × 2 runs) on a fresh
+// scenario.Engine with an empty cache, as the batch figure path does. Its
+// six runs are independent solves, so `go test -bench ScenarioGrid -cpu
+// 1,2` shows how the engine packs a grid's runs onto the workers.
+func scenarioGrid(b *testing.B) {
+	grid, err := scenario.ParseGrid("topo=rrg:n=20,deg=6,sps=3 traffic=permutation eval=mcf sweep=deg:4..8:2 runs=2")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := grid.Run(&scenario.Engine{Cache: scenario.NewCache(), SkipInfeasible: true}); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

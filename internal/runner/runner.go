@@ -8,8 +8,9 @@
 // point index), and reduce the returned slice serially in index order — so
 // parallel output is byte-identical to a serial run of the same grid.
 //
-// Maps nest freely: the scenario engine maps a grid's points, each point
-// its runs, and a run may map bisection trials. One process-wide weighted
+// Maps nest freely: the scenario engine maps a grid's (point, run) pairs
+// as one flat Map, a run may map bisection trials, and a point may map the
+// one-point grid of its warm-start parent. One process-wide weighted
 // semaphore is the only concurrency bound: it caps the TOTAL in-flight
 // work across all nesting levels at SetMaxInFlight (default GOMAXPROCS).
 // The calling goroutine of every Map always works inline — it already owns

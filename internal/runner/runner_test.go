@@ -119,8 +119,8 @@ func TestSetMaxInFlightDefault(t *testing.T) {
 }
 
 // TestNestedMapsBounded: with the shared semaphore capped at w, nested
-// Maps (grid × runs, like every figure runner) must never have more than w
-// tasks executing simultaneously.
+// Maps (a grid's runs, each mapping bisection trials, say) must never
+// have more than w tasks executing simultaneously.
 func TestNestedMapsBounded(t *testing.T) {
 	const cap = 4
 	SetMaxInFlight(cap)

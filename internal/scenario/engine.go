@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime/debug"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -79,12 +81,12 @@ type Stat struct {
 	OK                  bool
 }
 
-// Engine executes scenario points on the shared runner substrate: points
-// and their runs map concurrently, bounded in total by the process-wide
-// runner.SetMaxInFlight (1 runs everything serially). Output is
-// byte-identical at every bound — every run's RNG derives from (Seed,
-// SeedFactor, run index) and reductions are serial in index order. The
-// zero value runs without a cache.
+// Engine executes scenario points on the shared runner substrate: a
+// grid's (point, run) pairs map concurrently as one flat schedule, bounded
+// in total by the process-wide runner.SetMaxInFlight (1 runs everything
+// serially). Output is byte-identical at every bound — every run's RNG
+// derives from (Seed, SeedFactor, run index) and reductions are serial in
+// index order. The zero value runs without a cache.
 type Engine struct {
 	// Cache, when non-nil, memoizes per-point run values by content
 	// address, so sweeps and figures sharing instances never re-solve.
@@ -152,9 +154,9 @@ func infeasible(err error) bool {
 	return errors.Is(err, hetero.ErrInfeasiblePoint) || errors.Is(err, rrg.ErrInfeasible)
 }
 
-// Measure evaluates every point and summarizes its runs. Points run
-// concurrently, runs concurrently within each point, all bounded by the
-// process-wide runner semaphore.
+// Measure evaluates every point and summarizes its runs. Every (point,
+// run) pair is one task on the flat schedule (see MeasureRunsProgress),
+// bounded by the process-wide runner semaphore.
 func (e *Engine) Measure(pts []Point) ([]Stat, error) {
 	vals, err := e.MeasureRuns(pts)
 	if err != nil {
@@ -175,13 +177,21 @@ func (e *Engine) MeasureRuns(pts []Point) ([][]float64, error) {
 }
 
 // ProgressFunc observes grid progress: done points completed out of total.
-// Calls arrive from worker goroutines (serialized per call site, but the
-// callback must be safe against concurrent invocation) and must be cheap —
-// a slow callback stalls point completion.
+// Calls come from worker goroutines and may overlap, so done values can
+// arrive out of order; each arrives at most once, and all of 1..total do
+// when every point completes. The callback must be safe for concurrent
+// use and cheap — a slow callback stalls the worker that calls it.
 type ProgressFunc func(done, total int)
 
 // MeasureRunsProgress is MeasureRuns under a context, with an optional
 // per-point progress callback.
+//
+// The grid's (point, run) pairs are one runner.Map in point-major order,
+// so the runs of every point share the workers. A point's begin step
+// (its cache lookup, which may take a claim lease, then prepareWarm) runs
+// once, when its first run starts; its other runs wait for it. Its finish
+// step (Cache.Put or Abandon, the end of its trace span, the progress
+// tick) runs once, by the last of its runs to end.
 //
 // Once ctx is done, no new point or run starts, in-flight flow solves
 // abort at their next phase boundary (mcf.Options.Cancel), and the
@@ -196,29 +206,38 @@ type ProgressFunc func(done, total int)
 // skips count — every point resolves exactly once). The async job API
 // threads its progress persistence through here.
 func (e *Engine) MeasureRunsProgress(ctx context.Context, pts []Point, progress ProgressFunc) ([][]float64, error) {
-	var completed atomic.Int64
 	if progress != nil {
 		progress(0, len(pts))
 	}
-	vals, err := runner.Map(len(pts), func(i int) ([]float64, error) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		vals, err := e.runPoint(ctx, pts[i])
-		if err != nil {
-			// Report the cancellation itself, not the per-point error it
-			// surfaced as, so callers can errors.Is it.
-			if cerr := ctx.Err(); cerr != nil {
-				return nil, cerr
+	ev := make([]pointEval, len(pts))
+	var completed atomic.Int64
+	return flatRuns(pts, pointSteps[float64]{
+		begin: func(i int) ([]float64, bool, error) {
+			return e.beginPoint(ctx, pts[i], &ev[i])
+		},
+		run: func(i, r int) (float64, error) {
+			if err := ctx.Err(); err != nil {
+				return 0, err
 			}
-			return nil, fmt.Errorf("scenario: point %d (%s): %w", i, pts[i].Key(), err)
-		}
-		if progress != nil {
-			progress(int(completed.Add(1)), len(pts))
-		}
-		return vals, nil
+			v, _, err := e.oneRun(ev[i].ctx, pts[i], r, false, ev[i].pw)
+			return v, err
+		},
+		finish: func(i int, vals []float64, err error) ([]float64, error) {
+			vals, err = e.finishPoint(&ev[i], vals, err)
+			if err != nil {
+				// Report the cancellation itself, not the per-point error it
+				// surfaced as, so callers can errors.Is it.
+				if cerr := ctx.Err(); cerr != nil {
+					return nil, cerr
+				}
+				return nil, fmt.Errorf("scenario: point %d (%s): %w", i, pts[i].Key(), err)
+			}
+			if progress != nil {
+				progress(int(completed.Add(1)), len(pts))
+			}
+			return vals, nil
+		},
 	})
-	return vals, err
 }
 
 // MeasureOne evaluates a single point (the adaptive-search building block;
@@ -231,55 +250,223 @@ func (e *Engine) MeasureOne(p Point) (Stat, error) {
 	return stats[0], nil
 }
 
-func (e *Engine) runPoint(ctx context.Context, p Point) ([]float64, error) {
-	key := ""
+// pointEval is what a point's begin step leaves for its runs and its
+// finish step.
+type pointEval struct {
+	key string
+	// ctx carries the point's trace span, the parent of its runs' spans.
+	ctx  context.Context
+	span trace.Span
+	// missed is set when the cache lookup missed: exactly one Put or
+	// Abandon follows.
+	missed bool
+	pw     *pointWarm
+}
+
+// beginPoint is a point's begin step: it opens the point's span, looks
+// the point up in the cache and, on a miss, prepares its warm start. done
+// means the lookup hit: vals are the point's values and no run solves.
+func (e *Engine) beginPoint(ctx context.Context, p Point, pe *pointEval) (vals []float64, done bool, err error) {
+	if err := ctx.Err(); err != nil {
+		return nil, false, err
+	}
 	if p.Topo.Spec() != "" {
-		key = p.Key()
+		pe.key = p.Key()
 	}
+	pe.ctx = ctx
 	if sp := trace.StartSpan(ctx, "point"); sp.OK() {
-		sp.Attr("key", key)
-		ctx = trace.ContextWithSpan(ctx, sp)
-		defer sp.End()
+		sp.Attr("key", pe.key)
+		pe.span, pe.ctx = sp, trace.ContextWithSpan(ctx, sp)
 	}
-	if e.Cache != nil && key != "" {
-		if vals, ok := e.Cache.Get(ctx, key); ok {
-			return vals, nil
+	if e.Cache != nil && pe.key != "" {
+		if vals, ok := e.Cache.Get(pe.ctx, pe.key); ok {
+			return vals, true, nil
+		}
+		pe.missed = true
+	}
+	pe.pw = e.prepareWarm(pe.ctx, p, pe.key)
+	return nil, false, nil
+}
+
+// finishPoint is a point's finish step: it stores the point's values, or
+// abandons its key when err (its lowest failing run's error) means there
+// is nothing to store, and ends the point's span. An infeasible point
+// under SkipInfeasible reports nil values and no error.
+func (e *Engine) finishPoint(pe *pointEval, vals []float64, err error) ([]float64, error) {
+	defer pe.span.End()
+	if pe.missed {
+		if err != nil {
+			// No Put will follow, so release any claim lease Get acquired
+			// for this key — a failed, canceled, infeasible or cut-short
+			// solve must not park fleet peers until the lease expires.
+			e.Cache.Abandon(pe.key)
+		} else {
+			parentKey := ""
+			if pe.pw != nil {
+				parentKey = pe.pw.parentKey
+			}
+			e.Cache.Put(pe.key, vals, parentKey)
 		}
 	}
-	pw := e.prepareWarm(ctx, p, key)
-	vals, err := runner.Map(p.runs(), func(i int) (float64, error) {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		v, _, err := e.oneRun(ctx, p, i, false, pw)
-		return v, err
-	})
 	if err != nil {
-		// No Put will follow, so release any claim lease Get acquired for
-		// this key — a failed, canceled, or infeasible solve must not park
-		// fleet peers until the lease expires.
-		if e.Cache != nil && key != "" {
-			e.Cache.Abandon(key)
-		}
 		if e.SkipInfeasible && infeasible(err) {
 			return nil, nil
 		}
 		return nil, err
 	}
-	if e.Cache != nil && key != "" {
-		parentKey := ""
-		if pw != nil {
-			parentKey = pw.parentKey
-		}
-		e.Cache.Put(key, vals, parentKey)
-	}
 	return vals, nil
 }
 
-// pointWarm is the per-point warm-start plan prepareWarm assembles for
-// runPoint: the parent's identity and per-run witnesses. The witnesses
-// are the caller's own copies (Cache.Get returns slices the caller owns),
-// so an eviction after prepareWarm cannot touch them.
+// pointSteps are the steps a flat schedule takes for each point. begin
+// runs once per point, by the first of its runs to start, while the
+// point's other runs wait; it may settle the point before any run solves,
+// with done (vals are the point's values) or an error (the point fails).
+// run evaluates run r of point i. finish runs exactly once for every point
+// whose begin started, with the point's values or the error of its lowest
+// failing run (the values are then incomplete), and returns what the point
+// reports.
+type pointSteps[T any] struct {
+	begin  func(i int) (vals []T, done bool, err error)
+	run    func(i, r int) (T, error)
+	finish func(i int, vals []T, err error) ([]T, error)
+}
+
+// errCutShort is the error a point's finish step gets when not all of
+// its runs ended: its begin step panicked, or runner.Map skipped some of
+// its runs after a lower point failed.
+var errCutShort = errors.New("scenario: point cut short")
+
+// pointRuns is one point's share of a flat schedule.
+type pointRuns[T any] struct {
+	once  sync.Once
+	begun bool // set as the begin step starts
+
+	mu sync.Mutex
+	// Runs below stop solve. It is -1 until the begin step returns without
+	// settling the point, then the run count, and a failing run lowers it
+	// to its own index; err is the lowest failing run's error.
+	stop int
+	err  error
+	vals []T
+	// left counts the runs that have not ended.
+	left int
+	// over is set as the finish step starts.
+	over bool
+}
+
+// flatRuns evaluates every (point, run) pair of pts as one runner.Map in
+// point-major order, so a grid's runs fill every worker: the last point's
+// runs do not go serial on one worker while the others idle. Under
+// runner.SetMaxInFlight(1) the tasks run inline in index order — each
+// point's begin, its runs in order, its finish — the order of a serial
+// loop over points and runs.
+//
+// Errors resolve as in that loop. A run's panic is its failure, a
+// *runner.Panic. Within a point the lowest failing run decides, and runs
+// above a known failure are skipped. The finish step runs on every
+// failure, and a deciding panic is re-raised after it, so it still
+// reaches the caller as a *runner.Panic. Across points the lowest failing
+// point decides: a point's failure is reported by its finishing run, at
+// an index inside the point's own range. Every point whose begin started
+// gets exactly one finish. A point cut short, by a panic in its begin step
+// or by runner.Map skipping its runs after a lower point failed, finishes
+// with errCutShort once the Map has returned.
+func flatRuns[T any](pts []Point, s pointSteps[T]) ([][]T, error) {
+	if len(pts) == 0 {
+		return nil, nil
+	}
+	// start[i] is the flat index of point i's run 0.
+	start := make([]int, len(pts)+1)
+	st := make([]pointRuns[T], len(pts))
+	for i, p := range pts {
+		n := p.runs()
+		start[i+1] = start[i] + n
+		st[i].stop, st[i].vals, st[i].left = -1, make([]T, n), n
+	}
+	defer func() {
+		for i := range st {
+			if st[i].begun && !st[i].over {
+				s.finish(i, nil, errCutShort)
+			}
+		}
+	}()
+	out := make([][]T, len(pts))
+	_, err := runner.Map(start[len(pts)], func(k int) (struct{}, error) {
+		i := sort.SearchInts(start, k+1) - 1
+		r := k - start[i]
+		ps := &st[i]
+		// Once orders the begin step before every run of the point, so its
+		// writes need no lock.
+		ps.once.Do(func() {
+			ps.begun = true
+			vals, done, err := s.begin(i)
+			switch {
+			case err != nil:
+				ps.err = err
+			case done:
+				ps.vals = vals
+			default:
+				ps.stop = len(ps.vals)
+			}
+		})
+		ps.mu.Lock()
+		solve := r < ps.stop
+		ps.mu.Unlock()
+		var (
+			v    T
+			rerr error
+		)
+		if solve {
+			v, rerr = runGuarded(s.run, i, r)
+		}
+		ps.mu.Lock()
+		switch {
+		case rerr != nil && r < ps.stop:
+			ps.stop, ps.err = r, rerr
+		case solve && rerr == nil:
+			ps.vals[r] = v
+		}
+		ps.left--
+		last := ps.left == 0
+		ps.mu.Unlock()
+		if !last {
+			return struct{}{}, nil
+		}
+		ps.over = true
+		vals, err := s.finish(i, ps.vals, ps.err)
+		if p, ok := ps.err.(*runner.Panic); ok {
+			panic(p)
+		}
+		out[i] = vals
+		return struct{}{}, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// runGuarded runs run r of point i and returns its panic, if any, as the
+// run's failure: a *runner.Panic with the value and the stack, as
+// runner.Map would re-raise it. A *runner.Panic from a nested Map passes
+// through as it is.
+func runGuarded[T any](run func(i, r int) (T, error), i, r int) (v T, err error) {
+	defer func() {
+		if x := recover(); x != nil {
+			p, ok := x.(*runner.Panic)
+			if !ok {
+				p = &runner.Panic{Value: x, Stack: debug.Stack()}
+			}
+			err = p
+		}
+	}()
+	return run(i, r)
+}
+
+// pointWarm is the per-point warm-start plan prepareWarm assembles in a
+// point's begin step: the parent's identity and per-run witnesses. The
+// witnesses are the caller's own copies (Cache.Get returns slices the
+// caller owns), so an eviction after prepareWarm cannot touch them.
 type pointWarm struct {
 	parentKey  string
 	kind       parentKind
@@ -344,11 +531,12 @@ func (e *Engine) prepareWarm(ctx context.Context, p Point, key string) *pointWar
 	return nil
 }
 
-// materializeParent solves the parent point so its witnesses land in the
-// cache, deduplicating concurrent requests per parent key. The solve's
-// error (if any) is deliberately dropped: the children fall back to cold
-// solves and the error resurfaces if the parent point is ever evaluated
-// in its own right.
+// materializeParent solves the parent point, as a one-point grid on the
+// same flat schedule, so its witnesses land in the cache, deduplicating
+// concurrent requests per parent key. The solve's error (if any) is
+// deliberately dropped: the children fall back to cold solves and the
+// error resurfaces if the parent point is ever evaluated in its own
+// right.
 func (e *Engine) materializeParent(ctx context.Context, pp Point, parentKey string) {
 	msp := trace.StartSpan(ctx, "warm.materialize")
 	defer msp.End()
@@ -373,29 +561,34 @@ func (e *Engine) materializeParent(ctx context.Context, pp Point, parentKey stri
 		e.warmMu.Unlock()
 		wg.Done()
 	}()
-	_, _ = e.runPoint(ctx, pp)
+	_, _ = e.MeasureRunsProgress(ctx, []Point{pp}, nil)
 }
 
 // MeasureDetailed evaluates every point keeping each run's full result
-// (requires the evaluator to implement DetailedEvaluator). Details hold
-// graphs and flow results, so they are never cached.
+// (requires the evaluator to implement DetailedEvaluator), on the same
+// flat schedule as MeasureRunsProgress. Details hold graphs and flow
+// results, so they are never cached.
 func (e *Engine) MeasureDetailed(pts []Point) ([][]Detail, error) {
-	return runner.Map(len(pts), func(i int) ([]Detail, error) {
-		p := pts[i]
-		if _, ok := p.Eval.(DetailedEvaluator); !ok {
-			return nil, fmt.Errorf("scenario: evaluator %s has no detailed mode", p.Eval.Spec())
-		}
-		dets, err := runner.Map(p.runs(), func(run int) (Detail, error) {
-			_, d, err := e.oneRun(context.Background(), p, run, true, nil)
+	return flatRuns(pts, pointSteps[Detail]{
+		begin: func(i int) ([]Detail, bool, error) {
+			if _, ok := pts[i].Eval.(DetailedEvaluator); !ok {
+				return nil, false, fmt.Errorf("evaluator %s has no detailed mode", pts[i].Eval.Spec())
+			}
+			return nil, false, nil
+		},
+		run: func(i, r int) (Detail, error) {
+			_, d, err := e.oneRun(context.Background(), pts[i], r, true, nil)
 			return d, err
-		})
-		if err != nil {
+		},
+		finish: func(i int, dets []Detail, err error) ([]Detail, error) {
+			if err == nil {
+				return dets, nil
+			}
 			if e.SkipInfeasible && infeasible(err) {
 				return nil, nil
 			}
-			return nil, fmt.Errorf("scenario: point %d (%s): %w", i, p.Key(), err)
-		}
-		return dets, nil
+			return nil, fmt.Errorf("scenario: point %d (%s): %w", i, pts[i].Key(), err)
+		},
 	})
 }
 

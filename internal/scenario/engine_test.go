@@ -5,6 +5,9 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strconv"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/graph"
@@ -437,4 +440,81 @@ func (adHoc) Build(rng *rand.Rand) (*graph.Graph, error) {
 	cfg := hetero.Config{NumLarge: 4, NumSmall: 4, PortsLarge: 6, PortsSmall: 6, Servers: 8,
 		ServersPerLarge: -1, ServersPerSmall: -1, ServerRatio: 1}
 	return hetero.Build(rng, cfg)
+}
+
+// shareEval is TestGridRunsShareWorkers' evaluator: point 0's first run
+// parks until a run of point 1 has started, and each run of point 1 waits
+// until both of point 1's runs are in flight.
+type shareEval struct {
+	point int
+	s     *shareState
+}
+
+type shareState struct {
+	t                   *testing.T
+	p0Runs, p1Runs      atomic.Int32
+	p1Started, p1InBoth chan struct{}
+	startOnce           sync.Once
+}
+
+func (e shareEval) Spec() string { return "shareeval:" + strconv.Itoa(e.point) }
+
+func (e shareEval) Evaluate(*EvalContext) (float64, error) {
+	s := e.s
+	if e.point == 0 {
+		if s.p0Runs.Add(1) == 1 {
+			awaitClose(s.t, s.p1Started, "a run of point 1 to start")
+		}
+		return 1, nil
+	}
+	s.startOnce.Do(func() { close(s.p1Started) })
+	if s.p1Runs.Add(1) == 2 {
+		close(s.p1InBoth)
+	}
+	awaitClose(s.t, s.p1InBoth, "both runs of point 1 to be in flight")
+	return 1, nil
+}
+
+func (e shareEval) EvaluateDetailed(ctx *EvalContext) (Detail, error) {
+	v, err := e.Evaluate(ctx)
+	return Detail{Value: v}, err
+}
+
+// sharePoints is a fresh 2 points × 2 runs grid of shareEval points.
+func sharePoints(t *testing.T) []Point {
+	s := &shareState{t: t, p1Started: make(chan struct{}), p1InBoth: make(chan struct{})}
+	return []Point{
+		{Topo: stubTopo{}, Eval: shareEval{point: 0, s: s}, Seed: 1, Runs: 2},
+		{Topo: stubTopo{}, Eval: shareEval{point: 1, s: s}, Seed: 1, Runs: 2},
+	}
+}
+
+// TestGridRunsShareWorkers: a grid's runs are one schedule, so under a
+// bound of 2 a worker that finishes point 0's second run moves on to
+// point 1 while point 0's first run is still parked, and point 1's two
+// runs then share both workers. A schedule of points, each mapping its
+// own runs, holds point 1's runs on one worker in turn.
+func TestGridRunsShareWorkers(t *testing.T) {
+	runner.SetMaxInFlight(2)
+	defer runner.SetMaxInFlight(0)
+	t.Run("MeasureRuns", func(t *testing.T) {
+		vals, err := (&Engine{}).MeasureRuns(sharePoints(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := [][]float64{{1, 1}, {1, 1}}; !reflect.DeepEqual(vals, want) {
+			t.Fatalf("values %v, want %v", vals, want)
+		}
+	})
+	t.Run("MeasureDetailed", func(t *testing.T) {
+		dets, err := (&Engine{}).MeasureDetailed(sharePoints(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, runs := range dets {
+			if len(runs) != 2 || runs[0].Value != 1 || runs[1].Value != 1 {
+				t.Fatalf("point %d details %+v, want two runs of value 1", i, runs)
+			}
+		}
+	})
 }
