@@ -152,14 +152,16 @@
 // rather than recomputing the full cut capacity per pair.
 //
 // Phase-start tree prebuild. A solve runs on the calling goroutine. At
-// each phase start, mcf.Solve finds every source whose tree the phase is
-// about to refresh anyway (the same (1+ε) staleness test the routing loop
-// applies) and refreshes them all up front against the frozen phase-start
-// length function — one persistent scratch per source, with the pass's
-// counters and kill switches reduced in source order after it. Routing
-// then proceeds against those trees. (A concurrent pass measured no faster
-// on two cores and cost more CPU per solve; ROADMAP.md records the
-// ablation.) Each rebuild also
+// each phase start, mcf.Solve walks the sources in order and refreshes,
+// against the frozen phase-start length function, every tree the phase
+// is about to refresh anyway (the routing loop's (1+ε) staleness test,
+// summed along each path in the opposite direction). Each refresh is the
+// routing loop's own, one persistent scratch per source; the pass's
+// counters accumulate in source order as it runs, and the kill switches
+// they trip are held until the pass ends, so every refresh in it sees
+// the phase-start switches. Routing then proceeds against those trees.
+// (A concurrent pass measured no faster on two cores and cost more CPU
+// per solve; ROADMAP.md records the ablation.) Each rebuild also
 // picks its traversal adaptively: when the phase's length spread max/min
 // is small — the early/mid-solve regime, where Garg–Könemann lengths are
 // still near-uniform — a monotone bucket-queue Dijkstra

@@ -1,9 +1,10 @@
 // Determinism of the solver: a solve runs on the calling goroutine, every
 // tree the phase-start prebuild refreshes is computed against the frozen
-// phase-start length function, and all shared counters are reduced in
-// source order after the pass — so solving the same instance twice must
-// give byte-identical output. This is the contract that lets the golden
-// figure tests stay byte-for-byte across runs and machines.
+// phase-start length function, and the pass updates the shared counters
+// in source order with its kill-switch trips held until it ends — so
+// solving the same instance twice must give byte-identical output. This
+// is the contract that lets the golden figure tests stay byte-for-byte
+// across runs and machines.
 package mcf_test
 
 import (

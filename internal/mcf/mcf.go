@@ -232,7 +232,7 @@ func Solve(g *graph.Graph, flows []traffic.Flow, opt Options) (*Result, error) {
 			if s.warm {
 				target, gap = s.bestBound, 3*eps
 			}
-			if s.primal() >= (1-gap)*target {
+			if throughput, _ := s.primal(); throughput >= (1-gap)*target {
 				break
 			}
 		}
@@ -296,20 +296,16 @@ type state struct {
 	// repair is switched off for the rest of the solve and tree builds
 	// return to early-exiting Dijkstras.
 	builds, repairs, repairTries int
+	// held defers the kill switches (see tripSwitches) while the
+	// phase-start prebuild runs; prebuilds counts that pass's refreshes.
+	held      bool
+	prebuilds int
 
 	// Wall-clock phase telemetry for Result.Timing: startedAt stamps
 	// state construction; prebuildNanos/routeNanos split each phase
 	// between the prebuild pass and the routing loop.
 	startedAt                 time.Time
 	prebuildNanos, routeNanos int64
-
-	// Phase-start prebuild (see prebuildTrees): staleSrcs and staleStats
-	// are the reusable per-phase lists of the positions in srcs of the
-	// sources whose trees the phase refreshes up front and of those
-	// refreshes' outcomes; prebuilds counts the refreshes.
-	staleSrcs  []int
-	staleStats []prebuildStats
-	prebuilds  int
 
 	// Per-phase traversal choice (see choosePhaseTraversal): phaseDelta is
 	// the bucket width derived from the phase-start length function,
@@ -571,11 +567,13 @@ func (s *state) runTree(t *srcTree, sc *source) (bucket, bailed bool, rebases in
 }
 
 // noteBucket folds one construction's traversal stats into the solve and
-// trips the kill switches when the bucket path keeps losing: persistent
-// window rebases mean the length spread outgrew the resident window, and
-// bails mean mid-phase length growth pushed distances past what the
-// phase-start bucket width can index at all (each bail already cost a
-// wasted partial traversal before the heap rerun, so two are enough).
+// trips the bucket kill switch when the bucket path keeps losing:
+// persistent window rebases mean the length spread outgrew the resident
+// window, and bails mean mid-phase length growth pushed distances past
+// what the phase-start bucket width can index at all (each bail already
+// cost a wasted partial traversal before the heap rerun, so two are
+// enough). The trip is sticky from the first construction that crosses
+// either limit, even if later ones bring the rebase ratio back under.
 func (s *state) noteBucket(bucket, bailed bool, rebases int) {
 	if !bucket {
 		return
@@ -584,14 +582,32 @@ func (s *state) noteBucket(bucket, bailed bool, rebases int) {
 		s.bucketBails++
 		if s.bucketBails >= 2 {
 			s.noBucket = true
-			s.useBucket = false
 		}
+	} else {
+		s.bucketBuilds++
+		s.bucketRebases += rebases
+		if s.bucketBuilds >= bucketMinRuns && s.bucketRebases > bucketRebaseBudget*s.bucketBuilds {
+			s.noBucket = true
+		}
+	}
+	s.tripSwitches()
+}
+
+// tripSwitches applies the adaptive kill switches: repair goes off once
+// it keeps losing (see repairMinTries), and the phase's bucket traversal
+// once noteBucket has tripped noBucket. While the phase-start prebuild
+// holds them it does nothing, so every refresh of that pass sees the
+// phase-start switches; the pass applies them when it ends. Outside the
+// pass it runs after every counter change, so a repeated call with
+// unchanged counters changes nothing.
+func (s *state) tripSwitches() {
+	if s.held {
 		return
 	}
-	s.bucketBuilds++
-	s.bucketRebases += rebases
-	if s.bucketBuilds >= bucketMinRuns && s.bucketRebases > bucketRebaseBudget*s.bucketBuilds {
-		s.noBucket = true
+	if s.repairTries >= repairMinTries && s.repairs*repairWinRatio < s.repairTries {
+		s.noRepair = true
+	}
+	if s.noBucket {
 		s.useBucket = false
 	}
 }
@@ -663,9 +679,7 @@ func (s *state) refreshTree(t *srcTree, sc *source) {
 		t.seq = s.growSeq
 		s.repairs++
 	}
-	if s.repairTries >= repairMinTries && s.repairs*repairWinRatio < s.repairTries {
-		s.noRepair = true
-	}
+	s.tripSwitches()
 	if !ok {
 		s.buildTree(t, sc)
 	}
@@ -673,10 +687,14 @@ func (s *state) refreshTree(t *srcTree, sc *source) {
 
 // phaseStale reports whether sc's tree needs a phase-start refresh: never
 // built, or some requested root path is missing or has outgrown (1+ε) of
-// its at-build length under the phase-start lengths. This is exactly the
-// test the routing loop applies before each piece, so the prebuild
-// refreshes only trees whose first piece of the phase would have forced an
-// in-loop refresh anyway.
+// its at-build length under the phase-start lengths. It is the routing
+// loop's pre-piece test, so the prebuild refreshes only trees whose first
+// piece of the phase would have forced an in-loop refresh anyway, except
+// at the rounding level: this sum walks each path from the destination
+// back to the source, the loop's from the source to the destination, and
+// a path at the (1+ε) edge can come out on either side. The two sums stay
+// separate on purpose: one shared helper changes which trees refresh, and
+// with them the solver's output bytes (the Fig. 2a and 9a goldens move).
 func (s *state) phaseStale(t *srcTree, sc *source) bool {
 	if !t.built {
 		return true
@@ -701,96 +719,29 @@ func (s *state) phaseStale(t *srcTree, sc *source) bool {
 	return false
 }
 
-// prebuildStats is one prebuild refresh's outcome, recorded instead of
-// mutating shared counters so every refresh of the pass sees the same
-// phase-start switches and the reduce runs after the pass.
-type prebuildStats struct {
-	repairTried bool
-	repaired    bool
-	bucket      bool
-	bailed      bool
-	rebases     int
-}
-
-// prebuildOne brings one stale tree current against the frozen phase-start
-// length function. It mirrors refreshTree — same repair attempt, budget,
-// and rebuild fallback — but every shared input (lens, grownAt, growSeq,
-// the phase's traversal choice, the adaptive switches) is read-only here,
-// and it writes only sc's tree.
-func (s *state) prebuildOne(sc *source) prebuildStats {
-	t := sc.tree
-	var st prebuildStats
-	if t.built && t.full && !s.noRepair {
-		seq := t.seq
-		st.repairTried = true
-		if t.scratch.RepairStale(s.lens,
-			func(a int32) bool { return s.grownAt[a] > seq },
-			s.g.N()/repairBudget) {
-			st.repaired = true
-			copy(t.lenAtBuild, s.lens)
-			t.seq = s.growSeq
-			return st
-		}
-	}
-	t.full = !s.noRepair && t.hot
-	st.bucket, st.bailed, st.rebases = s.runTree(t, sc)
-	copy(t.lenAtBuild, s.lens)
-	t.seq = s.growSeq
-	t.built = true
-	return st
-}
-
 // prebuildTrees is the phase-start pass: under the frozen phase-start
-// length function it finds every source whose tree the phase is about to
-// refresh anyway (phaseStale) and refreshes them all up front, one
-// persistent scratch per source, before routing proceeds against those
-// trees. The (1+ε) staleness check in the routing loop still guards every
-// piece, so trees that go stale again mid-phase (from this phase's own
-// routing) are refreshed inside the loop exactly as before.
+// length function it walks the sources in order and refreshes every tree
+// the phase is about to refresh anyway (phaseStale), before routing
+// proceeds against those trees. The pass holds the kill switches: its
+// counters accumulate refresh by refresh, but every refresh in it sees
+// the phase-start switches, and the trips apply when the pass ends. The
+// (1+ε) staleness check in the routing loop still guards every piece, so
+// trees that go stale again mid-phase (from this phase's own routing) are
+// refreshed inside the loop exactly as before.
 func (s *state) prebuildTrees() {
 	if s.shared != nil {
 		return // shared-tree fallback: one slot, nothing persists to refresh
 	}
-	stale := s.staleSrcs[:0]
+	s.held = true
 	for i := range s.srcs {
-		t := s.treeFor(i)
-		if !s.phaseStale(t, &s.srcs[i]) {
-			continue
+		sc := &s.srcs[i]
+		if t := s.treeFor(i); s.phaseStale(t, sc) {
+			s.refreshTree(t, sc)
+			s.prebuilds++
 		}
-		// The phase-start staleness of a previously-built tree counts
-		// toward the heat detector exactly as the phase's first in-loop
-		// refresh would.
-		if t.built {
-			t.phaseOf, t.refreshes = s.phases, 1
-		}
-		stale = append(stale, i)
 	}
-	s.staleSrcs = stale
-	if len(stale) == 0 {
-		return
-	}
-	stats := s.staleStats[:0]
-	for _, i := range stale {
-		stats = append(stats, s.prebuildOne(&s.srcs[i]))
-	}
-	s.staleStats = stats
-	// Reduce in source order after the pass, so every refresh of the pass
-	// saw the phase-start counters and switches.
-	for _, st := range stats {
-		if st.repairTried {
-			s.repairTries++
-		}
-		if st.repaired {
-			s.repairs++
-		} else {
-			s.builds++
-		}
-		s.prebuilds++
-		s.noteBucket(st.bucket, st.bailed, st.rebases)
-	}
-	if s.repairTries >= repairMinTries && s.repairs*repairWinRatio < s.repairTries {
-		s.noRepair = true
-	}
+	s.held = false
+	s.tripSwitches()
 }
 
 // runPhase routes each commodity's full demand once under the current
@@ -937,17 +888,16 @@ func (s *state) walkPath(t *srcTree, dst int) []int32 {
 }
 
 // primal returns the certified-feasible throughput of the flow routed so
-// far: the worst commodity's routed fraction, scaled down by the maximum
-// congestion.
-func (s *state) primal() float64 {
-	var chi float64
+// far, the worst commodity's routed fraction scaled down by the maximum
+// congestion, and that congestion chi (0 while nothing is routed).
+func (s *state) primal() (throughput, chi float64) {
 	for a := 0; a < s.m; a++ {
 		if c := s.flow[a] / s.caps[a]; c > chi {
 			chi = c
 		}
 	}
 	if chi == 0 {
-		return 0
+		return 0, 0
 	}
 	minRatio := math.Inf(1)
 	for j := range s.flows {
@@ -955,7 +905,7 @@ func (s *state) primal() float64 {
 			minRatio = r
 		}
 	}
-	return minRatio / chi
+	return minRatio / chi, chi
 }
 
 func (s *state) result() *Result {
@@ -980,22 +930,11 @@ func (s *state) result() *Result {
 		},
 	}
 	// Maximum congestion certifies feasibility after scaling.
-	var chi float64
-	for a := 0; a < s.m; a++ {
-		if c := s.flow[a] / s.caps[a]; c > chi {
-			chi = c
-		}
-	}
+	throughput, chi := s.primal()
 	if chi == 0 {
 		return res
 	}
-	minRatio := math.Inf(1)
-	for j := range s.flows {
-		if r := s.routed[j] / s.flows[j].Demand; r < minRatio {
-			minRatio = r
-		}
-	}
-	res.Throughput = minRatio / chi
+	res.Throughput = throughput
 	if s.recordPaths {
 		res.Paths = s.rec
 		for i := range res.Paths {

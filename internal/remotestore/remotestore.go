@@ -155,12 +155,12 @@ type Stats struct {
 func (s Stats) Metrics(emit func(name, help string, v int64)) {
 	emit("remote_loads_total", "Remote-store load calls.", s.Loads)
 	emit("remote_load_hits_total", "Remote-store loads that returned an entry.", s.LoadHits)
-	emit("remote_load_misses_total", "Remote-store loads that answered 404.", s.LoadMisses)
+	emit("remote_load_misses_total", "Remote-store loads that returned no entry (404, retries exhausted, corrupt payload or open breaker).", s.LoadMisses)
 	emit("remote_saves_total", "Remote-store save calls.", s.Saves)
 	emit("remote_save_errors_total", "Remote-store saves that failed after retries.", s.SaveErrs)
 	emit("remote_attempts_total", "Remote-store HTTP attempts, including retries.", s.Attempts)
 	emit("remote_retries_total", "Remote-store attempts that were retries.", s.Retries)
-	emit("remote_failures_total", "Remote-store operations that exhausted their retry budget.", s.Failures)
+	emit("remote_failures_total", "Failed remote-store HTTP attempts, each retry counted (network error, timeout, error status or corrupt payload).", s.Failures)
 	emit("remote_corrupt_total", "Remote-store responses rejected by codec/CRC verification.", s.Corrupt)
 	emit("remote_breaker_opens_total", "Circuit-breaker transitions to open.", s.BreakerOpens)
 	emit("remote_short_circuits_total", "Remote-store calls refused by an open breaker.", s.ShortCircuits)

@@ -82,7 +82,7 @@ func (s CacheStats) Metrics(emit func(name, help string, v int64)) {
 	emit("cache_hits_total", "Solve-cache memory-tier hits.", s.Hits)
 	emit("cache_store_hits_total", "Solve-cache hits served from the backing store tier.", s.StoreHits)
 	emit("cache_misses_total", "Solve-cache misses (the point was solved).", s.Misses)
-	emit("cache_store_errors_total", "Solve-cache store-tier read/write errors.", s.StoreErrs)
+	emit("cache_store_errors_total", "Solve-cache results the backing store tier failed to save.", s.StoreErrs)
 	emit("cache_evictions_total", "Solve-cache memory-tier entries evicted by the byte budget.", s.Evictions)
 	emit("cache_entries", "Solve-cache resident memory-tier entries.", int64(s.Entries))
 }

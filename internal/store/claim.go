@@ -106,9 +106,10 @@ func readClaim(path string) (owner string, deadline time.Time, ok bool) {
 // process; the pid in the name distinguishes processes sharing a pool.
 var unclaimSeq atomic.Int64
 
-// Unclaim releases addr's claim if owner still holds it. Releasing a
-// claim another owner reclaimed in the meantime must be a no-op — a slow
-// ex-claimant cannot strip a successor's lease.
+// Unclaim releases addr's claim if owner still holds it, and reports
+// whether it did. Releasing a claim another owner reclaimed in the
+// meantime must be a no-op — a slow ex-claimant cannot strip a
+// successor's lease.
 //
 // Release is atomic: the claim file is renamed to a private name first
 // (taking whatever lease currently holds the name out of circulation in
@@ -119,12 +120,12 @@ var unclaimSeq atomic.Int64
 // unseen. With rename-first, the file we verify is exactly the file we
 // took; a successor's lease renamed by mistake is put back via link(2)
 // (which refuses to clobber an even newer claim).
-func (s *Store) Unclaim(addr, owner string) {
+func (s *Store) Unclaim(addr, owner string) bool {
 	path := s.claimPath(addr)
 	priv := filepath.Join(s.dir, claimsDir,
 		fmt.Sprintf(".tmp-rel-%d-%d", os.Getpid(), unclaimSeq.Add(1)))
 	if err := os.Rename(path, priv); err != nil {
-		return // no claim to release (or lost the race to one)
+		return false // no claim to release (or lost the race to one)
 	}
 	if s.unclaimHook != nil {
 		s.unclaimHook()
@@ -132,7 +133,7 @@ func (s *Store) Unclaim(addr, owner string) {
 	holder, _, ok := readClaim(priv)
 	if ok && holder == owner {
 		os.Remove(priv)
-		return
+		return true
 	}
 	// Not ours: a successor's live lease. Restore it — unless an even
 	// newer claim took the name in the window, in which case our copy is
@@ -140,4 +141,5 @@ func (s *Store) Unclaim(addr, owner string) {
 	// stripped lease plus a wedge: the displaced claimant still solves).
 	os.Link(priv, path)
 	os.Remove(priv)
+	return false
 }

@@ -342,6 +342,43 @@ func TestTieredCrashReclaim(t *testing.T) {
 	}
 }
 
+// TestAbandonForeignClaimNotCounted: abandoning a key whose claim a peer
+// holds (after this replica's wait timed out, or after a successor
+// reclaimed its expired lease) releases nothing. The peer's lease must
+// stay, and claims_abandoned_total must count only a claim this replica
+// actually released.
+func TestAbandonForeignClaimNotCounted(t *testing.T) {
+	disk, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewTiered(disk, nil, TieredOptions{LeaseTTL: time.Minute, Owner: "self"})
+	addr := Addr("pt")
+	if won, _ := disk.Claim(addr, "peer", time.Minute); !won {
+		t.Fatal("peer's claim must win")
+	}
+	r.Abandon("pt")
+	if owner, _, ok := disk.ClaimHolder(addr); !ok || owner != "peer" {
+		t.Fatalf("after abandoning a foreign claim, holder = %q (ok=%v), want peer", owner, ok)
+	}
+	if got := r.Stats().Abandons; got != 0 {
+		t.Fatalf("abandoning a peer's claim counted %d abandons, want 0", got)
+	}
+
+	// This replica's own claim is released and counted.
+	disk.Unclaim(addr, "peer")
+	if won, _ := disk.Claim(addr, "self", time.Minute); !won {
+		t.Fatal("own claim must win once the peer released")
+	}
+	r.Abandon("pt")
+	if _, _, ok := disk.ClaimHolder(addr); ok {
+		t.Fatal("abandon left this replica's own claim in place")
+	}
+	if got := r.Stats().Abandons; got != 1 {
+		t.Fatalf("abandoning an own claim counted %d abandons, want 1", got)
+	}
+}
+
 // TestPruneUnderFaultyConcurrentWriters tortures the reader/writer/pruner
 // interplay through the fault injector: 16 writers publishing through a
 // flaky backend while Prune runs continuously. The invariant is the

@@ -249,13 +249,15 @@ func (t *Tiered) SaveLinked(key string, vals []float64, parentKey string) error 
 // SaveLinked never runs for such a solve, so without this release the
 // claim would park every fleet peer waiting on the key for the full lease
 // TTL. Unclaim is owner-verified, so abandoning a claim this replica does
-// not hold (a wait-timeout miss, say) is a safe no-op.
+// not hold (a wait-timeout miss, or a lease a successor reclaimed) is a
+// safe no-op, and only a released claim counts.
 func (t *Tiered) Abandon(key string) {
 	if t.opt.LeaseTTL <= 0 {
 		return
 	}
-	t.disk.Unclaim(Addr(key), t.opt.Owner)
-	t.count(func(s *TieredStats) { s.Abandons++ })
+	if t.disk.Unclaim(Addr(key), t.opt.Owner) {
+		t.count(func(s *TieredStats) { s.Abandons++ })
+	}
 }
 
 // Stats snapshots the tiered backend's counters.
