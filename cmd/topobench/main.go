@@ -6,7 +6,7 @@
 //	topobench -fig 6a [-runs 20] [-seed 1] [-eps 0.08] [-quick] [-o out.tsv]
 //	topobench -list
 //	topobench -all -quick -o results/
-//	topobench -scenario "topo=rrg:n=400,deg=10 traffic=permutation eval=mcf sweep=deg:4..16"
+//	topobench -scenario "topo=rrg:n=400,deg=10,sps=5 traffic=permutation eval=mcf sweep=deg:4..16"
 //	topobench -scenario "..." -json -cache-dir ~/.cache/topobench
 //	topobench -scenario-list
 //	topobench serve -addr :8080 -cache-dir /var/lib/topobench [-jobs 8] [-store-max-bytes 1e9] [-trace-sample 0.01] [-log-format json]
@@ -103,7 +103,7 @@ func main() {
 		fig      = flag.String("fig", "", "figure ID to regenerate (e.g. 1a, 6c, 12a)")
 		all      = flag.Bool("all", false, "regenerate every figure")
 		list     = flag.Bool("list", false, "list available figure IDs")
-		scen     = flag.String("scenario", "", "run a declarative scenario grid, e.g. \"topo=rrg:n=400,deg=10 traffic=permutation eval=mcf sweep=deg:4..16\"")
+		scen     = flag.String("scenario", "", "run a declarative scenario grid, e.g. \"topo=rrg:n=400,deg=10,sps=5 traffic=permutation eval=mcf sweep=deg:4..16\"")
 		scenList = flag.Bool("scenario-list", false, "list the scenario registry (topologies, traffics, evaluators)")
 		runs     = flag.Int("runs", 0, "runs per data point (default: 20, or 3 with -quick; scenario default 3)")
 		seed     = flag.Int64("seed", 1, "base RNG seed")

@@ -15,7 +15,7 @@
 // Traffic, and Evaluator interfaces with string-keyed registries wrapping
 // the topo/rrg/hetero generators, the traffic patterns, and the
 // throughput/bisection/packet/ASPL/cut metrics. A scenario is addressed
-// by spec strings ("rrg:n=400,deg=10" × "permutation" × "mcf"), swept
+// by spec strings ("rrg:n=400,deg=10,sps=5" × "permutation" × "mcf"), swept
 // declaratively (scenario.Grid, `topobench -scenario "topo=... sweep=
 // deg:4..16"`), executed concurrently by internal/runner with the
 // byte-identical serial/parallel guarantee, and memoized in a
@@ -151,29 +151,22 @@
 // with incremental Kernighan–Lin swap gains (O(1) per candidate pair)
 // rather than recomputing the full cut capacity per pair.
 //
-// Phase-start tree prebuild. A solve runs on the calling goroutine. At
-// each phase start, mcf.Solve walks the sources in order and refreshes,
-// against the frozen phase-start length function, every tree the phase
-// is about to refresh anyway (the routing loop's (1+ε) staleness test,
-// summed along each path in the opposite direction). Each refresh is the
-// routing loop's own, one persistent scratch per source; the pass's
-// counters accumulate in source order as it runs, and the kill switches
-// they trip are held until the pass ends, so every refresh in it sees
-// the phase-start switches. Routing then proceeds against those trees.
-// (A concurrent pass measured no faster on two cores and cost more CPU
-// per solve; ROADMAP.md records the ablation.) Each rebuild also
-// picks its traversal adaptively: when the phase's length spread max/min
-// is small — the early/mid-solve regime, where Garg–Könemann lengths are
-// still near-uniform — a monotone bucket-queue Dijkstra
-// (graph.DijkstraScratch.RunBucketed, bucket width from graph.LengthRange)
-// replaces the heap's O(log n) sifts with O(1) bucket appends; when the
-// spread is wide, or bucket runs keep paying window-overflow rebases (a
-// deterministic kill switch mirroring the repair one), builds revert to
-// the heap. The dual normalizer α is accumulated from the phase-end trees
-// — still built under lengths ≤ the end-of-phase lengths, hence still a
-// valid dual bound, but fresher than the per-piece accumulation it
-// replaced, which tightens the primal-dual certificate and cuts phase
-// counts ~20% on the benchmark workloads.
+// Tree refresh and traversal. A solve runs on the calling goroutine and
+// routes its sources in order. A tree is built when its source first
+// routes, and refreshed only when a piece about to route on it finds its
+// path stale (the (1+ε) test above), under the lengths that piece sees.
+// Each rebuild picks its traversal adaptively: when the phase's length
+// spread max/min is small — the early/mid-solve regime, where
+// Garg–Könemann lengths are still near-uniform — a monotone bucket-queue
+// Dijkstra (graph.DijkstraScratch.RunBucketed, bucket width from
+// graph.LengthRange) replaces the heap's O(log n) sifts with O(1) bucket
+// appends; when the spread is wide, or bucket runs keep paying
+// window-overflow rebases (a deterministic kill switch mirroring the
+// repair one), builds revert to the heap. The dual normalizer α is
+// accumulated from the phase-end trees: each was built under lengths ≤
+// the end-of-phase lengths, hence a valid dual bound, and they are the
+// freshest trees the phase has, which keeps the primal-dual certificate
+// tight.
 //
 // Dynamic tree repair. Stale shortest-path trees need not be rebuilt:
 // because Garg–Könemann lengths only grow, graph.DijkstraScratch.Repair
@@ -187,9 +180,9 @@
 // the root. mcf.Solve therefore applies it adaptively: sources whose trees
 // go stale more than once per phase get full repairable builds, repairs
 // bail beyond a budget of N/2 affected nodes, and a kill switch reverts
-// the solve to early-exit rebuilds when repairs keep losing. Repair, the
-// bucket queue and the phase-start prebuild have no caller-facing
-// switches; ROADMAP.md records the ablation that keeps each of them.
+// the solve to early-exit rebuilds when repairs keep losing. Repair and
+// the bucket queue have no caller-facing switches; ROADMAP.md records the
+// ablation that keeps each of them.
 //
 // Experiment layer. internal/runner's Map is what the scenario engine maps
 // a grid onto: every (point, run) pair is one task of one flat Map, in

@@ -49,15 +49,30 @@ func goldenCompare(t *testing.T, name string, got []byte) {
 // goldenOpts are the pinned quick-mode settings (benchmark-grade grids).
 func goldenOpts() Options { return Options{Quick: true, Runs: 2, Seed: 1} }
 
-func goldenFigure(t *testing.T, id string) {
+// goldenRuns holds each figure computed on goldenOpts, so the golden
+// tests and the claims ledger share one run per test binary.
+var goldenRuns = map[string]*Figure{}
+
+// goldenRun returns figure id on goldenOpts, computing it on first use.
+func goldenRun(t *testing.T, id string) *Figure {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("flow-solver experiment; skipped in -short")
+	}
+	if fig, ok := goldenRuns[id]; ok {
+		return fig
 	}
 	fig, err := Registry(id)(goldenOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
+	goldenRuns[id] = fig
+	return fig
+}
+
+func goldenFigure(t *testing.T, id string) {
+	t.Helper()
+	fig := goldenRun(t, id)
 	var buf bytes.Buffer
 	if err := fig.TSV(&buf); err != nil {
 		t.Fatal(err)

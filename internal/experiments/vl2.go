@@ -23,8 +23,11 @@ func fullThroughputThreshold(epsilon float64) float64 {
 // share: 1 unit for permutation/chunky traffic, 1/(S-1) for all-to-all
 // among S servers. With the process-wide solve cache, probes shared
 // across searches (e.g. the same sizing search under several chunky
-// fractions) solve once.
-func maxToRs(o Options, tr scenario.Traffic, lo, hi, serversPerToR int, point func(tors int) scenario.Point) (int, error) {
+// fractions) solve once. The search starts at two ToRs: a single ToR
+// carries no network traffic (every flow stays on its switch), so it has
+// no throughput to measure and is at full throughput trivially; when two
+// ToRs already fall short, MaxAtFull returns 1.
+func maxToRs(o Options, tr scenario.Traffic, hi, serversPerToR int, point func(tors int) scenario.Point) (int, error) {
 	base := fullThroughputThreshold(o.Epsilon)
 	_, a2a := tr.(scenario.AllToAll)
 	threshold := func(size int) float64 {
@@ -33,7 +36,7 @@ func maxToRs(o Options, tr scenario.Traffic, lo, hi, serversPerToR int, point fu
 		}
 		return base
 	}
-	return o.engine().MaxAtFull(lo, hi, threshold, point)
+	return o.engine().MaxAtFull(2, hi, threshold, point)
 }
 
 // vl2Point and rewiredPoint are the scenario points of the §7 capacity
@@ -94,13 +97,13 @@ func rewiredOverVL2(o Options, tr scenario.Traffic, da, di int, seedMix int64) (
 	cfg := topo.VL2Config{DA: da, DI: di}
 	designed := cfg.NumToRs()
 	hi := designed*2 + 4
-	vl2Max, err := maxToRs(o, tr, 1, hi, 20, func(tors int) scenario.Point {
+	vl2Max, err := maxToRs(o, tr, hi, 20, func(tors int) scenario.Point {
 		return o.vl2Point(tr, da, di, tors, seedMix)
 	})
 	if err != nil {
 		return 0, err
 	}
-	rewMax, err := maxToRs(o, tr, 1, hi, 20, func(tors int) scenario.Point {
+	rewMax, err := maxToRs(o, tr, hi, 20, func(tors int) scenario.Point {
 		return o.rewiredPoint(tr, da, di, tors, seedMix+7)
 	})
 	if err != nil {
@@ -137,7 +140,7 @@ func Fig12b(o Options) (*Figure, error) {
 		// Size the topology at its permutation-full-throughput point. The
 		// search's seed mix depends only on DA, so the three chunky
 		// fractions share it — with the solve cache, it runs once.
-		tors, err := maxToRs(o, scenario.Permutation{}, 1, cfg.NumToRs()*2+4, 20, func(t int) scenario.Point {
+		tors, err := maxToRs(o, scenario.Permutation{}, cfg.NumToRs()*2+4, 20, func(t int) scenario.Point {
 			return o.rewiredPoint(scenario.Permutation{}, da, di, t, int64(12200+da))
 		})
 		if err != nil || tors < 2 {

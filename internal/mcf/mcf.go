@@ -96,10 +96,8 @@ type Result struct {
 	// incremental repairs, respectively — the repair hit rate.
 	TreeBuilds  int
 	TreeRepairs int
-	// TreePrebuilds counts the tree refreshes (builds or repairs) executed
-	// by the phase-start prebuild pass rather than inside the routing loop
-	// — the share of the tree work done against the frozen phase-start
-	// lengths.
+	// TreePrebuilds is always zero: the solver has no phase-start prebuild
+	// pass. It stays only because perfbench/sweep.go reads it.
 	TreePrebuilds int
 	// BucketBuilds counts the tree constructions served by the monotone
 	// bucket-queue traversal; the remaining TreeBuilds used the 4-ary
@@ -128,24 +126,23 @@ type Result struct {
 	// commodity j gives j's delivered volume (≥ Throughput·demand_j);
 	// summing over paths crossing an arc reconstructs ArcFlow.
 	Paths []PathFlow
-	// Timing is the solve's wall-clock phase telemetry for observability
-	// (prebuild vs. routing time). Unlike every other Result field it is
+	// Timing is the solve's wall-clock telemetry for observability
+	// (routing vs. whole-solve time). Unlike every other Result field it is
 	// inherently NON-deterministic; determinism tests must zero it before
 	// comparing Results with reflect.DeepEqual.
 	Timing SolveTiming
 }
 
-// SolveTiming is the wall-clock breakdown of one solve: where the time
-// went between the phase-start tree prebuild pass and the routing loop.
-// It feeds the tracing layer's solver-phase spans (internal/trace via the
-// scenario evaluators); nothing in the solver reads it back.
+// SolveTiming is the wall-clock breakdown of one solve: the routing
+// loops against the whole solve. It feeds the tracing layer's solver
+// spans (internal/trace via the scenario evaluators); nothing in the
+// solver reads it back.
 type SolveTiming struct {
-	// PrebuildNanos is the time spent in prebuildTrees across all
-	// phases.
+	// PrebuildNanos is always zero: the solver has no phase-start prebuild
+	// pass. It stays only because perfbench/sweep.go reads it.
 	PrebuildNanos int64
-	// RouteNanos is the time spent in the per-phase routing loops
-	// (including the in-loop refreshes of trees the phase's own routing
-	// staled).
+	// RouteNanos is the time spent in the per-phase routing loops,
+	// including the tree builds and refreshes they trigger.
 	RouteNanos int64
 	// SolveNanos is the whole solve's wall clock, from state
 	// construction through result extraction.
@@ -296,16 +293,11 @@ type state struct {
 	// repair is switched off for the rest of the solve and tree builds
 	// return to early-exiting Dijkstras.
 	builds, repairs, repairTries int
-	// held defers the kill switches (see tripSwitches) while the
-	// phase-start prebuild runs; prebuilds counts that pass's refreshes.
-	held      bool
-	prebuilds int
 
-	// Wall-clock phase telemetry for Result.Timing: startedAt stamps
-	// state construction; prebuildNanos/routeNanos split each phase
-	// between the prebuild pass and the routing loop.
-	startedAt                 time.Time
-	prebuildNanos, routeNanos int64
+	// Wall-clock telemetry for Result.Timing: startedAt stamps state
+	// construction; routeNanos sums the phases' routing loops.
+	startedAt  time.Time
+	routeNanos int64
 
 	// Per-phase traversal choice (see choosePhaseTraversal): phaseDelta is
 	// the bucket width derived from the phase-start length function,
@@ -527,8 +519,8 @@ const bucketRangeLimit = 1 << 16
 // than bucketRebaseBudget overflow rebases each, the length structure is
 // hostile (distances spread far beyond the resident window) and the solver
 // reverts to the heap for the rest of the solve. Rebase counts depend only
-// on the frozen inputs of each run, so the switch flips — or doesn't —
-// identically across worker counts.
+// on each run's inputs, so the switch flips (or doesn't) identically on
+// every solve of the same instance.
 const (
 	bucketMinRuns      = 16
 	bucketRebaseBudget = 4
@@ -589,23 +581,6 @@ func (s *state) noteBucket(bucket, bailed bool, rebases int) {
 		if s.bucketBuilds >= bucketMinRuns && s.bucketRebases > bucketRebaseBudget*s.bucketBuilds {
 			s.noBucket = true
 		}
-	}
-	s.tripSwitches()
-}
-
-// tripSwitches applies the adaptive kill switches: repair goes off once
-// it keeps losing (see repairMinTries), and the phase's bucket traversal
-// once noteBucket has tripped noBucket. While the phase-start prebuild
-// holds them it does nothing, so every refresh of that pass sees the
-// phase-start switches; the pass applies them when it ends. Outside the
-// pass it runs after every counter change, so a repeated call with
-// unchanged counters changes nothing.
-func (s *state) tripSwitches() {
-	if s.held {
-		return
-	}
-	if s.repairTries >= repairMinTries && s.repairs*repairWinRatio < s.repairTries {
-		s.noRepair = true
 	}
 	if s.noBucket {
 		s.useBucket = false
@@ -679,69 +654,12 @@ func (s *state) refreshTree(t *srcTree, sc *source) {
 		t.seq = s.growSeq
 		s.repairs++
 	}
-	s.tripSwitches()
+	if s.repairTries >= repairMinTries && s.repairs*repairWinRatio < s.repairTries {
+		s.noRepair = true
+	}
 	if !ok {
 		s.buildTree(t, sc)
 	}
-}
-
-// phaseStale reports whether sc's tree needs a phase-start refresh: never
-// built, or some requested root path is missing or has outgrown (1+ε) of
-// its at-build length under the phase-start lengths. It is the routing
-// loop's pre-piece test, so the prebuild refreshes only trees whose first
-// piece of the phase would have forced an in-loop refresh anyway, except
-// at the rounding level: this sum walks each path from the destination
-// back to the source, the loop's from the source to the destination, and
-// a path at the (1+ε) edge can come out on either side. The two sums stay
-// separate on purpose: one shared helper changes which trees refresh, and
-// with them the solver's output bytes (the Fig. 2a and 9a goldens move).
-func (s *state) phaseStale(t *srcTree, sc *source) bool {
-	if !t.built {
-		return true
-	}
-	onePlusEps := 1 + s.eps
-	for _, dst := range sc.targets {
-		var nowLen, buildLen float64
-		at := int(dst)
-		for at != sc.node {
-			a := t.scratch.Via(at)
-			if a < 0 {
-				return true // the tree does not reach this destination
-			}
-			nowLen += s.lens[a]
-			buildLen += t.lenAtBuild[a]
-			at = int(s.g.Arc(int(a)).From)
-		}
-		if nowLen > onePlusEps*buildLen {
-			return true
-		}
-	}
-	return false
-}
-
-// prebuildTrees is the phase-start pass: under the frozen phase-start
-// length function it walks the sources in order and refreshes every tree
-// the phase is about to refresh anyway (phaseStale), before routing
-// proceeds against those trees. The pass holds the kill switches: its
-// counters accumulate refresh by refresh, but every refresh in it sees
-// the phase-start switches, and the trips apply when the pass ends. The
-// (1+ε) staleness check in the routing loop still guards every piece, so
-// trees that go stale again mid-phase (from this phase's own routing) are
-// refreshed inside the loop exactly as before.
-func (s *state) prebuildTrees() {
-	if s.shared != nil {
-		return // shared-tree fallback: one slot, nothing persists to refresh
-	}
-	s.held = true
-	for i := range s.srcs {
-		sc := &s.srcs[i]
-		if t := s.treeFor(i); s.phaseStale(t, sc) {
-			s.refreshTree(t, sc)
-			s.prebuilds++
-		}
-	}
-	s.held = false
-	s.tripSwitches()
 }
 
 // runPhase routes each commodity's full demand once under the current
@@ -754,13 +672,12 @@ func (s *state) prebuildTrees() {
 // slack the Garg–Könemann analysis tolerates, so capacity-limited pieces
 // whose updates moved the lengths only negligibly no longer force a fresh
 // Dijkstra each, and sources whose neighborhoods are quiet skip the
-// per-phase Dijkstra entirely.
+// per-phase Dijkstra entirely. This per-piece test is the solver's only
+// staleness test: a tree is refreshed when a piece finds it stale, under
+// the lengths that piece sees.
 func (s *state) runPhase() {
 	s.choosePhaseTraversal()
-	phaseStart := time.Now()
-	s.prebuildTrees()
 	routeStart := time.Now()
-	s.prebuildNanos += routeStart.Sub(phaseStart).Nanoseconds()
 	defer func() { s.routeNanos += time.Since(routeStart).Nanoseconds() }()
 	onePlusEps := 1 + s.eps
 	s.alpha = 0
@@ -833,12 +750,13 @@ func (s *state) runPhase() {
 		}
 	}
 	if s.shared == nil {
-		// Dual normalizer from the phase-end trees: each source's newest
-		// tree was built (or repaired) under lengths ≤ the end-of-phase
-		// lengths, so Σ demand·dist is a valid α — and the freshest one
-		// available without extra Dijkstras, which keeps the primal-dual
-		// certificate as tight as possible now that prebuilt trees carry
-		// phase-start (smaller) distances.
+		// Dual normalizer from the phase-end trees: lengths only grow, so
+		// every phase-end tree, whether this phase's routing refreshed it
+		// or an earlier phase built it, was built (or repaired) under
+		// lengths no larger than the phase-end lengths. Its distances are
+		// therefore lower bounds on the phase-end ones, Σ demand·dist is a
+		// valid α, and these are the freshest trees available without
+		// extra Dijkstras.
 		for i := range s.srcs {
 			sc := &s.srcs[i]
 			for _, j := range sc.flows {
@@ -914,19 +832,17 @@ func (s *state) result() *Result {
 		witness = s.lens
 	}
 	res := &Result{
-		ArcFlow:       make([]float64, s.m),
-		Phases:        s.phases,
-		TreeBuilds:    s.builds,
-		TreeRepairs:   s.repairs,
-		TreePrebuilds: s.prebuilds,
-		BucketBuilds:  s.bucketBuilds,
-		Epsilon:       s.eps,
-		DualLens:      append([]float64(nil), witness...),
-		WarmStarted:   s.warm,
+		ArcFlow:      make([]float64, s.m),
+		Phases:       s.phases,
+		TreeBuilds:   s.builds,
+		TreeRepairs:  s.repairs,
+		BucketBuilds: s.bucketBuilds,
+		Epsilon:      s.eps,
+		DualLens:     append([]float64(nil), witness...),
+		WarmStarted:  s.warm,
 		Timing: SolveTiming{
-			PrebuildNanos: s.prebuildNanos,
-			RouteNanos:    s.routeNanos,
-			SolveNanos:    time.Since(s.startedAt).Nanoseconds(),
+			RouteNanos: s.routeNanos,
+			SolveNanos: time.Since(s.startedAt).Nanoseconds(),
 		},
 	}
 	// Maximum congestion certifies feasibility after scaling.

@@ -129,10 +129,10 @@ func TestFlowcheckCertifiesHeavyDemand(t *testing.T) {
 
 // TestFlowcheckCertifiesSharedTreeFallback: an instance whose per-source
 // trees would exceed the memory budget is solved with one shared tree,
-// which neither prebuilds nor repairs. No figure's instance is that
-// large, so the test forces the fallback with a zero budget: a random RRG
-// and the heavy-demand fixture, which engage both the prebuild and repair
-// at the default budget, engage neither under it and still certify.
+// which never repairs. No figure's instance is that large, so the test
+// forces the fallback with a zero budget: a random RRG and the
+// heavy-demand fixture, which engage repair at the default budget, do not
+// under it and still certify.
 func TestFlowcheckCertifiesSharedTreeFallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	g, err := rrg.Regular(rng, 40, 6)
@@ -149,18 +149,16 @@ func TestFlowcheckCertifiesSharedTreeFallback(t *testing.T) {
 		{"heavy-demand", hg, hflows},
 	} {
 		res := certify(t, fx.g, fx.flows, 0.1, fx.name)
-		if res.TreePrebuilds == 0 || res.TreeRepairs == 0 {
-			t.Fatalf("%s at the default budget: %d prebuilds, %d repairs; the fixture must engage both",
-				fx.name, res.TreePrebuilds, res.TreeRepairs)
+		if res.TreeRepairs == 0 {
+			t.Fatalf("%s at the default budget: no repairs; the fixture must engage repair", fx.name)
 		}
 		func() {
 			// Deferred, the restore also runs when certify fails the test.
 			defer mcf.SetTreeBudget(0)()
 			res = certify(t, fx.g, fx.flows, 0.1, fx.name+" (shared tree)")
 		}()
-		if res.TreePrebuilds != 0 || res.TreeRepairs != 0 {
-			t.Fatalf("%s with the shared tree: %d prebuilds, %d repairs, want 0 and 0",
-				fx.name, res.TreePrebuilds, res.TreeRepairs)
+		if res.TreeRepairs != 0 {
+			t.Fatalf("%s with the shared tree: %d repairs, want 0", fx.name, res.TreeRepairs)
 		}
 	}
 }

@@ -148,10 +148,19 @@ func (e *Engine) WarmStats() WarmStats {
 	}
 }
 
-// infeasible classifies build errors that mark a sweep point as
-// unrealizable rather than broken.
+// errNotFinite fails a run whose value is not a finite number. λ of a
+// traffic matrix with no flows is +Inf (a topology with no servers, such
+// as rrg without sps=), and a cut with an empty side divides by zero:
+// such a point has nothing to measure. It counts as infeasible, so no
+// non-finite value reaches a cache, a store entry or a response.
+var errNotFinite = errors.New("run value is not finite: nothing to measure")
+
+// infeasible classifies errors that mark a sweep point as unrealizable
+// rather than broken: a build that cannot be wired, or a run with nothing
+// to measure.
 func infeasible(err error) bool {
-	return errors.Is(err, hetero.ErrInfeasiblePoint) || errors.Is(err, rrg.ErrInfeasible)
+	return errors.Is(err, hetero.ErrInfeasiblePoint) || errors.Is(err, rrg.ErrInfeasible) ||
+		errors.Is(err, errNotFinite)
 }
 
 // Measure evaluates every point and summarizes its runs. Every (point,
@@ -644,6 +653,9 @@ func (e *Engine) oneRun(cctx context.Context, p Point, i int, keep bool, pw *poi
 		v = d.Value
 	} else {
 		v, err = p.Eval.Evaluate(ctx)
+	}
+	if err == nil && (math.IsInf(v, 0) || math.IsNaN(v)) {
+		return 0, Detail{}, fmt.Errorf("run %d: %w: %v", i, errNotFinite, v)
 	}
 	if w != nil && err == nil {
 		if w.WarmStarted {

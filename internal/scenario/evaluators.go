@@ -111,21 +111,19 @@ func (MCF) EvaluateDetailed(ctx *EvalContext) (Detail, error) {
 }
 
 // solveSpan closes a solver span with the solve's phase telemetry: the
-// prebuild/route wall-clock split from Result.Timing, the tree
-// build/repair and bucket-vs-heap counters, and how the solve was
-// seeded. Inert (free) when the span is not live.
+// route/solve wall clock from Result.Timing, the tree build/repair and
+// bucket-vs-heap counters, and how the solve was seeded. Inert (free)
+// when the span is not live.
 func solveSpan(sp trace.Span, res *mcf.Result, seeded bool) {
 	if !sp.OK() {
 		return
 	}
 	if res != nil {
 		sp.AttrInt("phases", int64(res.Phases))
-		sp.AttrInt("prebuild_ns", res.Timing.PrebuildNanos)
 		sp.AttrInt("route_ns", res.Timing.RouteNanos)
 		sp.AttrInt("solve_ns", res.Timing.SolveNanos)
 		sp.AttrInt("tree_builds", int64(res.TreeBuilds))
 		sp.AttrInt("tree_repairs", int64(res.TreeRepairs))
-		sp.AttrInt("tree_prebuilds", int64(res.TreePrebuilds))
 		sp.AttrInt("bucket_builds", int64(res.BucketBuilds))
 		if res.WarmStarted {
 			sp.Attr("seed", "warm")

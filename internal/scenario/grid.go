@@ -218,7 +218,7 @@ func (g Grid) WriteTSV(e *Engine, w io.Writer) error {
 
 // ParseGrid parses the topobench -scenario line grammar:
 //
-//	topo=rrg:n=400,deg=10 traffic=permutation eval=mcf sweep=deg:4..16
+//	topo=rrg:n=400,deg=10,sps=5 traffic=permutation eval=mcf sweep=deg:4..16
 //
 // Fields are whitespace-separated key=value tokens. Recognized keys:
 // topo, traffic, eval (registry specs), sweep (repeatable), runs, seed,

@@ -24,7 +24,7 @@
 // A full scenario line, as consumed by `topobench -scenario`, combines the
 // three registries with sweep axes and run controls:
 //
-//	topo=rrg:n=400,deg=10 traffic=permutation eval=mcf sweep=deg:4..16
+//	topo=rrg:n=400,deg=10,sps=5 traffic=permutation eval=mcf sweep=deg:4..16
 //
 // (see Grid and ParseGrid). Grid lines arrive over HTTP, so their size is
 // bounded before anything is materialized: a grid expands to at most
@@ -312,6 +312,17 @@ func (r *ParamReader) Int(key string, def int) int {
 	v, err := strconv.Atoi(s)
 	if err != nil {
 		r.errs = append(r.errs, fmt.Sprintf("%s=%q is not an integer", key, s))
+		return def
+	}
+	return v
+}
+
+// count reads a size parameter (a node, degree, link or server count),
+// rejecting a negative value.
+func (r *ParamReader) count(key string, def int) int {
+	v := r.Int(key, def)
+	if v < 0 {
+		r.errs = append(r.errs, fmt.Sprintf("%s=%d is negative", key, v))
 		return def
 	}
 	return v

@@ -138,8 +138,9 @@ func TestRegistryRejectsUnknown(t *testing.T) {
 	if _, err := ParseTraffic("nope"); err == nil {
 		t.Error("unknown traffic kind accepted")
 	}
-	// Non-finite and out-of-range fractions fail at parse time, naming
-	// the parameter, before any point is built.
+	// Non-finite and out-of-range fractions and negative sizes fail at
+	// parse time, naming the parameter, before any point is built (a
+	// negative size used to panic inside Build, or read as 0).
 	for _, tc := range []struct{ line, param string }{
 		{"topo=rrg:n=16,deg=4,sps=2 traffic=chunky:frac=NaN eval=mcf runs=1", "frac"},
 		{"topo=rrg:n=16,deg=4,sps=2 traffic=permutation eval=failures:frac=NaN,eval=mcf runs=1", "frac"},
@@ -147,6 +148,17 @@ func TestRegistryRejectsUnknown(t *testing.T) {
 		{"topo=rrg:n=16,deg=4,sps=2 traffic=hotspot:frac=NaN eval=mcf runs=1", "frac"},
 		{"topo=rrg:n=16,deg=4,sps=2 traffic=permutation eval=failures:frac=-0.5,eval=mcf runs=1", "frac"},
 		{"topo=rrg:n=16,deg=4,sps=2 traffic=permutation eval=failures:frac=inf,eval=mcf runs=1", "frac"},
+		{"topo=twocluster:n=-4 eval=cut runs=1", "n"},
+		{"topo=twocluster:n=6,deg=3,cross=-1 eval=cut runs=1", "cross"},
+		{"topo=hypercube:dim=3,sps=-1 traffic=permutation eval=mcf runs=1", "sps"},
+		{"topo=torus:a=3,b=3,sps=-1 traffic=permutation eval=mcf runs=1", "sps"},
+		{"topo=vl2:da=4,di=4,sptor=-1 traffic=permutation eval=mcf runs=1", "sptor"},
+		{"topo=rewired-vl2:da=4,di=4,tors=-1 traffic=permutation eval=mcf runs=1", "tors"},
+		{"topo=rrg:n=10,deg=4,sps=-2 traffic=permutation eval=mcf runs=1", "sps"},
+		{"topo=rrg:n=10,deg=-4,sps=1 traffic=permutation eval=mcf runs=1", "deg"},
+		{"topo=jellyfish:n=-10 traffic=permutation eval=mcf runs=1", "n"},
+		{"topo=expand:n=10,deg=4,sps=-1 traffic=permutation eval=mcf runs=1", "sps"},
+		{"topo=plrrg:n=-5,sfrac=0.4 traffic=permutation eval=mcf runs=1", "n"},
 	} {
 		g, err := ParseGrid(tc.line)
 		if err == nil {

@@ -52,7 +52,7 @@ func (t *RRG) Build(rng *rand.Rand) (*graph.Graph, error) {
 
 func parseRRG(p Params) (Topology, error) {
 	r := p.Reader()
-	t := &RRG{N: r.Int("n", 40), Deg: r.Int("deg", 10), SPS: r.Int("sps", 0)}
+	t := &RRG{N: r.count("n", 40), Deg: r.count("deg", 10), SPS: r.count("sps", 0)}
 	return t, r.Err()
 }
 
@@ -104,7 +104,7 @@ func (t *PowerLawRRG) Build(rng *rand.Rand) (*graph.Graph, error) {
 func parsePowerLawRRG(p Params) (Topology, error) {
 	r := p.Reader()
 	t := &PowerLawRRG{
-		N: r.Int("n", 40), Avg: r.Float("avg", 8), Gamma: r.Float("gamma", 2.2),
+		N: r.count("n", 40), Avg: r.Float("avg", 8), Gamma: r.Float("gamma", 2.2),
 		Kmin: r.Int("kmin", 3), Kmax: r.Int("kmax", 20),
 		Servers: r.Int("servers", 0), SFrac: r.Float("sfrac", 0),
 		Beta: r.Float("beta", 1), PortSeed: r.Int64("pseed", 1),
@@ -170,7 +170,7 @@ func (t *VL2) Build(rng *rand.Rand) (*graph.Graph, error) {
 
 func parseVL2(p Params) (Topology, error) {
 	r := p.Reader()
-	t := &VL2{DA: r.Int("da", 8), DI: r.Int("di", 8), ToRs: r.Int("tors", 0), ServersPerToR: r.Int("sptor", 0)}
+	t := &VL2{DA: r.Int("da", 8), DI: r.Int("di", 8), ToRs: r.count("tors", 0), ServersPerToR: r.count("sptor", 0)}
 	return t, r.Err()
 }
 
@@ -196,7 +196,7 @@ func (t *RewiredVL2) Build(rng *rand.Rand) (*graph.Graph, error) {
 
 func parseRewiredVL2(p Params) (Topology, error) {
 	r := p.Reader()
-	t := &RewiredVL2{DA: r.Int("da", 8), DI: r.Int("di", 8), ToRs: r.Int("tors", 0), ServersPerToR: r.Int("sptor", 0)}
+	t := &RewiredVL2{DA: r.Int("da", 8), DI: r.Int("di", 8), ToRs: r.count("tors", 0), ServersPerToR: r.count("sptor", 0)}
 	return t, r.Err()
 }
 
@@ -233,7 +233,7 @@ func (t *Hypercube) Build(rng *rand.Rand) (*graph.Graph, error) {
 
 func parseHypercube(p Params) (Topology, error) {
 	r := p.Reader()
-	t := &Hypercube{Dim: r.Int("dim", 6), SPS: r.Int("sps", 1)}
+	t := &Hypercube{Dim: r.Int("dim", 6), SPS: r.count("sps", 1)}
 	return t, r.Err()
 }
 
@@ -257,7 +257,7 @@ func (t *Torus) Build(rng *rand.Rand) (*graph.Graph, error) {
 
 func parseTorus(p Params) (Topology, error) {
 	r := p.Reader()
-	t := &Torus{A: r.Int("a", 8), B: r.Int("b", 8), SPS: r.Int("sps", 1)}
+	t := &Torus{A: r.Int("a", 8), B: r.Int("b", 8), SPS: r.count("sps", 1)}
 	return t, r.Err()
 }
 
@@ -274,7 +274,7 @@ func (t *Jellyfish) Build(rng *rand.Rand) (*graph.Graph, error) {
 
 func parseJellyfish(p Params) (Topology, error) {
 	r := p.Reader()
-	t := &Jellyfish{N: r.Int("n", 40), Ports: r.Int("ports", 15), Deg: r.Int("deg", 10)}
+	t := &Jellyfish{N: r.count("n", 40), Ports: r.Int("ports", 15), Deg: r.count("deg", 10)}
 	return t, r.Err()
 }
 
@@ -301,7 +301,7 @@ func (t *TwoCluster) Build(rng *rand.Rand) (*graph.Graph, error) {
 
 func parseTwoCluster(p Params) (Topology, error) {
 	r := p.Reader()
-	t := &TwoCluster{N: r.Int("n", 12), Deg: r.Int("deg", 6), Cross: r.Int("cross", 8)}
+	t := &TwoCluster{N: r.count("n", 12), Deg: r.count("deg", 6), Cross: r.count("cross", 8)}
 	return t, r.Err()
 }
 
@@ -364,7 +364,7 @@ func (t *Expand) ParentTopology() (Topology, bool) {
 func parseExpand(p Params) (Topology, error) {
 	r := p.Reader()
 	t := &Expand{
-		N: r.Int("n", 40), Deg: r.Int("deg", 10), SPS: r.Int("sps", 0),
+		N: r.count("n", 40), Deg: r.count("deg", 10), SPS: r.count("sps", 0),
 		Steps: r.Int("steps", 1), Cap: r.Float("cap", 1),
 	}
 	return t, r.Err()

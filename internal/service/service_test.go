@@ -293,7 +293,8 @@ func contains(xs []string, want string) bool {
 // with no traffic (the shortest line the grammar accepts) all answer 400
 // with a JSON error on both /v1/eval and /v1/jobs, never 500 or 202, and
 // write nothing to the store — an unsolved NaN-ε point must never be
-// cached or persisted as a result. Nothing panics, and the daemon stays
+// cached or persisted as a result. So do negative topology sizes, which
+// used to panic inside Build. Nothing panics, and the daemon stays
 // healthy.
 func TestBadRequests(t *testing.T) {
 	_, hs := newTestServer(t, t.TempDir(), 4)
@@ -311,7 +312,10 @@ func TestBadRequests(t *testing.T) {
 	for _, grid := range []string{"", "traffic=permutation", "topo=nope:n=4", "topo=rrg bogus=1",
 		testGrid + " eps=NaN", testGrid + " eps=-1", testGrid + " eps=0.7", testGrid + " eps=Inf",
 		testGrid + " sweep=deg:0..2000000000", testGrid + " sweep=deg:0..9223372036854775807",
-		testGrid + " runs=1000000000", testGrid + " runs=-1", "topo=rrg:n=10,deg=4,sps=1"} {
+		testGrid + " runs=1000000000", testGrid + " runs=-1", "topo=rrg:n=10,deg=4,sps=1",
+		"topo=twocluster:n=-4 eval=cut runs=1", "topo=hypercube:dim=3,sps=-1 traffic=permutation eval=mcf runs=1",
+		"topo=torus:a=3,b=3,sps=-1 traffic=permutation eval=mcf runs=1",
+		"topo=vl2:da=4,di=4,sptor=-1 traffic=permutation eval=mcf runs=1"} {
 		bodies = append(bodies, reqBody(grid))
 	}
 	for _, route := range []string{"/v1/eval", "/v1/jobs"} {
@@ -351,6 +355,44 @@ func TestBadRequests(t *testing.T) {
 	}
 	if status, body := get(t, hs.URL+"/healthz"); status != http.StatusOK {
 		t.Fatalf("healthz after rejected requests: %d %s", status, body)
+	}
+}
+
+// TestNonFiniteRunAnswersInfeasible: a line with nothing to measure (an
+// rrg with no servers, the no-server two-cluster topology under mcf, a
+// cut with an empty side, bipartite traffic with no pairs) used to yield
+// λ = +Inf, which JSON cannot encode: 500 on every request while the +Inf
+// stayed cached. It answers 200 with every point infeasible, and nothing
+// reaches the store.
+func TestNonFiniteRunAnswersInfeasible(t *testing.T) {
+	_, hs := newTestServer(t, t.TempDir(), 4)
+	for _, grid := range []string{
+		"topo=rrg:n=16,deg=6 traffic=permutation eval=mcf sweep=deg:4..6:2 runs=1",
+		"topo=twocluster:n=6,deg=3,cross=4 traffic=permutation eval=mcf runs=1",
+		"topo=rrg:n=10,deg=4,sps=1 eval=cut:n1=-1 runs=1",
+		"topo=rrg:n=10,deg=4,sps=1 traffic=bipartite:n1=10 eval=mcf runs=1",
+	} {
+		for attempt := 0; attempt < 2; attempt++ {
+			status, body := postEval(t, hs.URL, grid)
+			if status != http.StatusOK {
+				t.Fatalf("%s (attempt %d): status %d body %s", grid, attempt, status, body)
+			}
+			var resp EvalResponse
+			if err := json.Unmarshal(body, &resp); err != nil {
+				t.Fatal(err)
+			}
+			if len(resp.Points) == 0 {
+				t.Fatalf("%s: no points in %s", grid, body)
+			}
+			for _, pt := range resp.Points {
+				if pt.OK {
+					t.Fatalf("%s: point %v answered ok with values %v, want infeasible", grid, pt.Coords, pt.Values)
+				}
+			}
+		}
+	}
+	if got := metric(t, hs.URL, "store_writes_total"); got != 0 {
+		t.Fatalf("infeasible points wrote %d store entries", got)
 	}
 }
 

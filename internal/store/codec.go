@@ -35,9 +35,12 @@ import (
 // an older codec then simply read as misses and are re-solved, so a
 // version bump can never resurrect stale bytes as fresh results. v1→v2
 // added the flags word and the parent link; every v1 entry on disk reads
-// as a miss once, then is re-solved and rewritten under v2.
+// as a miss once, then is re-solved and rewritten under v2. v2→v3 kept
+// the layout but changed the meaning of mcf run values: the solver lost
+// its phase-start tree prebuild, so its throughputs moved inside the ε
+// class, and a v2 value is re-solved rather than mixed with v3 ones.
 const (
-	CodecVersion uint16 = 2
+	CodecVersion uint16 = 3
 
 	headerSize  = 12
 	trailerSize = 4
